@@ -68,8 +68,8 @@ from .green import (
     affine_interpolant,
     envelope_weight,
     green_apply,
-    green_matrix,
     green_value,
+    kernel_lower_weight,
 )
 from .model import DirichletProblem, Nonlinearity, emden_fowler, rhs_matrix
 from .solver import (

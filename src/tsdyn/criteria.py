@@ -33,7 +33,7 @@ from .errors import (
     SupportMismatch,
 )
 from .expressions import ExpressionTree
-from .green import envelope_weight, green_apply
+from .green import envelope_weight, green_apply, kernel_lower_weight
 from .model import DirichletProblem, Nonlinearity, rhs_matrix
 from .timescale import Kind, TimeScale, quantum_family, same_realization, uniform_family
 
@@ -214,8 +214,9 @@ def _resolve_family(scales, reference) -> list[TimeScale]:
     return family
 
 
-def _envelope_column(ts: TimeScale) -> np.ndarray:
-    return (ts.points - ts.a) * (ts.sigma2_b - ts.points) / ts.span
+def _envelope_states(ts: TimeScale, n: int) -> np.ndarray:
+    e = envelope_weight(ts).component(1)
+    return np.repeat(e[1 : ts.last_index, None], n, axis=1)
 
 
 def _overall(per_component: Sequence[ConvergenceVerdict]) -> Verdict:
@@ -278,14 +279,10 @@ def criterion_sufficient(
     """
     family = _resolve_family(scales, reference)
 
-    def states(ts: TimeScale, n: int) -> np.ndarray:
-        e = _envelope_column(ts)
-        return np.repeat(e[1 : ts.last_index, None], n, axis=1)
-
     def weight(ts: TimeScale) -> np.ndarray:
         return np.ones(ts.last_index - 1)
 
-    return _trail_report(f, family, states, weight)
+    return _trail_report(f, family, _envelope_states, weight)
 
 
 def criterion_necessary(
@@ -386,15 +383,7 @@ def family_quadrature(
         raise ValueError(f"unknown quadrature weight {weight!r}")
     family = _resolve_family(scales, reference)
 
-    def states(ts: TimeScale, n: int) -> np.ndarray:
-        e = _envelope_column(ts)
-        return np.repeat(e[1 : ts.last_index, None], n, axis=1)
-
-    def kernel_weight(ts: TimeScale) -> np.ndarray:
-        sig = ts.points[1 : ts.last_index]
-        return (sig - ts.a) * (ts.sigma2_b - sig) / ts.span**2
-
-    return _trail_report(f, family, states, kernel_weight)
+    return _trail_report(f, family, _envelope_states, kernel_lower_weight)
 
 
 # --- bound construction ---------------------------------------------------------
@@ -424,12 +413,11 @@ def construct_bounds(problem: DirichletProblem) -> BoundsPair:
                 f"component {fi.component_index}: diagonal upper degree must "
                 f"stay below one, got {fi.diagonal_high:g}"
             )
-    e = _envelope_column(ts)
-    states = np.repeat(e[1:N, None], n, axis=1)
-    vals, skipped = rhs_matrix(problem, states)
+    vals, skipped = rhs_matrix(problem, _envelope_states(ts, n))
     mu = ts.mu[: N - 1]
     s = ts.points[: N - 1]
     sig = ts.points[1:N]
+    # (s - a) <= (sigma(s) - a), so this is also a valid lower kernel weight
     w_low = (s - ts.a) * (ts.sigma2_b - sig) / D**2
     I1 = [float(np.sum(mu * w_low * vals[:, i])) for i in range(n)]
     I2 = [float(np.sum(mu * vals[:, i])) for i in range(n)]
@@ -496,7 +484,7 @@ def construct_lower(
     vals, skipped = rhs_matrix(problem, states)
     mu = ts.mu[: N - 1]
     sig = ts.points[1:N]
-    w = (sig - ts.a) * (ts.sigma2_b - sig) / D**2
+    w = kernel_lower_weight(ts)
     etas = [
         fi.diagonal_high if mode is LowerWeight.DIAGONAL_DEGREE else 1.0
         for fi in problem.f
@@ -614,11 +602,10 @@ def compute_envelope(
     states = solution.values[1:N]
     vals, skipped = rhs_matrix(problem, states)
     mu = ts.mu[: N - 1]
-    sig = ts.points[1:N]
-    w = (sig - ts.a) * (ts.sigma2_b - sig) / ts.span**2
+    w = kernel_lower_weight(ts)
     J1 = [float(np.sum(mu * w * vals[:, i])) for i in range(problem.n_components)]
     J2 = [float(np.sum(mu * vals[:, i])) for i in range(problem.n_components)]
-    e = _envelope_column(ts)
+    e = envelope_weight(ts).component(1)
     for i in range(problem.n_components):
         low = J1[i] * e - slack
         high = J2[i] * e + slack

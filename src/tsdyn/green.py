@@ -12,29 +12,25 @@ is piecewise affine in ``t`` with its only kink at the seam, which is why the
 discrete identity ``-(G h)^DeltaDelta = h`` holds exactly at every equation
 point ``k = 0..N-2``, not merely in a refinement limit.
 
-``green_apply`` is a direct weighted summation, O(N^2).  That is the
-production path on purpose: it is branch-free per row, deterministic, and
-exact where it matters.  A banded linear solve is kept in the test suite as
-an independent oracle, not here.
+Each branch is a product of a factor in ``t`` and a factor in ``s``, so
+``green_apply`` needs no kernel matrix: it is two prefix sums, one taken in
+ascending and one in descending index order, O(N) time and memory.  Both
+orders are fixed, so results do not depend on thread count.  ``green_value``
+is the scalar definition of the kernel; the runtime does not call it.  A
+banded linear solve is kept in the test suite as an independent oracle, not
+here.
+
+This module is the one home of the kernel's formulas: the kernel itself, its
+envelope ``e(t)`` and its lower weight.
 """
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
-from .calculus import GridFunction, delta_second
+from .calculus import GridFunction
 from .errors import IndexOutOfRange, SupportMismatch
 from .timescale import TimeScale
-
-#: Largest realization the construction self-check runs on (debug builds only).
-_SELF_CHECK_MAX_N = 64
-
-_checked_scales: "weakref.WeakSet[TimeScale]" = weakref.WeakSet()
-_matrix_cache: "weakref.WeakKeyDictionary[TimeScale, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def green_value(ts: TimeScale, t_idx: int, s_idx: int) -> float:
@@ -54,50 +50,35 @@ def green_value(ts: TimeScale, t_idx: int, s_idx: int) -> float:
     return (sig_s - a) * (s2b - t) / D
 
 
-def green_matrix(ts: TimeScale) -> np.ndarray:
-    """Weighted kernel W[j, k] = mu_k * G(p_j, p_k) for k = 0..N-2.
-
-    Cached per realization.  Applying W to right-hand-side samples is the
-    delta integral of G(t, .) times the integrand over [a, sigma(b)).
-    """
-    cached = _matrix_cache.get(ts)
-    if cached is not None:
-        return cached
-    pts = ts.points
-    N = ts.last_index
-    a, s2b = ts.a, ts.sigma2_b
-    D = s2b - a
-    t = pts[:, None]                      # (N+1, 1)
-    sig_s = pts[1:N][None, :]             # sigma(p_k), k = 0..N-2
-    first = (t - a) * (s2b - sig_s) / D
-    second = (sig_s - a) * (s2b - t) / D
-    W = np.where(t <= sig_s, first, second) * ts.mu[:N - 1][None, :]
-    W.setflags(write=False)
-    _matrix_cache[ts] = W
-    if __debug__ and ts.npoints <= _SELF_CHECK_MAX_N + 1:
-        _self_check(ts, W)
-    return W
-
-
 def green_apply(ts: TimeScale, h: GridFunction) -> GridFunction:
     """Solve -u^DeltaDelta = h with zero boundary values.
 
     ``h`` must cover the equation points 0..N-2; extra top entries are
-    ignored.  Row sums run in a fixed pairwise order so results do not
-    depend on thread count.
+    ignored.  With ``sigma_k = p_{k+1}`` and ``D = sigma^2(b) - a``, row ``j``
+    takes the first kernel branch exactly for ``k >= j - 1``, so
+
+        u_j = [(sigma^2(b) - t_j) * sum_{k <= j-2} mu_k (sigma_k - a) h_k
+               + (t_j - a) * sum_{k >= j-1} mu_k (sigma^2(b) - sigma_k) h_k] / D.
+
+    The two sums are prefix sums over all components at once, the first
+    accumulated in ascending and the second in descending index order.  The
+    order is fixed, so results do not depend on thread count.  Rows 0 and N
+    are exactly zero.
     """
     N = ts.last_index
     if h.lo > 0 or h.hi < N - 2:
         raise SupportMismatch(
             f"right-hand side must cover indices [0, {N - 2}], got [{h.lo}, {h.hi}]"
         )
-    W = green_matrix(ts)
-    rhs = h.values[: N - 1]
-    out = np.empty((ts.npoints, rhs.shape[1]))
-    for c in range(rhs.shape[1]):
-        out[:, c] = np.sum(W * rhs[:, c][None, :], axis=1)
-    out[0] = 0.0
-    out[-1] = 0.0
+    a, s2b = ts.a, ts.sigma2_b
+    weighted = ts.mu[: N - 1, None] * h.values[: N - 1]
+    # p_1..p_{N-1} are both sigma_k for k = 0..N-2 and t_j for j = 1..N-1
+    p = ts.points[1:N, None]
+    below = np.zeros_like(weighted)
+    np.cumsum(((p - a) * weighted)[:-1], axis=0, out=below[1:])
+    above = np.cumsum(((s2b - p) * weighted)[::-1], axis=0)[::-1]
+    out = np.zeros((ts.npoints, weighted.shape[1]))
+    out[1:N] = ((s2b - p) * below + (p - a) * above) / ts.span
     return GridFunction(ts, out, 0, N)
 
 
@@ -122,24 +103,11 @@ def envelope_weight(ts: TimeScale) -> GridFunction:
     return GridFunction(ts, vals, 0, ts.last_index)
 
 
-def _self_check(ts: TimeScale, W: np.ndarray) -> None:
-    # One-off per realization: the discrete identity -(W h)^DD = h must hold
-    # to roundoff for a generic h, and the boundary rows must vanish.  The
-    # second difference amplifies float noise by 1/mu_min^2, so the check is
-    # skipped on realizations where that noise floor would swamp it.
-    if ts in _checked_scales:
-        return
-    _checked_scales.add(ts)
-    amplification = (ts.span / float(np.min(ts.mu))) ** 2
-    if amplification * 2.3e-16 > 1e-8:
-        return
-    N = ts.last_index
-    rng = np.random.default_rng(0x5EED)
-    h = rng.standard_normal(N - 1)
-    u = np.sum(W * h[None, :], axis=1)
-    assert abs(u[0]) == 0.0 and abs(u[-1]) == 0.0, "kernel must vanish at the ends"
-    resid = delta_second(GridFunction(ts, u, 0, N)).values[:, 0] + h
-    tol = 1e-6 * float(np.max(np.abs(h)))
-    assert float(np.max(np.abs(resid))) <= tol, (
-        "Green identity self-check failed on this realization"
-    )
+def kernel_lower_weight(ts: TimeScale) -> np.ndarray:
+    """Lower weight w(s) = (sigma(s) - a)(sigma^2(b) - sigma(s)) / D^2.
+
+    One entry per equation point ``k = 0..N-2``.  The kernel dominates it
+    against the envelope: G(t, s) >= e(t) w(s) for all t.
+    """
+    sig = ts.points[1 : ts.last_index]
+    return (sig - ts.a) * (ts.sigma2_b - sig) / ts.span**2

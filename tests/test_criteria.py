@@ -270,6 +270,12 @@ class TestConstructBounds:
             max(1.0, (C**1.0 * I1**-0.5) ** 2.0), rel=1e-12
         )
 
+    def test_constants_pinned_on_readme_problem(self, problem):
+        """The lower construction integral keeps its (s - a) weight: pinned."""
+        pair = construct_bounds(problem)
+        assert pair.constants["k1"][0] == pytest.approx(0.04674077332568867, rel=1e-14)
+        assert pair.constants["k2"][0] == pytest.approx(20.817737472835006, rel=1e-14)
+
     def test_pair_is_ordered_and_pinned(self, problem):
         pair = construct_bounds(problem)
         alpha, beta = pair.pair

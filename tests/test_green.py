@@ -1,7 +1,12 @@
 """Discrete kernel of the negative second delta derivative with pinned ends."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from tsdyn import (
@@ -10,13 +15,16 @@ from tsdyn import (
     affine_interpolant,
     delta_second,
     envelope_weight,
+    from_points,
     green_apply,
-    green_matrix,
     green_value,
+    kernel_lower_weight,
     quantum,
     uniform,
 )
 from conftest import SEED, random_scale
+
+EPS = np.finfo(float).eps
 
 
 def banded_oracle(ts, h):
@@ -43,6 +51,24 @@ def banded_oracle(ts, h):
     return np.concatenate([[0.0], interior, [0.0]])
 
 
+def dense_kernel(ts):
+    """Weighted kernel W[j, k] = mu_k G(p_j, p_k), k = 0..N-2, from ``green_value``.
+
+    ``W @ h`` is the delta integral of G(p_j, .) h over [a, sigma(b)), the
+    O(N^2) definition that ``green_apply`` evaluates with prefix sums.
+    """
+    N = ts.last_index
+    return np.array(
+        [[ts.mu[k] * green_value(ts, j, k) for k in range(N - 1)] for j in range(N + 1)]
+    )
+
+
+def jittered(rng, n):
+    """Explicit mesh of [0, 1] with n points and gaps drawn from [0.5, 1.5]."""
+    pts = np.cumsum(rng.uniform(0.5, 1.5, size=n))
+    return from_points((pts - pts[0]) / (pts[-1] - pts[0]))
+
+
 class TestKernelValues:
     def test_hand_values_on_quarter_grid(self, unit5):
         assert green_value(unit5, 1, 2) == pytest.approx(0.0625, abs=1e-15)
@@ -64,14 +90,17 @@ class TestKernelValues:
         """0 <= G(t, s) <= e(t) and G(t, s) >= e(t) w(s) pointwise."""
         ts = random_scale(rng, kind)
         e = envelope_weight(ts).component(1)
+        w = kernel_lower_weight(ts)
         D = ts.span
         for s in range(ts.last_index):
             sig = ts.points[s + 1]
-            w = (sig - ts.a) * (ts.sigma2_b - sig) / D**2
+            w_s = (sig - ts.a) * (ts.sigma2_b - sig) / D**2
+            if s < ts.last_index - 1:
+                assert w[s] == w_s
             for t in range(ts.npoints):
                 g = green_value(ts, t, s)
                 assert 0.0 <= g <= e[t] + 1e-14 * D
-                assert g >= e[t] * w - 1e-14 * D
+                assert g >= e[t] * w_s - 1e-14 * D
 
 
 class TestGreenApply:
@@ -126,19 +155,101 @@ class TestGreenApply:
         u = green_apply(ts, h)
         assert np.all(u.values[1:-1] > 0.0)
 
+    @pytest.mark.parametrize("kind", ["uniform", "quantum", "explicit"])
+    def test_identity_within_self_check_budget(self, rng, kind):
+        """Generic h: exact zero ends, and defect <= 1e-6 |h| where the
+        second difference's amplification (span/mu_min)^2 * 2.3e-16 <= 1e-8."""
+        scales = [random_scale(rng, kind) for _ in range(8)]
+        if kind == "uniform":
+            scales += [uniform(0.0, 1.0, n) for n in (65, 1025, 4097)]
+        checked = 0
+        for ts in scales:
+            N = ts.last_index
+            h = np.random.default_rng(0x5EED).standard_normal(N - 1)
+            u = green_apply(ts, GridFunction.from_values(ts, h)).component(1)
+            assert u[0] == 0.0 and u[-1] == 0.0
+            if (ts.span / float(np.min(ts.mu))) ** 2 * 2.3e-16 > 1e-8:
+                continue
+            checked += 1
+            resid = delta_second(GridFunction(ts, u, 0, N)).component(1) + h
+            assert np.max(np.abs(resid)) <= 1e-6 * np.max(np.abs(h))
+        assert checked > 0
+
+    def test_keeps_no_per_scale_state(self):
+        ts = uniform(0.0, 1.0, 33)
+        h = GridFunction.from_values(ts, np.ones(ts.last_index - 1))
+        u = green_apply(ts, h)
+        ref = weakref.ref(ts)
+        del ts, h, u
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("mesh", ["uniform-4097", "jittered-1025", "quantum-30"])
+    def test_oracle_agreement_at_benchmark_sizes(self, mesh):
+        """Agreement to the banded solve's roundoff floor eps |u| kappa.
+
+        kappa = (span / mu_min)^2 bounds the operator's conditioning on every
+        mesh.  Where neighbouring cells differ by a bounded factor the
+        row-equilibrated operator has conditioning about N^2, which is far
+        smaller on a quantum mesh, so the smaller of the two is used.
+        """
+        rng = np.random.default_rng(SEED)
+        ts = {
+            "uniform-4097": lambda: uniform(0.0, 1.0, 4097),
+            "jittered-1025": lambda: jittered(rng, 1025),
+            "quantum-30": lambda: quantum(2.0, 30),
+        }[mesh]()
+        kappa = min((ts.span / float(np.min(ts.mu))) ** 2, ts.last_index**2)
+        for h in (
+            rng.standard_normal(ts.last_index - 1),
+            rng.uniform(0.5, 2.0, size=ts.last_index - 1),
+        ):
+            u = green_apply(ts, GridFunction.from_values(ts, h)).component(1)
+            want = banded_oracle(ts, h)
+            tol = EPS * np.max(np.abs(want)) * kappa
+            assert np.max(np.abs(u - want)) <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.floats(min_value=1e-3, max_value=1.0), min_size=3, max_size=200
+        ),
+        left=st.floats(min_value=-5.0, max_value=5.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_identity_on_random_explicit_meshes(self, gaps, left, seed):
+        """-(G h)^DD = h to within the floor eps |h| (span / mu_min)^2."""
+        ts = from_points(left + np.concatenate([[0.0], np.cumsum(gaps)]))
+        h = np.random.default_rng(seed).uniform(-1.0, 1.0, ts.last_index - 1)
+        u = green_apply(ts, GridFunction.from_values(ts, h))
+        assert u.value_at(0)[0] == 0.0 and u.value_at(ts.last_index)[0] == 0.0
+        defect = (delta_second(u) + GridFunction.from_values(ts, h)).max_abs()
+        floor = EPS * np.max(np.abs(h)) * (ts.span / float(np.min(ts.mu))) ** 2
+        assert defect <= floor
+
 
 class TestMatrix:
-    def test_shape_and_cache_identity(self, unit65):
-        W1 = green_matrix(unit65)
-        W2 = green_matrix(unit65)
-        assert W1 is W2
-        assert W1.shape == (unit65.npoints, unit65.last_index - 1)
+    """``green_apply`` against the dense weighted kernel built from ``green_value``."""
 
     def test_columns_are_weighted_kernel(self, unit5):
-        W = green_matrix(unit5)
+        W = dense_kernel(unit5)
         for k in range(unit5.last_index - 1):
-            col = [unit5.mu[k] * green_value(unit5, t, k) for t in range(5)]
-            assert np.allclose(W[:, k], col, rtol=0, atol=1e-16)
+            unit = np.zeros(unit5.last_index - 1)
+            unit[k] = 1.0
+            col = green_apply(unit5, GridFunction.from_values(unit5, unit))
+            assert np.allclose(col.component(1), W[:, k], rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["uniform", "quantum", "explicit"])
+    def test_matches_dense_product(self, kind, n):
+        rng = np.random.default_rng(SEED + n)
+        for _ in range(5):
+            ts = random_scale(rng, kind)
+            h = rng.standard_normal((ts.last_index - 1, n))
+            u = green_apply(ts, GridFunction.from_values(ts, h))
+            want = dense_kernel(ts) @ h
+            scale = np.max(np.abs(want), axis=0)
+            assert np.all(np.abs(u.values - want) <= 1e-13 * scale)
 
 
 class TestAffineInterpolant:
