@@ -451,7 +451,7 @@ def _cmd_solve(cfg: Config, args) -> int:
     _emit(_csv(cfg, args, header, columns, summary), args.out)
     if report.status is Status.CONVERGED:
         return _EXIT_OK
-    if report.status is Status.MAX_ITERS:
+    if report.status in (Status.MAX_ITERS, Status.STALLED):
         return _EXIT_UNDECIDED
     return _EXIT_FAIL
 

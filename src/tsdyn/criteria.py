@@ -13,7 +13,7 @@ and every drop is recorded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence, Union
 
@@ -219,6 +219,12 @@ def _envelope_states(ts: TimeScale, n: int) -> np.ndarray:
     return np.repeat(e[1 : ts.last_index, None], n, axis=1)
 
 
+def _necessary_weight(ts: TimeScale) -> np.ndarray:
+    """(sigma(s) - a)(sigma(b) - sigma(s)) with the realized sigma(b)."""
+    sig = ts.points[1 : ts.last_index]
+    return (sig - ts.a) * (ts.sigma_b - sig)
+
+
 def _overall(per_component: Sequence[ConvergenceVerdict]) -> Verdict:
     if any(v.verdict is Verdict.DIVERGENT for v in per_component):
         return Verdict.DIVERGENT
@@ -311,11 +317,7 @@ def criterion_necessary(
         pin = ts.sigma2_b if eval_point_override is None else eval_point_override
         return np.full((ts.last_index - 1, n), float(pin))
 
-    def weight(ts: TimeScale) -> np.ndarray:
-        sig = ts.points[1 : ts.last_index]
-        return (sig - ts.a) * (ts.sigma_b - sig)
-
-    return _trail_report(f, family, states, weight)
+    return _trail_report(f, family, states, _necessary_weight)
 
 
 def classify_weighted_bound(
@@ -329,34 +331,20 @@ def classify_weighted_bound(
     ``g`` is a scalar dominating weight, given as a parsed expression in
     ``t`` or any callable.  This is the single-function form of the
     necessary-condition quadrature, useful when a nonlinearity is bounded by
-    a known time-only profile.
+    a known time-only profile.  Errors and non-finite values of ``g`` are
+    handled as for a nonlinearity: dropped in the first cell, raised inside.
     """
-    if isinstance(g, ExpressionTree):
-        g_eval = lambda s: g.evaluate(s, ())  # noqa: E731
-    else:
-        g_eval = g
+    g_eval = (lambda s: g.evaluate(s, ())) if isinstance(g, ExpressionTree) else g
+    weight_f = Nonlinearity(1, 1, lambda t, x: g_eval(t), (0.0,), (0.0,))
     family = _resolve_family(scales, reference)
-    trail: list[float] = []
-    floor = math.inf
-    notes: list[str] = []
-    for ts in family:
-        total = 0.0
-        for k in range(ts.last_index - 1):
-            sig = float(ts.points[k + 1])
-            try:
-                v = float(g_eval(float(ts.points[k])))
-            except (DomainViolation, NonFiniteResult, ZeroDivisionError, OverflowError, ValueError):
-                # raw callables surface arithmetic errors directly
-                if k == 0:
-                    notes.append(f"{ts.npoints} points: dropped improper first cell")
-                    continue
-                raise
-            floor = min(floor, v)
-            total += float(ts.mu[k]) * (sig - ts.a) * (ts.sigma_b - sig) * v
-        trail.append(total)
-    return _classify(
-        trail, positive=floor >= 0.0 and trail[-1] >= _TINY, notes=tuple(notes)
-    )
+
+    def states(ts: TimeScale, n: int) -> np.ndarray:
+        # g ignores the state; any value in the row shape will do
+        return np.zeros((ts.last_index - 1, n))
+
+    report = _trail_report([weight_f], family, states, _necessary_weight)
+    verdict = report.per_component[0]
+    return replace(verdict, notes=report.notes + verdict.notes)
 
 
 def family_quadrature(

@@ -7,6 +7,15 @@ can be clamped into the band (``TRUNCATED``) or clamped plus a bounded
 correction term that pushes escaped iterates back (``MODIFIED``); ``RAW``
 evaluates as-is.  Reported residuals always use the raw right hand side, so
 a report can only claim convergence on the original problem.
+
+Picard, both monotone directions and every level of the nested strategy run
+one loop, :func:`_fixed_point`, on plain ``(N+1, n)`` arrays; they differ
+only in the start iterate, the right-hand-side mode and, for monotone runs, a
+direction whose drift the loop checks.  Two array cores hold the formulas
+every path shares: :func:`_regularized` evaluates ``f*`` on the equation
+points, and :func:`_defect` forms ``-u^DD - f*`` there.  The public grid
+function entry points and Newton's system map are thin layers over them;
+``GridFunction`` support checks happen at those public edges only.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .calculus import GridFunction, delta_second
+from .calculus import GridFunction
 from .errors import (
     BracketViolation,
     DomainViolation,
@@ -27,7 +36,7 @@ from .errors import (
 )
 from .green import affine_interpolant, green_apply
 from .model import DirichletProblem, rhs_matrix
-from .timescale import from_points
+from .timescale import TimeScale, from_points
 
 #: Iterates or residuals beyond this magnitude are declared divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -49,6 +58,7 @@ class Strategy(Enum):
 class Status(Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
+    STALLED = "stalled"
     DIVERGED = "diverged"
 
 
@@ -118,6 +128,54 @@ def _resolve_mode(
     return RhsMode.MODIFIED if has_brackets else RhsMode.RAW
 
 
+def _band(brackets, mode: RhsMode):
+    """Bracket value arrays that ``mode`` clamps into; ``None`` for ``RAW``."""
+    if mode is RhsMode.RAW:
+        return None
+    if brackets is None:
+        raise BracketViolation(-1, f"{mode.value} evaluation needs brackets")
+    return brackets[0].values, brackets[1].values
+
+
+def _regularized(
+    problem: DirichletProblem, u: np.ndarray, band, mode: RhsMode
+) -> np.ndarray:
+    """:func:`regularized_rhs` on plain arrays: ``u`` is a full ``(N+1, n)``
+    iterate, ``band`` comes from :func:`_band`; one row per equation point."""
+    N = problem.scale.last_index
+    shifted = u[1:N]
+    if band is None:
+        return rhs_matrix(problem, shifted)[0]
+    states = np.clip(shifted, band[0][1:N], band[1][1:N])
+    vals, _ = rhs_matrix(problem, states)
+    if mode is RhsMode.MODIFIED:
+        gap = states - shifted
+        vals = vals + gap / (1.0 + np.abs(gap))
+    return vals
+
+
+def _defect(ts: TimeScale, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``-u^DD - rhs`` at the equation points ``k = 0 .. N-2``."""
+    mu = ts.mu
+    d1 = np.diff(u, axis=0) / mu[:, None]
+    return -(np.diff(d1, axis=0) / mu[:-1, None]) - rhs
+
+
+def _residual(problem: DirichletProblem, u: np.ndarray) -> float:
+    try:
+        rhs = _regularized(problem, u, None, RhsMode.RAW)
+    except (DomainViolation, NonFiniteResult):
+        return math.inf
+    size = float(np.max(np.abs(_defect(problem.scale, u, rhs))))
+    return size if math.isfinite(size) else math.inf
+
+
+def _full_values(problem: DirichletProblem, u: GridFunction) -> np.ndarray:
+    if u.lo > 0 or u.hi < problem.scale.last_index:
+        raise SupportMismatch("iterate must cover the whole realization")
+    return u.values
+
+
 def regularized_rhs(
     problem: DirichletProblem,
     u: GridFunction,
@@ -130,25 +188,10 @@ def regularized_rhs(
     correction ``(d - x) / (1 + |d - x|)`` per component, which vanishes
     exactly on in-band iterates.
     """
-    ts = problem.scale
-    N = ts.last_index
-    if u.lo > 0 or u.hi < N:
-        raise SupportMismatch("iterate must cover the whole realization")
-    shifted = u.values[1 - u.lo : N - u.lo]
-    if mode is not RhsMode.RAW:
-        if brackets is None:
-            raise BracketViolation(-1, f"{mode.value} evaluation needs brackets")
-        alpha, beta = brackets
-        states = np.clip(
-            shifted, alpha.values[1 : N - alpha.lo], beta.values[1 : N - beta.lo]
-        )
-    else:
-        states = shifted
-    vals, _ = rhs_matrix(problem, states)
-    if mode is RhsMode.MODIFIED:
-        gap = states - shifted
-        vals = vals + gap / (1.0 + np.abs(gap))
-    return GridFunction.from_values(ts, vals, lo=0)
+    if brackets is not None:
+        brackets = _check_brackets(problem, brackets)
+    vals = _regularized(problem, _full_values(problem, u), _band(brackets, mode), mode)
+    return GridFunction.from_values(problem.scale, vals, lo=0)
 
 
 def apply_green_operator(
@@ -170,32 +213,16 @@ def residual_norm(problem: DirichletProblem, u: GridFunction) -> float:
     Uses the raw right hand side; an iterate outside ``f``'s domain scores
     infinity rather than raising.
     """
-    try:
-        rhs = regularized_rhs(problem, u, mode=RhsMode.RAW)
-    except (DomainViolation, NonFiniteResult):
-        return math.inf
-    lhs = -delta_second(u)
-    return float(np.max(np.abs(lhs.values - rhs.values)))
+    return _residual(problem, _full_values(problem, u))
 
 
-def _bracket_slack(alpha: GridFunction, beta: GridFunction) -> float:
-    return 1e-8 * max(1.0, alpha.max_abs(), beta.max_abs())
-
-
-def _bracket_respected(u: GridFunction, brackets) -> bool:
+def _bracket_respected(u: np.ndarray, brackets) -> bool:
     if brackets is None:
         return True
     alpha, beta = brackets
-    slack = _bracket_slack(alpha, beta)
+    slack = 1e-8 * max(1.0, alpha.max_abs(), beta.max_abs())
     return bool(
-        np.all(u.values >= alpha.values - slack)
-        and np.all(u.values <= beta.values + slack)
-    )
-
-
-def _interpolant(problem: DirichletProblem) -> GridFunction:
-    return affine_interpolant(
-        problem.scale, problem.boundary_left, problem.boundary_right
+        np.all(u >= alpha.values - slack) and np.all(u <= beta.values + slack)
     )
 
 
@@ -211,16 +238,25 @@ def solve(
     ``brackets`` is an optional ``(alpha, beta)`` pair of grid functions on
     the full realization; monotone and nested strategies require it.  The
     report's status is ``CONVERGED`` only when the raw residual meets the
-    tolerance and the solution respects the band.
+    tolerance and the solution respects the band, and ``STALLED`` when the
+    iteration stopped moving before it got there.
     """
     config = config or SolveConfig()
     if brackets is not None:
         brackets = _check_brackets(problem, brackets)
     mode = _resolve_mode(strategy, config, brackets is not None)
     if strategy is Strategy.PICARD:
-        return _picard(problem, brackets, mode, config)
+        return _fixed_point(problem, brackets, mode, config, strategy)
     if strategy in (Strategy.MONOTONE_UP, Strategy.MONOTONE_DOWN):
-        return _monotone(problem, brackets, config, strategy)
+        if brackets is None:
+            raise BracketViolation(
+                -1, "monotone iteration needs a lower and an upper solution"
+            )
+        up = strategy is Strategy.MONOTONE_UP
+        start = brackets[0 if up else 1].values
+        return _fixed_point(
+            problem, brackets, mode, config, strategy, start, 1 if up else -1
+        )
     if strategy is Strategy.NEWTON_ORACLE:
         return _newton(problem, brackets, mode, config)
     if strategy is Strategy.TRUNCATED_NEST:
@@ -228,107 +264,87 @@ def solve(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _start_iterate(problem: DirichletProblem, brackets) -> GridFunction:
+def _start_iterate(problem: DirichletProblem, brackets, phi: np.ndarray) -> np.ndarray:
     if brackets is None:
-        return _interpolant(problem)
+        return phi
     alpha, beta = brackets
     mid = 0.5 * (alpha.values + beta.values)
-    mid = np.array(mid)
     mid[0] = problem.boundary_left
     mid[-1] = problem.boundary_right
-    return GridFunction(problem.scale, mid, 0, problem.scale.last_index)
+    return mid
 
 
-def _picard(problem, brackets, mode, config, strategy=Strategy.PICARD):
-    u = _start_iterate(problem, brackets)
-    theta = config.damping
+def _fixed_point(
+    problem, brackets, mode, config, strategy, start=None, direction=0
+) -> SolveReport:
+    """Iterate ``u <- (1 - theta) u + theta (phi + G f*(., u^sigma))``.
+
+    ``start`` defaults to the band midpoint (``phi`` without a band).  A
+    nonzero ``direction`` (+1 up, -1 down) makes this the monotone
+    iteration: each image must move that way, ``theta`` stays one, and the
+    start residual is reported if the first step already fails.  Otherwise
+    ``theta`` starts at ``config.damping`` and is halved on stagnation.
+    """
+    ts = problem.scale
+    N = ts.last_index
+    phi = affine_interpolant(ts, problem.boundary_left, problem.boundary_right).values
+    band = _band(brackets, mode)
+    u = _start_iterate(problem, brackets, phi) if start is None else start
+    theta = 1.0 if direction else config.damping
     best = math.inf
     streak = 0
     notes: list[str] = []
-    residual = math.inf
+    residual = _residual(problem, u) if direction else math.inf
     status = Status.MAX_ITERS
     it = 0
     for it in range(1, config.max_iters + 1):
         try:
-            image = apply_green_operator(problem, u, brackets, mode)
-            mixed = (1.0 - theta) * u.values + theta * image.values
-            u_next = GridFunction(problem.scale, mixed, 0, problem.scale.last_index)
+            rhs = GridFunction(ts, _regularized(problem, u, band, mode), 0, N - 2)
+            image = phi + green_apply(ts, rhs).values
+            u_next = (1.0 - theta) * u + theta * image
+            if not np.all(np.isfinite(u_next)):
+                raise NonFiniteResult("iterate is not finite")
         except (DomainViolation, NonFiniteResult) as exc:
             notes.append(f"iteration {it}: {exc}")
             status = Status.DIVERGED
             break
-        step = float(np.max(np.abs(u_next.values - u.values)))
+        if direction:
+            drift = direction * (image - u)
+            slack = 1e-12 * max(1.0, np.abs(u).max(), np.abs(image).max())
+            if np.min(drift) < -slack:
+                k, i = np.unravel_index(int(np.argmin(drift)), drift.shape)
+                notes.append(
+                    f"iteration {it}: monotonicity violated by {-np.min(drift):.3e} "
+                    f"at index {k}, component {i + 1}"
+                )
+                status = Status.DIVERGED
+                break
+        step = float(np.max(np.abs(u_next - u)))
         u = u_next
-        residual = residual_norm(problem, u)
+        size = float(np.max(np.abs(u)))
+        residual = _residual(problem, u)
         if residual <= config.tol_residual and _bracket_respected(u, brackets):
             status = Status.CONVERGED
             break
-        if u.max_abs() > DIVERGENCE_LIMIT or residual > DIVERGENCE_LIMIT:
+        if size > DIVERGENCE_LIMIT or residual > DIVERGENCE_LIMIT:
             notes.append(f"iteration {it}: residual {residual:.3e}")
             status = Status.DIVERGED
             break
         if residual < best:
             best = residual
             streak = 0
-        else:
+        elif not direction:
             streak += 1
             if streak >= _STALL_STREAK and theta > _MIN_DAMPING:
                 theta = max(0.5 * theta, _MIN_DAMPING)
                 streak = 0
                 notes.append(f"iteration {it}: damping reduced to {theta:g}")
-        if step <= config.tol_step * max(1.0, u.max_abs()):
+        if step <= config.tol_step * max(1.0, size):
             notes.append(f"iteration {it}: step stalled at {step:.3e}")
+            status = Status.STALLED
             break
     return SolveReport(
-        solution=u,
-        strategy=strategy,
-        status=status,
-        iterations=it,
-        final_residual=residual,
-        bracket_respected=_bracket_respected(u, brackets),
-        notes=tuple(notes),
-    )
-
-
-def _monotone(problem, brackets, config, strategy):
-    if brackets is None:
-        raise BracketViolation(
-            -1, "monotone iteration needs a lower and an upper solution"
-        )
-    upward = strategy is Strategy.MONOTONE_UP
-    u = brackets[0] if upward else brackets[1]
-    notes: list[str] = []
-    residual = residual_norm(problem, u)
-    status = Status.MAX_ITERS
-    it = 0
-    for it in range(1, config.max_iters + 1):
-        try:
-            v = apply_green_operator(problem, u, brackets, RhsMode.TRUNCATED)
-        except (DomainViolation, NonFiniteResult) as exc:
-            notes.append(f"iteration {it}: {exc}")
-            status = Status.DIVERGED
-            break
-        drift = v.values - u.values if upward else u.values - v.values
-        slack = 1e-12 * max(1.0, u.max_abs(), v.max_abs())
-        if np.min(drift) < -slack:
-            k, i = np.unravel_index(int(np.argmin(drift)), drift.shape)
-            notes.append(
-                f"iteration {it}: monotonicity violated by {-np.min(drift):.3e} "
-                f"at index {k}, component {i + 1}"
-            )
-            status = Status.DIVERGED
-            break
-        step = float(np.max(np.abs(drift)))
-        u = v
-        residual = residual_norm(problem, u)
-        if residual <= config.tol_residual and _bracket_respected(u, brackets):
-            status = Status.CONVERGED
-            break
-        if step <= config.tol_step * max(1.0, u.max_abs()):
-            notes.append(f"iteration {it}: step stalled at {step:.3e}")
-            break
-    return SolveReport(
-        solution=u,
+        solution=GridFunction(ts, u, 0, N),
         strategy=strategy,
         status=status,
         iterations=it,
@@ -343,27 +359,13 @@ def _system_map(problem, brackets, mode):
     ts = problem.scale
     N = ts.last_index
     n = problem.n_components
-    mu = ts.mu
+    band = _band(brackets, mode)
     left = np.asarray(problem.boundary_left)
     right = np.asarray(problem.boundary_right)
-    if brackets is not None:
-        clip_lo = brackets[0].values[1:N]
-        clip_hi = brackets[1].values[1:N]
 
     def F(z: np.ndarray) -> np.ndarray:
         vals = z.reshape((N + 1, n), order="F")
-        shifted = vals[1:N]
-        if mode is not RhsMode.RAW and brackets is not None:
-            states = np.clip(shifted, clip_lo, clip_hi)
-        else:
-            states = shifted
-        fvals, _ = rhs_matrix(problem, states)
-        if mode is RhsMode.MODIFIED:
-            gap = states - shifted
-            fvals = fvals + gap / (1.0 + np.abs(gap))
-        d1 = np.diff(vals, axis=0) / mu[:, None]
-        d2 = np.diff(d1, axis=0) / mu[: N - 1, None]
-        eq = -d2 - fvals
+        eq = _defect(ts, vals, _regularized(problem, vals, band, mode))
         rows = [
             np.concatenate(([vals[0, i] - left[i]], eq[:, i], [vals[N, i] - right[i]]))
             for i in range(n)
@@ -374,15 +376,14 @@ def _system_map(problem, brackets, mode):
 
 
 def _newton(problem, brackets, mode, config):
-    if mode is not RhsMode.RAW and brackets is None:
-        raise BracketViolation(-1, f"{mode.value} evaluation needs brackets")
     ts = problem.scale
     N = ts.last_index
     n = problem.n_components
     dim = (N + 1) * n
     F = _system_map(problem, brackets, mode)
-    u = _start_iterate(problem, brackets)
-    z = u.values.flatten(order="F")
+    phi = affine_interpolant(ts, problem.boundary_left, problem.boundary_right).values
+    u = _start_iterate(problem, brackets, phi)
+    z = u.flatten(order="F")
     notes: list[str] = []
     status = Status.MAX_ITERS
     it = 0
@@ -407,8 +408,8 @@ def _newton(problem, brackets, mode, config):
 
     residual = math.inf
     for it in range(1, config.max_iters + 1):
-        u = GridFunction(ts, z.reshape((N + 1, n), order="F"), 0, N)
-        residual = residual_norm(problem, u)
+        u = z.reshape((N + 1, n), order="F")
+        residual = _residual(problem, u)
         if residual <= config.tol_residual and _bracket_respected(u, brackets):
             status = Status.CONVERGED
             break
@@ -448,9 +449,10 @@ def _newton(problem, brackets, mode, config):
             lam *= 0.5
         if not accepted:
             notes.append(f"iteration {it}: line search failed at |F| = {base:.3e}")
+            status = Status.STALLED
             break
     return SolveReport(
-        solution=u,
+        solution=GridFunction(ts, u, 0, N),
         strategy=Strategy.NEWTON_ORACLE,
         status=status,
         iterations=it,
@@ -491,12 +493,12 @@ def _nested(problem, brackets, config):
         sub_problem = DirichletProblem(
             sub_ts, problem.f, tuple(mid_left), tuple(mid_right)
         )
-        sub_report = _picard(
+        sub_report = _fixed_point(
             sub_problem,
             (sub_alpha, sub_beta),
             RhsMode.MODIFIED,
             config,
-            strategy=Strategy.TRUNCATED_NEST,
+            Strategy.TRUNCATED_NEST,
         )
         total_iters += sub_report.iterations
         notes.append(
@@ -520,7 +522,7 @@ def _nested(problem, brackets, config):
         status=sub_report.status,
         iterations=total_iters,
         final_residual=sub_report.final_residual,
-        bracket_respected=_bracket_respected(solution, brackets),
+        bracket_respected=_bracket_respected(solution.values, brackets),
         nest_trail=tuple(trail),
         notes=tuple(notes),
     )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsdyn import (
     BadRange,
@@ -188,6 +190,30 @@ class TestCalculusIdentities:
                 got = delta_integral(du, lo, hi)[0]
                 want = u.value_at(hi)[0] - u.value_at(lo)[0]
                 assert got == pytest.approx(want, abs=1e-12 * max(1.0, u.max_abs()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.floats(min_value=1e-3, max_value=1.0), min_size=3, max_size=200
+        ),
+        left=st.floats(min_value=-5.0, max_value=5.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_telescoping_on_random_explicit_meshes(self, gaps, left, seed):
+        """The delta integral of u^D over [lo, hi) is u_hi - u_lo up to roundoff.
+
+        mu_k cancels exactly, so each term carries three roundings of its
+        difference and the sum adds one per term (Higham's gamma_m bound).
+        """
+        ts = from_points(left + np.concatenate([[0.0], np.cumsum(gaps)]))
+        rng = np.random.default_rng(seed)
+        u = GridFunction.from_values(ts, rng.uniform(-1.0, 1.0, (ts.npoints, 2)))
+        lo, hi = sorted(int(k) for k in rng.integers(0, ts.npoints, size=2))
+        got = delta_integral(delta_derivative(u), lo, hi)
+        want = u.value_at(hi) - u.value_at(lo)
+        variation = np.sum(np.abs(np.diff(u.values[lo : hi + 1], axis=0)), axis=0)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - want) <= (hi - lo + 4) * eps * variation)
 
     @pytest.mark.parametrize("kind", ["uniform", "quantum", "explicit"])
     def test_product_rule(self, kind):

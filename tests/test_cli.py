@@ -226,6 +226,16 @@ class TestRunFailures:
         )
         assert main(["solve", str(cfg)]) == 2
 
+    def test_stalled_solve_exits_three(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path, SOLVE_CFG.replace("scale.points = 65", "scale.points = 1025")
+        )
+        out = tmp_path / "run.csv"
+        assert main(["solve", str(cfg), "--out", str(out)]) == 3
+        text = out.read_text()
+        assert "# status = stalled" in text
+        assert "# note = iteration 41: step stalled" in text
+
     def test_unresolvable_bounds_exit_two(self, tmp_path):
         # negative boundary data puts the problem outside the positive class
         cfg = write_cfg(

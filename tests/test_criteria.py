@@ -221,6 +221,33 @@ class TestWeightedBound:
         via_call = classify_weighted_bound(lambda s: s * s + 1.0, fam)
         assert via_expr.last_value == via_call.last_value
 
+    @pytest.mark.parametrize(
+        "g", [parse_expression("t^(-0.5)"), lambda s: s**-0.5], ids=["expr", "callable"]
+    )
+    def test_equals_necessary_criterion_on_time_only_nonlinearity(self, g):
+        fam = uniform_family(0.0, 1.0)
+        rep = classify_weighted_bound(g, fam)
+        nec = criterion_necessary([time_power(0.5)], fam)
+        want = nec.per_component[0]
+        assert (rep.last_value, rep.limit, rep.ratios, rep.stability) == (
+            want.last_value, want.limit, want.ratios, want.stability
+        )
+        assert rep.verdict is want.verdict
+        assert rep.notes == nec.notes + want.notes
+        assert any("improper first cell" in n for n in rep.notes)
+
+    def test_raw_callable_infinite_inside_raises(self):
+        # an interior inf is an error, as for any nonlinearity, not a
+        # silently divergent partial value
+        def g(s):
+            return math.inf if 0.4 < s < 0.6 else 1.0
+
+        with pytest.raises(NonFiniteResult):
+            classify_weighted_bound(g)
+        f = Nonlinearity(1, 1, lambda t, x: g(t), (0.0,), (0.0,))
+        with pytest.raises(NonFiniteResult):
+            criterion_necessary([f])
+
 
 class TestFamilyQuadrature:
     def test_plain_aliases_sufficient(self):

@@ -12,6 +12,7 @@ from tsdyn import (
     SolveConfig,
     Status,
     Strategy,
+    SupportMismatch,
     TooFewPoints,
     apply_green_operator,
     clamp_to_band,
@@ -96,6 +97,16 @@ class TestPicard:
         assert report.status is Status.MAX_ITERS
         assert report.iterations == 3
 
+    def test_stalled_step_is_not_an_iteration_cap(self):
+        # the absolute tolerance sits below this mesh's roundoff floor, so the
+        # iteration stops moving long before max_iters
+        p = power_problem(uniform(0.0, 1.0, 1025))
+        report = solve(p, brackets=construct_bounds(p).pair)
+        assert report.status is Status.STALLED
+        assert report.iterations == 41
+        assert report.final_residual < 1e-9
+        assert "step stalled" in report.notes[-1]
+
 
 class TestNewton:
     def test_agrees_with_picard(self, singular65):
@@ -111,6 +122,19 @@ class TestNewton:
         newton = solve(singular65, strategy=Strategy.NEWTON_ORACLE, brackets=pair.pair)
         assert newton.iterations < 15
         assert newton.final_residual < 1e-10
+
+    def test_failed_line_search_is_stalled(self):
+        # a zero tolerance is unreachable: at the roundoff floor no step
+        # lowers |F| any more
+        p = power_problem(uniform(0.0, 1.0, 17))
+        report = solve(
+            p,
+            strategy=Strategy.NEWTON_ORACLE,
+            brackets=construct_bounds(p).pair,
+            config=SolveConfig(tol_residual=0.0),
+        )
+        assert report.status is Status.STALLED
+        assert "line search failed" in report.notes[-1]
 
 
 class TestMonotone:
@@ -137,6 +161,23 @@ class TestMonotone:
         down = solve(p, strategy=Strategy.MONOTONE_DOWN, brackets=pair.pair)
         gap = np.max(np.abs(up.solution.values - down.solution.values))
         assert gap < 1e-8
+
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.MONOTONE_UP, Strategy.MONOTONE_DOWN]
+    )
+    def test_ignores_damping(self, strategy):
+        ts = uniform(0.0, 1.0, 33)
+        p = isotone_problem(ts)
+        pair = construct_bounds(p)
+        plain = solve(p, strategy=strategy, brackets=pair.pair)
+        damped = solve(
+            p, strategy=strategy, brackets=pair.pair, config=SolveConfig(damping=0.5)
+        )
+        assert damped.solution.values.tobytes() == plain.solution.values.tobytes()
+        assert damped.iterations == plain.iterations
+        assert damped.final_residual == plain.final_residual
+        assert damped.status is plain.status
+        assert damped.notes == plain.notes
 
     def test_antitone_map_breaks_ordering(self, singular65):
         # decreasing f makes the operator order-reversing, which the
@@ -188,6 +229,17 @@ class TestRhsModes:
         u = envelope_weight(singular65.scale) + 0.1
         with pytest.raises(BracketViolation):
             regularized_rhs(singular65, u, None, RhsMode.MODIFIED)
+
+    def test_partial_brackets_rejected(self, singular65):
+        alpha, beta = construct_bounds(singular65).pair
+        N = singular65.scale.last_index
+        with pytest.raises(SupportMismatch):
+            regularized_rhs(
+                singular65,
+                alpha,
+                (alpha.restrict(1, N), beta.restrict(1, N)),
+                RhsMode.TRUNCATED,
+            )
 
     def test_modified_correction_is_bounded(self, singular65):
         pair = construct_bounds(singular65)
