@@ -399,13 +399,17 @@ def _solve_config(cfg: Config) -> SolveConfig:
     mode = None
     if "solve.rhs_mode" in cfg:
         mode = cfg.get_enum("solve.rhs_mode", RhsMode, None)
-    return SolveConfig(
-        tol_residual=cfg.get_float("solve.tol_residual", 1e-10),
-        tol_step=cfg.get_float("solve.tol_step", 1e-12),
-        max_iters=cfg.get_int("solve.max_iters", 10_000),
-        damping=cfg.get_float("solve.damping", 1.0),
-        rhs_mode=mode,
-    )
+    try:
+        return SolveConfig(
+            tol_residual=cfg.get_float("solve.tol_residual", 1e-10),
+            tol_step=cfg.get_float("solve.tol_step", 1e-12),
+            max_iters=cfg.get_int("solve.max_iters", 10_000),
+            damping=cfg.get_float("solve.damping", 1.0),
+            rhs_mode=mode,
+        )
+    except ConfigError as exc:
+        key = f"solve.{exc.key}"
+        raise ConfigError(exc.reason, key=key, line=cfg.line(key)) from exc
 
 
 def _cmd_solve(cfg: Config, args) -> int:

@@ -130,6 +130,7 @@ class ConfigError(TsdynError):
     """Bad or missing configuration entry; names the key and line if known."""
 
     def __init__(self, message: str, key: str | None = None, line: int | None = None):
+        self.reason = message
         self.key = key
         self.line = line
         where = []

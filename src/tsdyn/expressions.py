@@ -13,6 +13,11 @@ with an optional exponent part.  Evaluation guards the usual real-domain
 holes: division by zero, zero to a negative power, and a negative base under
 a non-integer exponent all raise :class:`DomainViolation`; overflow raises
 :class:`NonFiniteResult`.
+
+:meth:`ExpressionTree.evaluate_array` walks the tree once over whole arrays
+of times and states.  Instead of raising it flags every row where a guard
+fires or a value is not finite; the caller re-evaluates those rows with the
+scalar :meth:`ExpressionTree.evaluate`, which decides what they mean.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import DomainViolation, ExpressionSyntaxError, NonFiniteResult, UnknownVariable
 
@@ -191,6 +198,25 @@ class ExpressionTree:
             raise NonFiniteResult(f"expression evaluated to {v!r}")
         return v
 
+    def evaluate_array(
+        self, t: np.ndarray, x: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluate at ``t[k], x[k]`` for every row ``k`` of ``(rows,)`` times
+        and ``(rows, n)`` states.
+
+        Returns the ``(rows,)`` values and a ``(rows,)`` boolean mask of rows
+        that :meth:`evaluate` would reject or could compute differently: a
+        guard fired, or an intermediate value or the result is not finite.
+        Unflagged rows hold the value :meth:`evaluate` returns, bit for bit.
+        """
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        flagged = np.zeros(len(t), dtype=bool)
+        with np.errstate(all="ignore"):
+            v = _eval_array(self.root, t, x, flagged)
+            flagged |= ~np.isfinite(v)
+        return np.broadcast_to(v, flagged.shape), flagged
+
     def max_state_index(self) -> int:
         return _max_state(self.root)
 
@@ -239,7 +265,7 @@ def _eval(node: Node, t: float, x: Sequence[float]) -> float:
 
 
 def _power(base: float, expo: float) -> float:
-    integral = expo == math.floor(expo) and abs(expo) < 1e15
+    integral = math.isfinite(expo) and expo == math.floor(expo) and abs(expo) < 1e15
     if base == 0.0 and expo < 0.0:
         raise DomainViolation("zero base with negative exponent")
     if base < 0.0 and not integral:
@@ -252,6 +278,43 @@ def _power(base: float, expo: float) -> float:
         raise NonFiniteResult("power overflow") from exc
     except ZeroDivisionError as exc:  # 0 ** negative int via pow
         raise DomainViolation("zero base with negative exponent") from exc
+
+
+def _eval_array(node: Node, t: np.ndarray, x: np.ndarray, flagged: np.ndarray):
+    """Array twin of :func:`_eval`; marks rows in ``flagged`` instead of raising.
+
+    ``+``, ``-``, ``*`` and negation carry a non-finite operand into their
+    result, so only ``/`` and ``^``, which can absorb one, check operands.
+    """
+    if isinstance(node, Const):
+        return np.float64(node.value)  # so that 1/0 follows errstate, not Python
+    if isinstance(node, TimeVar):
+        return t
+    if isinstance(node, StateVar):
+        if node.index > x.shape[1]:
+            raise UnknownVariable(
+                f"x{node.index} referenced but only {x.shape[1]} state values given"
+            )
+        return x[:, node.index - 1]
+    if isinstance(node, Neg):
+        return -_eval_array(node.child, t, x, flagged)
+    left = _eval_array(node.left, t, x, flagged)
+    right = _eval_array(node.right, t, x, flagged)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if node.op == "/":
+        flagged |= (right == 0.0) | ~np.isfinite(right)
+        return left / right
+    integral = (right == np.floor(right)) & (np.abs(right) < 1e15)
+    flagged |= ((left == 0.0) & (right < 0.0)) | ((left < 0.0) & ~integral)
+    flagged |= ~(np.isfinite(left) & np.isfinite(right))
+    # float_power calls the C library's pow per element, as Python's ** does;
+    # np.power's SIMD loop can differ from it in the last bit
+    return np.float_power(left, right)
 
 
 def _max_state(node: Node) -> int:
@@ -276,7 +339,9 @@ def _fmt_number(v: float) -> str:
 
 def _show(node: Node, parent_prec: int) -> str:
     if isinstance(node, Const):
-        return _fmt_number(node.value)
+        text = _fmt_number(node.value)
+        # a negative constant prints like a negation, so it binds like one
+        return f"({text})" if node.value < 0.0 and parent_prec > 3 else text
     if isinstance(node, TimeVar):
         return "t"
     if isinstance(node, StateVar):

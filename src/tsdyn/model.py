@@ -14,6 +14,7 @@ strict brackets are what the shape constraints below ask for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -115,7 +116,7 @@ class Nonlinearity:
             raise DomainViolation(str(exc) or "math domain error") from exc
         except OverflowError as exc:
             raise NonFiniteResult(str(exc) or "overflow") from exc
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise NonFiniteResult(f"nonlinearity evaluated to {v!r}")
         return v
 
@@ -251,7 +252,13 @@ def rhs_matrix(
     sigma-shifted iterate).  A domain error in the first row only is the
     improper-cell case: that entry is recorded and replaced by zero, which
     truncates the offending graininess cell out of every quadrature built on
-    top.  Errors at interior rows always propagate.
+    top.  Errors at interior rows always propagate, re-raised as the same
+    class with a message that starts ``row k, component i:``.
+
+    Expression bodies are evaluated over all rows at once; only the entries
+    they flag, and every entry of a callable body, go through the scalar
+    :meth:`Nonlinearity.evaluate`, in row-major order, so the first error
+    raised is the one a row-by-row loop would meet first.
     """
     ts = problem.scale
     rows = ts.last_index - 1
@@ -261,16 +268,19 @@ def rhs_matrix(
             f"states must have shape {(rows, n)}, got {states.shape}"
         )
     out = np.empty((rows, n), dtype=float)
+    scalar = np.ones((rows, n), dtype=bool)
+    for i, fi in enumerate(problem.f):
+        if isinstance(fi.body, ExpressionTree):
+            out[:, i], scalar[:, i] = fi.body.evaluate_array(ts.points[:rows], states)
     skipped: list[int] = []
-    for k in range(rows):
-        t = float(ts.points[k])
-        for i in range(n):
-            try:
-                out[k, i] = problem.f[i].evaluate(t, states[k])
-            except (DomainViolation, NonFiniteResult):
-                if k == 0 and improper_head:
-                    out[k, i] = 0.0
-                    skipped.append(i + 1)
-                else:
-                    raise
+    points = ts.points.tolist()
+    for k, i in np.argwhere(scalar).tolist():
+        try:
+            out[k, i] = problem.f[i].evaluate(points[k], states[k])
+        except (DomainViolation, NonFiniteResult) as exc:
+            if k == 0 and improper_head:
+                out[k, i] = 0.0
+                skipped.append(i + 1)
+            else:
+                raise type(exc)(f"row {k}, component {i + 1}: {exc}") from exc
     return out, tuple(skipped)

@@ -21,6 +21,7 @@ function entry points and Newton's system map are thin layers over them;
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,6 +30,7 @@ import numpy as np
 from .calculus import GridFunction
 from .errors import (
     BracketViolation,
+    ConfigError,
     DomainViolation,
     NonFiniteResult,
     SupportMismatch,
@@ -75,6 +77,18 @@ class SolveConfig:
     max_iters: int = 10_000
     damping: float = 1.0
     rhs_mode: RhsMode | None = None  # resolved per strategy when left unset
+
+    def __post_init__(self):
+        if not 0.0 < self.damping <= 1.0:
+            raise ConfigError(f"must lie in (0, 1], got {self.damping!r}",
+                              key="damping")
+        if (not isinstance(self.max_iters, numbers.Integral)
+                or isinstance(self.max_iters, bool) or self.max_iters < 0):
+            raise ConfigError(
+                f"must be an integer >= 0, got {self.max_iters!r}", key="max_iters")
+        for key in ("tol_residual", "tol_step"):
+            if not getattr(self, key) >= 0.0:
+                raise ConfigError(f"must be >= 0, got {getattr(self, key)!r}", key=key)
 
 
 @dataclass(frozen=True)
@@ -138,16 +152,21 @@ def _band(brackets, mode: RhsMode):
 
 
 def _regularized(
-    problem: DirichletProblem, u: np.ndarray, band, mode: RhsMode
+    problem: DirichletProblem, u: np.ndarray, band, mode: RhsMode, raw=None
 ) -> np.ndarray:
     """:func:`regularized_rhs` on plain arrays: ``u`` is a full ``(N+1, n)``
-    iterate, ``band`` comes from :func:`_band`; one row per equation point."""
+    iterate, ``band`` comes from :func:`_band`; one row per equation point.
+
+    ``raw``, if given, is ``rhs_matrix`` at the unclamped states ``u[1:N]``;
+    it is reused whenever clamping moves nothing, because then the states are
+    the same and the ``MODIFIED`` correction is zero.
+    """
     N = problem.scale.last_index
     shifted = u[1:N]
-    if band is None:
-        return rhs_matrix(problem, shifted)[0]
-    states = np.clip(shifted, band[0][1:N], band[1][1:N])
-    vals, _ = rhs_matrix(problem, states)
+    states = shifted if band is None else np.clip(shifted, band[0][1:N], band[1][1:N])
+    vals = raw
+    if vals is None or not np.array_equal(states, shifted):
+        vals = rhs_matrix(problem, states)[0]
     if mode is RhsMode.MODIFIED:
         gap = states - shifted
         vals = vals + gap / (1.0 + np.abs(gap))
@@ -161,13 +180,18 @@ def _defect(ts: TimeScale, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return -(np.diff(d1, axis=0) / mu[:-1, None]) - rhs
 
 
-def _residual(problem: DirichletProblem, u: np.ndarray) -> float:
+def _residual(problem: DirichletProblem, u: np.ndarray):
+    """Max-norm raw defect at ``u`` and the raw right hand side behind it.
+
+    The right hand side is ``None`` when ``f`` cannot be evaluated at ``u``;
+    the defect is then infinite.
+    """
     try:
         rhs = _regularized(problem, u, None, RhsMode.RAW)
     except (DomainViolation, NonFiniteResult):
-        return math.inf
+        return math.inf, None
     size = float(np.max(np.abs(_defect(problem.scale, u, rhs))))
-    return size if math.isfinite(size) else math.inf
+    return (size if math.isfinite(size) else math.inf), rhs
 
 
 def _full_values(problem: DirichletProblem, u: GridFunction) -> np.ndarray:
@@ -213,7 +237,7 @@ def residual_norm(problem: DirichletProblem, u: GridFunction) -> float:
     Uses the raw right hand side; an iterate outside ``f``'s domain scores
     infinity rather than raising.
     """
-    return _residual(problem, _full_values(problem, u))
+    return _residual(problem, _full_values(problem, u))[0]
 
 
 def _bracket_respected(u: np.ndarray, brackets) -> bool:
@@ -281,9 +305,13 @@ def _fixed_point(
 
     ``start`` defaults to the band midpoint (``phi`` without a band).  A
     nonzero ``direction`` (+1 up, -1 down) makes this the monotone
-    iteration: each image must move that way, ``theta`` stays one, and the
-    start residual is reported if the first step already fails.  Otherwise
-    ``theta`` starts at ``config.damping`` and is halved on stagnation.
+    iteration: each image must move that way and ``theta`` stays one.
+    Otherwise ``theta`` starts at ``config.damping`` and is halved on
+    stagnation.  The start residual is reported if no step is taken.
+
+    Each residual evaluation also yields the raw right hand side at the new
+    iterate, which the next step reuses unless the clamp moves it, so a step
+    costs one ``rhs_matrix`` call on in-band iterates.
     """
     ts = problem.scale
     N = ts.last_index
@@ -294,12 +322,12 @@ def _fixed_point(
     best = math.inf
     streak = 0
     notes: list[str] = []
-    residual = _residual(problem, u) if direction else math.inf
+    residual, raw = _residual(problem, u)
     status = Status.MAX_ITERS
     it = 0
     for it in range(1, config.max_iters + 1):
         try:
-            rhs = GridFunction(ts, _regularized(problem, u, band, mode), 0, N - 2)
+            rhs = GridFunction(ts, _regularized(problem, u, band, mode, raw), 0, N - 2)
             image = phi + green_apply(ts, rhs).values
             u_next = (1.0 - theta) * u + theta * image
             if not np.all(np.isfinite(u_next)):
@@ -322,7 +350,7 @@ def _fixed_point(
         step = float(np.max(np.abs(u_next - u)))
         u = u_next
         size = float(np.max(np.abs(u)))
-        residual = _residual(problem, u)
+        residual, raw = _residual(problem, u)
         if residual <= config.tol_residual and _bracket_respected(u, brackets):
             status = Status.CONVERGED
             break
@@ -409,7 +437,7 @@ def _newton(problem, brackets, mode, config):
     residual = math.inf
     for it in range(1, config.max_iters + 1):
         u = z.reshape((N + 1, n), order="F")
-        residual = _residual(problem, u)
+        residual = _residual(problem, u)[0]
         if residual <= config.tol_residual and _bracket_respected(u, brackets):
             status = Status.CONVERGED
             break

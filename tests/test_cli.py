@@ -204,6 +204,15 @@ class TestConfigErrors:
         assert main(["solve", str(cfg)]) == 4
         assert "f.1.expr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry", ["solve.damping = 0", "solve.max_iters = -1", "solve.tol_step = -1"]
+    )
+    def test_invalid_solve_setting(self, tmp_path, capsys, entry):
+        cfg = write_cfg(tmp_path, SOLVE_CFG + entry + "\n")
+        assert main(["solve", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert f"key '{entry.split(' = ')[0]}', line 14" in err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate", "x"]) == 4
 

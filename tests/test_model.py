@@ -7,6 +7,7 @@ from tsdyn import (
     DimensionMismatch,
     DirichletProblem,
     DomainViolation,
+    ExpressionTree,
     NonFiniteResult,
     Nonlinearity,
     ShapeViolation,
@@ -204,8 +205,51 @@ class TestRhsMatrix:
         p = DirichletProblem(unit65, (power_law(0.5),))
         states = np.full((unit65.last_index - 1, 1), 4.0)
         states[7, 0] = 0.0
-        with pytest.raises(DomainViolation):
+        with pytest.raises(DomainViolation, match=r"^row 7, component 1: "):
             rhs_matrix(p, states)
+
+    def test_first_error_in_row_major_order(self, unit65):
+        # component 2 fails at an earlier row than component 1, and component
+        # 1 is a callable, so both paths take part in the ordering
+        def f1(t, x):
+            if x[0] < 0.0:
+                raise ValueError("negative state")
+            return 1.0
+
+        zeros = (0.0, 0.0)
+        p = DirichletProblem(
+            unit65,
+            (Nonlinearity(2, 1, f1, zeros, zeros),
+             Nonlinearity.from_expression("x2^0.5", arity=2, component_index=2)),
+            (0.0, 0.0),
+            (0.0, 0.0),
+        )
+        states = np.ones((unit65.last_index - 1, 2))
+        states[9, 0] = -1.0
+        states[5, 1] = -1.0
+        with pytest.raises(DomainViolation, match=r"^row 5, component 2: "):
+            rhs_matrix(p, states)
+        states[5, 1] = 1.0
+        with pytest.raises(DomainViolation, match=r"^row 9, component 1: negative"):
+            rhs_matrix(p, states)
+
+    def test_expression_rows_skip_the_scalar_evaluator(self, unit65, monkeypatch):
+        calls = []
+        original = ExpressionTree.evaluate
+        monkeypatch.setattr(
+            ExpressionTree, "evaluate",
+            lambda self, t, x: calls.append(t) or original(self, t, x),
+        )
+        f = Nonlinearity.from_expression(
+            "t^(-0.5) * x1^(-0.5)", arity=1, degree_low=(-0.5,), degree_high=(0.5,)
+        )
+        vals, skipped = rhs_matrix(
+            DirichletProblem(unit65, (f,)), np.full((unit65.last_index - 1, 1), 4.0)
+        )
+        assert calls == [0.0]  # only the improper first cell is re-evaluated
+        assert skipped == (1,)
+        t = unit65.points[1:-2]
+        assert vals[1:, 0].tolist() == [f.evaluate(tk, (4.0,)) for tk in t.tolist()]
 
     def test_head_error_propagates_when_disabled(self, unit65):
         f = Nonlinearity.from_expression(

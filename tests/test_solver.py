@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import tsdyn.solver
 from tsdyn import (
     BracketViolation,
+    ConfigError,
     DirichletProblem,
     GridFunction,
     Nonlinearity,
@@ -96,6 +98,30 @@ class TestPicard:
         report = solve(singular65, brackets=pair.pair, config=SolveConfig(max_iters=3))
         assert report.status is Status.MAX_ITERS
         assert report.iterations == 3
+
+    @pytest.mark.parametrize("strategy", [Strategy.PICARD, Strategy.TRUNCATED_NEST])
+    def test_start_residual_reported_without_steps(self, singular65, strategy):
+        pair = construct_bounds(singular65)
+        report = solve(
+            singular65, strategy=strategy, brackets=pair.pair,
+            config=SolveConfig(max_iters=0),
+        )
+        assert report.status is Status.MAX_ITERS
+        assert report.iterations == 0
+        assert 0.0 < report.final_residual < np.inf
+        if strategy is Strategy.PICARD:
+            assert report.final_residual == residual_norm(singular65, report.solution)
+
+    def test_one_rhs_evaluation_per_iteration(self, singular65, monkeypatch):
+        calls = []
+        original = tsdyn.solver.rhs_matrix
+        monkeypatch.setattr(
+            tsdyn.solver, "rhs_matrix",
+            lambda *a, **k: calls.append(1) or original(*a, **k),
+        )
+        report = solve(singular65, brackets=construct_bounds(singular65).pair)
+        assert report.converged
+        assert len(calls) == report.iterations + 1  # the start iterate's too
 
     def test_stalled_step_is_not_an_iteration_cap(self):
         # the absolute tolerance sits below this mesh's roundoff floor, so the
@@ -257,6 +283,70 @@ class TestRhsModes:
         clamped = clamp_to_band(u, alpha, beta)
         assert clamped.values.min() == 0.0
         assert clamped.values.max() == 1.0
+
+
+class TestRhsReuse:
+    """Reusing the residual's right hand side changes no result."""
+
+    def without_reuse(self, monkeypatch):
+        original = tsdyn.solver._residual
+        monkeypatch.setattr(
+            tsdyn.solver, "_residual", lambda p, u: (original(p, u)[0], None)
+        )
+
+    @pytest.mark.parametrize(
+        "strategy,mode",
+        [
+            (Strategy.PICARD, None),
+            (Strategy.PICARD, RhsMode.TRUNCATED),
+            (Strategy.PICARD, RhsMode.RAW),
+            (Strategy.MONOTONE_UP, None),
+            (Strategy.TRUNCATED_NEST, None),
+        ],
+    )
+    @pytest.mark.parametrize("narrow", [False, True])
+    def test_same_report_as_fresh_evaluation(self, monkeypatch, strategy, mode, narrow):
+        p = isotone_problem(uniform(0.0, 1.0, 33))
+        alpha, beta = construct_bounds(p).pair
+        if narrow:
+            # an upper bracket below the solution makes the clamp move entries
+            beta = GridFunction.from_values(p.scale, 0.5 * (alpha.values + beta.values))
+        brackets = (alpha, beta) if mode is not RhsMode.RAW else None
+        config = SolveConfig(rhs_mode=mode, damping=0.5)
+        reused = solve(p, strategy=strategy, brackets=brackets, config=config)
+        self.without_reuse(monkeypatch)
+        fresh = solve(p, strategy=strategy, brackets=brackets, config=config)
+        assert reused.solution.values.tobytes() == fresh.solution.values.tobytes()
+        assert (reused.status, reused.iterations, reused.final_residual, reused.notes) == (
+            fresh.status, fresh.iterations, fresh.final_residual, fresh.notes)
+        assert reused.nest_trail == fresh.nest_trail
+
+
+class TestSolveConfig:
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("damping", 0.0),
+            ("damping", -0.5),
+            ("damping", 3.0),
+            ("damping", float("nan")),
+            ("max_iters", -1),
+            ("max_iters", 2.5),
+            ("max_iters", True),
+            ("tol_residual", -1.0),
+            ("tol_residual", float("nan")),
+            ("tol_step", -1e-3),
+        ],
+    )
+    def test_rejected(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            SolveConfig(**{key: value})
+        assert err.value.key == key
+
+    def test_edges_accepted(self):
+        config = SolveConfig(tol_residual=0.0, tol_step=0.0, max_iters=0, damping=1.0)
+        assert config.max_iters == 0
+        assert SolveConfig(max_iters=np.int64(5), damping=1e-3).max_iters == 5
 
 
 class TestResidual:
