@@ -25,6 +25,7 @@ from .errors import (
     IndexOutOfRange,
     NonFiniteResult,
     ScaleMismatch,
+    SupportMismatch,
 )
 from .timescale import TimeScale, same_realization
 
@@ -173,12 +174,25 @@ class GridFunction:
         return GridFunction(self.scale, -self.values, self.lo, self.hi)
 
 
+def full_support_values(u: GridFunction, last_index: int, what: str) -> np.ndarray:
+    """``u``'s values, which must cover indices ``0 .. last_index``; ``what``
+    names ``u`` in the error."""
+    if u.lo > 0 or u.hi < last_index:
+        raise SupportMismatch(f"{what} must cover the whole realization")
+    return u.values
+
+
+def difference_quotient(values: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``(values[1:] - values[:-1]) / mu`` row by row: the delta derivative on
+    plain ``(rows, n)`` arrays, ``mu`` holding one graininess per output row."""
+    return (values[1:] - values[:-1]) / mu[:, None]
+
+
 def delta_derivative(u: GridFunction) -> GridFunction:
     """Forward difference quotient against graininess; support shrinks by one."""
     if u.hi - u.lo < 1:
         raise EmptySupport("delta derivative needs at least two supported points")
-    mu = u.scale.mu[u.lo : u.hi]
-    vals = (u.values[1:] - u.values[:-1]) / mu[:, None]
+    vals = difference_quotient(u.values, u.scale.mu[u.lo : u.hi])
     return GridFunction(u.scale, vals, u.lo, u.hi - 1)
 
 

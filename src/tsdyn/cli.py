@@ -357,10 +357,13 @@ def _cmd_check(cfg: Config, args) -> int:
                           key="check.component", line=cfg.line("check.component"))
     fi = f[component - 1]
     samples = cfg.get_int("check.samples", 0)
+    if samples < 0:
+        raise ConfigError(f"must be >= 0, got {samples}", key="check.samples",
+                          line=cfg.line("check.samples"))
+    # absent or 0 leaves each check its own default sample count
+    sampling = {"samples": samples} if samples else {}
     if criterion == "scaling":
-        report = check_scaling_exponents(
-            fi, scale, samples=samples or 64, seed=seed
-        )
+        report = check_scaling_exponents(fi, scale, seed=seed, **sampling)
         _emit(_json_lines([{
             "ok": report.ok, "shape_ok": report.shape_ok,
             "checked": report.checked, "witness": report.witness,
@@ -368,9 +371,7 @@ def _cmd_check(cfg: Config, args) -> int:
         }]), args.out)
         return _EXIT_OK if report.ok else _EXIT_FAIL
     if criterion == "monotone":
-        report = check_monotone_in_state(
-            fi, scale, samples=samples or 200, seed=seed
-        )
+        report = check_monotone_in_state(fi, scale, seed=seed, **sampling)
         _emit(_json_lines([{
             "ok": report.ok, "checked": report.checked,
             "witness": report.witness,
@@ -382,7 +383,7 @@ def _cmd_check(cfg: Config, args) -> int:
             raise ConfigError("expected 'lo,hi'", key="check.band",
                               line=cfg.line("check.band"))
         report = check_lipschitz_bound(
-            fi, scale, (band[0], band[1]), samples=samples or 400, seed=seed
+            fi, scale, (band[0], band[1]), seed=seed, **sampling
         )
         _emit(_json_lines([{
             "bound": report.bound, "checked": report.checked, "at": report.at,
@@ -396,17 +397,21 @@ def _cmd_check(cfg: Config, args) -> int:
 
 
 def _solve_config(cfg: Config) -> SolveConfig:
-    mode = None
-    if "solve.rhs_mode" in cfg:
-        mode = cfg.get_enum("solve.rhs_mode", RhsMode, None)
+    """``SolveConfig`` from the ``solve.*`` entries the file sets; every
+    absent entry keeps the library default."""
+    getters = {
+        "rhs_mode": lambda key: cfg.get_enum(key, RhsMode, None),
+        "tol_residual": cfg.get_float,
+        "tol_step": cfg.get_float,
+        "max_iters": cfg.get_int,
+        "damping": cfg.get_float,
+    }
+    settings = {
+        name: get(f"solve.{name}") for name, get in getters.items()
+        if f"solve.{name}" in cfg
+    }
     try:
-        return SolveConfig(
-            tol_residual=cfg.get_float("solve.tol_residual", 1e-10),
-            tol_step=cfg.get_float("solve.tol_step", 1e-12),
-            max_iters=cfg.get_int("solve.max_iters", 10_000),
-            damping=cfg.get_float("solve.damping", 1.0),
-            rhs_mode=mode,
-        )
+        return SolveConfig(**settings)
     except ConfigError as exc:
         key = f"solve.{exc.key}"
         raise ConfigError(exc.reason, key=key, line=cfg.line(key)) from exc

@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .calculus import GridFunction, delta_derivative, delta_second
+from .calculus import GridFunction, delta_derivative, full_support_values
 from .errors import (
     BoundOrderViolation,
     CriterionNotSatisfied,
@@ -35,6 +35,7 @@ from .errors import (
 from .expressions import ExpressionTree
 from .green import envelope_weight, green_apply, kernel_lower_weight
 from .model import DirichletProblem, Nonlinearity, rhs_matrix
+from .solver import _defect
 from .timescale import Kind, TimeScale, quantum_family, same_realization, uniform_family
 
 #: Seed for every sampling-based hypothesis check.
@@ -233,37 +234,42 @@ def _overall(per_component: Sequence[ConvergenceVerdict]) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
+def _quadrature(ts: TimeScale, vals: np.ndarray, weight=1.0) -> list[float]:
+    """``sum_k mu_k w_k vals[k, i]`` over the equation points, per component."""
+    mu = ts.mu[: ts.last_index - 1]
+    return [float(np.sum(mu * weight * vals[:, i])) for i in range(vals.shape[1])]
+
+
+def _drop_note(skipped: tuple[int, ...], prefix: str = "") -> tuple[str, ...]:
+    """The record of the improper first cells ``rhs_matrix`` dropped, if any."""
+    if not skipped:
+        return ()
+    return (f"{prefix}dropped improper first cell for component(s) {list(skipped)}",)
+
+
 def _trail_report(f, family, states_fn, weight_fn) -> CriterionReport:
     f = tuple(f)
     n = len(f)
-    trails: list[list[float]] = [[] for _ in range(n)]
-    floors = [math.inf] * n
+    zeros = (0.0,) * n
+    partials: list[list[float]] = []
+    lows: list[np.ndarray] = []
     notes: list[str] = []
     for ts in family:
-        problem = DirichletProblem(ts, f)
-        states = states_fn(ts, n)
-        vals, skipped = rhs_matrix(problem, states)
-        if skipped:
-            notes.append(
-                f"{ts.npoints} points: dropped improper first cell for "
-                f"component(s) {sorted(set(skipped))}"
-            )
-        weight = weight_fn(ts)
-        mu = ts.mu[: ts.last_index - 1]
-        for i in range(n):
-            trails[i].append(float(np.sum(mu * weight * vals[:, i])))
-            floors[i] = min(floors[i], float(np.min(vals[:, i])))
+        problem = DirichletProblem(ts, f, zeros, zeros)
+        vals, skipped = rhs_matrix(problem, states_fn(ts, n))
+        notes.extend(_drop_note(skipped, f"{ts.npoints} points: "))
+        partials.append(_quadrature(ts, vals, weight_fn(ts)))
+        lows.append(np.min(vals, axis=0))
+    trails = tuple(zip(*partials))
+    floors = np.min(lows, axis=0).tolist()
     per = tuple(
-        _classify(
-            trails[i],
-            positive=floors[i] >= 0.0 and trails[i][-1] >= _TINY,
-        )
-        for i in range(n)
+        _classify(trail, positive=floor >= 0.0 and trail[-1] >= _TINY)
+        for trail, floor in zip(trails, floors)
     )
     return CriterionReport(
         verdict=_overall(per),
         per_component=per,
-        trails=tuple(tuple(t) for t in trails),
+        trails=trails,
         scale_sizes=tuple(ts.npoints for ts in family),
         notes=tuple(notes),
     )
@@ -284,11 +290,7 @@ def criterion_sufficient(
     ``limit`` fields carry the extrapolated improper integrals.
     """
     family = _resolve_family(scales, reference)
-
-    def weight(ts: TimeScale) -> np.ndarray:
-        return np.ones(ts.last_index - 1)
-
-    return _trail_report(f, family, _envelope_states, weight)
+    return _trail_report(f, family, _envelope_states, lambda ts: 1.0)
 
 
 def criterion_necessary(
@@ -402,13 +404,12 @@ def construct_bounds(problem: DirichletProblem) -> BoundsPair:
                 f"stay below one, got {fi.diagonal_high:g}"
             )
     vals, skipped = rhs_matrix(problem, _envelope_states(ts, n))
-    mu = ts.mu[: N - 1]
     s = ts.points[: N - 1]
     sig = ts.points[1:N]
     # (s - a) <= (sigma(s) - a), so this is also a valid lower kernel weight
     w_low = (s - ts.a) * (ts.sigma2_b - sig) / D**2
-    I1 = [float(np.sum(mu * w_low * vals[:, i])) for i in range(n)]
-    I2 = [float(np.sum(mu * vals[:, i])) for i in range(n)]
+    I1 = _quadrature(ts, vals, w_low)
+    I2 = _quadrature(ts, vals)
     if min(I1) <= 0.0 or min(I2) <= 0.0:
         raise CriterionNotSatisfied(
             "construction integrals must be positive; the right hand side "
@@ -429,11 +430,6 @@ def construct_bounds(problem: DirichletProblem) -> BoundsPair:
     y = green_apply(ts, GridFunction.from_values(ts, vals))
     alpha = GridFunction(ts, y.values * np.asarray(k1)[None, :], 0, N)
     beta = GridFunction(ts, y.values * np.asarray(k2)[None, :], 0, N)
-    notes = ()
-    if skipped:
-        notes = (
-            f"dropped improper first cell for component(s) {sorted(set(skipped))}",
-        )
     return BoundsPair(
         alpha=alpha,
         beta=beta,
@@ -444,7 +440,7 @@ def construct_bounds(problem: DirichletProblem) -> BoundsPair:
             "k1": tuple(k1),
             "k2": tuple(k2),
         },
-        notes=notes,
+        notes=_drop_note(skipped),
     )
 
 
@@ -510,16 +506,11 @@ def construct_lower(
         k1.append(min(1.0, base**expo))
     g = green_apply(ts, GridFunction.from_values(ts, rhs))
     alpha = GridFunction(ts, g.values * np.asarray(k1)[None, :], 0, N)
-    notes = ()
-    if skipped:
-        notes = (
-            f"dropped improper first cell for component(s) {sorted(set(skipped))}",
-        )
     return BoundsPair(
         alpha=alpha,
         beta=None,
         constants={"L1": tuple(L1), "C2": C2, "k1": tuple(k1), "eta": tuple(etas)},
-        notes=notes,
+        notes=_drop_note(skipped),
     )
 
 
@@ -529,19 +520,18 @@ def construct_lower(
 def _verify(problem, candidate, sign, slack) -> VerificationReport:
     ts = problem.scale
     N = ts.last_index
-    if candidate.lo > 0 or candidate.hi < N:
-        raise SupportMismatch("candidate must cover the whole realization")
-    states = candidate.values[1:N]
-    vals, skipped = rhs_matrix(problem, states)
-    lhs = -delta_second(candidate)
+    u = full_support_values(candidate, N, "candidate")
+    vals, skipped = rhs_matrix(problem, u[1:N])
     # sign +1 checks a lower solution: -u^DD <= f; -1 the reverse
-    margin = sign * (vals - lhs.values)
+    margin = -sign * _defect(ts, u, vals)
+    if not np.all(np.isfinite(margin)):
+        raise NonFiniteResult("second delta derivative of the candidate is not finite")
     bad = np.argwhere(margin < -slack)
     violations = [(int(i) + 1, int(k), float(-margin[k, i])) for k, i in bad]
     worst = float(min(0.0, np.min(margin)))
     for index, entry, bc in (
-        (0, candidate.values[0], problem.boundary_left),
-        (N, candidate.values[-1], problem.boundary_right),
+        (0, u[0], problem.boundary_left),
+        (N, u[-1], problem.boundary_right),
     ):
         margin_bc = sign * (np.asarray(bc) - entry)
         worst = min(worst, float(np.min(margin_bc)))
@@ -552,7 +542,7 @@ def _verify(problem, candidate, sign, slack) -> VerificationReport:
         ok=len(violations) == 0,
         worst=worst,
         violations=violations,
-        skipped_components=tuple(sorted(set(skipped))),
+        skipped_components=skipped,
     )
 
 
@@ -585,19 +575,15 @@ def compute_envelope(
     _require_positive_system(problem, "the envelope display")
     ts = problem.scale
     N = ts.last_index
-    if solution.lo > 0 or solution.hi < N:
-        raise SupportMismatch("solution must cover the whole realization")
-    states = solution.values[1:N]
-    vals, skipped = rhs_matrix(problem, states)
-    mu = ts.mu[: N - 1]
-    w = kernel_lower_weight(ts)
-    J1 = [float(np.sum(mu * w * vals[:, i])) for i in range(problem.n_components)]
-    J2 = [float(np.sum(mu * vals[:, i])) for i in range(problem.n_components)]
+    u = full_support_values(solution, N, "solution")
+    vals, skipped = rhs_matrix(problem, u[1:N])
+    J1 = _quadrature(ts, vals, kernel_lower_weight(ts))
+    J2 = _quadrature(ts, vals)
     e = envelope_weight(ts).component(1)
     for i in range(problem.n_components):
         low = J1[i] * e - slack
         high = J2[i] * e + slack
-        col = solution.values[:, i]
+        col = u[:, i]
         if np.any(col < low):
             k = int(np.argmax(col - low < 0))
             raise EnvelopeViolation(i + 1, k, float(low[k] - col[k]))
@@ -607,7 +593,7 @@ def compute_envelope(
     return {
         "lower": tuple(J1),
         "upper": tuple(J2),
-        "skipped_components": tuple(sorted(set(skipped))),
+        "skipped_components": skipped,
     }
 
 

@@ -243,8 +243,6 @@ class DirichletProblem:
 def rhs_matrix(
     problem: DirichletProblem,
     states: np.ndarray,
-    *,
-    improper_head: bool = True,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Evaluate every ``f_i`` at the equation points ``k = 0 .. N-2``.
 
@@ -252,8 +250,10 @@ def rhs_matrix(
     sigma-shifted iterate).  A domain error in the first row only is the
     improper-cell case: that entry is recorded and replaced by zero, which
     truncates the offending graininess cell out of every quadrature built on
-    top.  Errors at interior rows always propagate, re-raised as the same
-    class with a message that starts ``row k, component i:``.
+    top.  The second return value lists the dropped components, 1-based,
+    ascending and without repeats.  Errors at interior rows always
+    propagate, re-raised as the same class with a message that starts
+    ``row k, component i:``.
 
     Expression bodies are evaluated over all rows at once; only the entries
     they flag, and every entry of a callable body, go through the scalar
@@ -278,7 +278,7 @@ def rhs_matrix(
         try:
             out[k, i] = problem.f[i].evaluate(points[k], states[k])
         except (DomainViolation, NonFiniteResult) as exc:
-            if k == 0 and improper_head:
+            if k == 0:
                 out[k, i] = 0.0
                 skipped.append(i + 1)
             else:

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .calculus import GridFunction
+from .calculus import GridFunction, difference_quotient, full_support_values
 from .errors import (
     BracketViolation,
     ConfigError,
@@ -117,15 +117,16 @@ def clamp_to_band(
 
 
 def _check_brackets(problem: DirichletProblem, brackets) -> tuple:
+    """The ``(alpha, beta)`` value arrays of a checked bracket pair."""
     alpha, beta = brackets
     N = problem.scale.last_index
     for g in (alpha, beta):
-        if g.lo > 0 or g.hi < N:
-            raise SupportMismatch("brackets must cover the whole realization")
+        full_support_values(g, N, "brackets")
         if g.n_components != problem.n_components:
             raise SupportMismatch("bracket component count differs from the system")
-    if np.any(alpha.values > beta.values):
-        bad = int(np.argwhere(alpha.values > beta.values)[0][0])
+    alpha, beta = alpha.values, beta.values
+    if np.any(alpha > beta):
+        bad = int(np.argwhere(alpha > beta)[0][0])
         raise BracketViolation(bad)
     return alpha, beta
 
@@ -148,7 +149,7 @@ def _band(brackets, mode: RhsMode):
         return None
     if brackets is None:
         raise BracketViolation(-1, f"{mode.value} evaluation needs brackets")
-    return brackets[0].values, brackets[1].values
+    return brackets
 
 
 def _regularized(
@@ -176,8 +177,7 @@ def _regularized(
 def _defect(ts: TimeScale, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``-u^DD - rhs`` at the equation points ``k = 0 .. N-2``."""
     mu = ts.mu
-    d1 = np.diff(u, axis=0) / mu[:, None]
-    return -(np.diff(d1, axis=0) / mu[:-1, None]) - rhs
+    return -difference_quotient(difference_quotient(u, mu), mu[:-1]) - rhs
 
 
 def _residual(problem: DirichletProblem, u: np.ndarray):
@@ -194,12 +194,6 @@ def _residual(problem: DirichletProblem, u: np.ndarray):
     return (size if math.isfinite(size) else math.inf), rhs
 
 
-def _full_values(problem: DirichletProblem, u: GridFunction) -> np.ndarray:
-    if u.lo > 0 or u.hi < problem.scale.last_index:
-        raise SupportMismatch("iterate must cover the whole realization")
-    return u.values
-
-
 def regularized_rhs(
     problem: DirichletProblem,
     u: GridFunction,
@@ -214,7 +208,8 @@ def regularized_rhs(
     """
     if brackets is not None:
         brackets = _check_brackets(problem, brackets)
-    vals = _regularized(problem, _full_values(problem, u), _band(brackets, mode), mode)
+    full = full_support_values(u, problem.scale.last_index, "iterate")
+    vals = _regularized(problem, full, _band(brackets, mode), mode)
     return GridFunction.from_values(problem.scale, vals, lo=0)
 
 
@@ -237,17 +232,16 @@ def residual_norm(problem: DirichletProblem, u: GridFunction) -> float:
     Uses the raw right hand side; an iterate outside ``f``'s domain scores
     infinity rather than raising.
     """
-    return _residual(problem, _full_values(problem, u))[0]
+    full = full_support_values(u, problem.scale.last_index, "iterate")
+    return _residual(problem, full)[0]
 
 
 def _bracket_respected(u: np.ndarray, brackets) -> bool:
     if brackets is None:
         return True
     alpha, beta = brackets
-    slack = 1e-8 * max(1.0, alpha.max_abs(), beta.max_abs())
-    return bool(
-        np.all(u >= alpha.values - slack) and np.all(u <= beta.values + slack)
-    )
+    slack = 1e-8 * max(1.0, float(np.max(np.abs(alpha))), float(np.max(np.abs(beta))))
+    return bool(np.all(u >= alpha - slack) and np.all(u <= beta + slack))
 
 
 def solve(
@@ -260,7 +254,8 @@ def solve(
     """Solve the Dirichlet problem with the chosen strategy.
 
     ``brackets`` is an optional ``(alpha, beta)`` pair of grid functions on
-    the full realization; monotone and nested strategies require it.  The
+    the full realization; monotone and nested strategies require it.  It is
+    checked here once; every strategy below works on its value arrays.  The
     report's status is ``CONVERGED`` only when the raw residual meets the
     tolerance and the solution respects the band, and ``STALLED`` when the
     iteration stopped moving before it got there.
@@ -277,7 +272,7 @@ def solve(
                 -1, "monotone iteration needs a lower and an upper solution"
             )
         up = strategy is Strategy.MONOTONE_UP
-        start = brackets[0 if up else 1].values
+        start = brackets[0 if up else 1]
         return _fixed_point(
             problem, brackets, mode, config, strategy, start, 1 if up else -1
         )
@@ -292,7 +287,7 @@ def _start_iterate(problem: DirichletProblem, brackets, phi: np.ndarray) -> np.n
     if brackets is None:
         return phi
     alpha, beta = brackets
-    mid = 0.5 * (alpha.values + beta.values)
+    mid = 0.5 * (alpha + beta)
     mid[0] = problem.boundary_left
     mid[-1] = problem.boundary_right
     return mid
@@ -393,12 +388,11 @@ def _system_map(problem, brackets, mode):
 
     def F(z: np.ndarray) -> np.ndarray:
         vals = z.reshape((N + 1, n), order="F")
-        eq = _defect(ts, vals, _regularized(problem, vals, band, mode))
-        rows = [
-            np.concatenate(([vals[0, i] - left[i]], eq[:, i], [vals[N, i] - right[i]]))
-            for i in range(n)
-        ]
-        return np.concatenate(rows)
+        out = np.empty((N + 1, n))
+        out[0] = vals[0] - left
+        out[1:N] = _defect(ts, vals, _regularized(problem, vals, band, mode))
+        out[N] = vals[N] - right
+        return out.flatten(order="F")
 
     return F
 
@@ -420,7 +414,7 @@ def _newton(problem, brackets, mode, config):
         vals = zv.reshape((N + 1, n), order="F")
         vals = np.array(vals)
         if brackets is not None:
-            vals = np.clip(vals, brackets[0].values, brackets[1].values)
+            vals = np.clip(vals, *brackets)
         vals[0] = problem.boundary_left
         vals[-1] = problem.boundary_right
         return vals.flatten(order="F")
@@ -507,6 +501,7 @@ def _nested(problem, brackets, config):
     if k_max < 1:
         raise TooFewPoints("nested truncation needs at least six points")
     alpha, beta = brackets
+    mid = 0.5 * (alpha + beta)
     trail: list[float] = []
     notes: list[str] = []
     prev = None
@@ -514,16 +509,12 @@ def _nested(problem, brackets, config):
     sub_report = None
     for k in range(k_max, 0, -1):
         sub_ts = from_points(ts.points[k : N - k + 1])
-        sub_alpha = GridFunction.from_values(sub_ts, alpha.values[k : N - k + 1])
-        sub_beta = GridFunction.from_values(sub_ts, beta.values[k : N - k + 1])
-        mid_left = 0.5 * (sub_alpha.values[0] + sub_beta.values[0])
-        mid_right = 0.5 * (sub_alpha.values[-1] + sub_beta.values[-1])
         sub_problem = DirichletProblem(
-            sub_ts, problem.f, tuple(mid_left), tuple(mid_right)
+            sub_ts, problem.f, tuple(mid[k]), tuple(mid[N - k])
         )
         sub_report = _fixed_point(
             sub_problem,
-            (sub_alpha, sub_beta),
+            (alpha[k : N - k + 1], beta[k : N - k + 1]),
             RhsMode.MODIFIED,
             config,
             Strategy.TRUNCATED_NEST,

@@ -35,6 +35,20 @@ check.criterion = sufficient
 """
 
 
+TWO_COMPONENT_CFG = """\
+scale.kind = uniform
+scale.points = 65
+f.count = 2
+f.1.expr = x1^(-0.3) * x2^(-0.2)
+f.1.lambda = -0.3,-0.3
+f.1.mu = 0.3,-0.1
+f.2.expr = x2^(-0.4) * x1^(-0.1)
+f.2.lambda = -0.2,-0.4
+f.2.mu = -0.05,0.4
+check.criterion = sufficient
+"""
+
+
 @pytest.fixture
 def solve_cfg(tmp_path):
     path = tmp_path / "solve.cfg"
@@ -130,6 +144,24 @@ class TestCheckCommand:
         )
         assert main(["check", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("command", ["check", "quadrature"])
+    def test_two_component_system(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, TWO_COMPONENT_CFG)
+        assert main([command, str(cfg)]) == 0
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l]
+        assert [r["component"] for r in records if "component" in r] == [1, 2]
+        assert records[-1]["overall"] == "convergent"
+
+    @pytest.mark.parametrize("criterion", ["scaling", "monotone", "lipschitz"])
+    def test_negative_sample_count_rejected(self, tmp_path, capsys, criterion):
+        cfg = write_cfg(
+            tmp_path,
+            "scale.kind = uniform\nscale.points = 33\nf.count = 1\n"
+            f"f.1.expr = x1^2\ncheck.criterion = {criterion}\ncheck.samples = -5\n",
+        )
+        assert main(["check", str(cfg)]) == 4
+        assert "key 'check.samples', line 6" in capsys.readouterr().err
+
     def test_scaling_criterion_failure_exits_two(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -205,7 +237,9 @@ class TestConfigErrors:
         assert "f.1.expr" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "entry", ["solve.damping = 0", "solve.max_iters = -1", "solve.tol_step = -1"]
+        "entry",
+        ["solve.damping = 0", "solve.max_iters = -1", "solve.tol_step = -1",
+         "solve.tol_step = x"],
     )
     def test_invalid_solve_setting(self, tmp_path, capsys, entry):
         cfg = write_cfg(tmp_path, SOLVE_CFG + entry + "\n")

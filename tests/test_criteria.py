@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsdyn import (
     BoundOrderViolation,
@@ -36,6 +38,7 @@ from tsdyn import (
     emden_fowler,
     endpoint_slope_limits,
     family_quadrature,
+    from_points,
     parse_expression,
     quantum_family,
     solve,
@@ -50,6 +53,25 @@ def power_law(gamma):
     return Nonlinearity.from_expression(
         f"x1^(-{gamma})", arity=1, degree_low=(-gamma,), degree_high=(gamma,)
     )
+
+
+def coupled_system():
+    """Two singular components, each damped by the other state."""
+    f1 = Nonlinearity.from_expression(
+        "x1^(-0.3) * x2^(-0.2)",
+        arity=2,
+        component_index=1,
+        degree_low=(-0.3, -0.3),
+        degree_high=(0.3, -0.1),
+    )
+    f2 = Nonlinearity.from_expression(
+        "x2^(-0.4) * x1^(-0.1)",
+        arity=2,
+        component_index=2,
+        degree_low=(-0.2, -0.4),
+        degree_high=(-0.05, 0.4),
+    )
+    return (f1, f2)
 
 
 def envelope_at(ts, point):
@@ -264,6 +286,13 @@ class TestFamilyQuadrature:
         assert kernel.per_component[0].last_value < plain.per_component[0].last_value
         assert kernel.verdict is Verdict.CONVERGENT
 
+    @pytest.mark.parametrize("weight", ["plain", "necessary", "envelope"])
+    def test_systems_classify_every_component(self, weight):
+        report = family_quadrature(coupled_system(), weight=weight)
+        assert report.verdict is Verdict.CONVERGENT
+        assert [v.verdict for v in report.per_component] == [Verdict.CONVERGENT] * 2
+        assert len(report.trails) == 2
+
     def test_unknown_weight_rejected(self):
         with pytest.raises(ValueError):
             family_quadrature([power_law(0.5)], weight="bogus")
@@ -370,24 +399,29 @@ class TestConstructBounds:
         assert any("improper" in n for n in pair.notes)
 
     def test_two_component_system(self, unit65):
-        f1 = Nonlinearity.from_expression(
-            "x1^(-0.3) * x2^(-0.2)",
-            arity=2,
-            component_index=1,
-            degree_low=(-0.3, -0.3),
-            degree_high=(0.3, -0.1),
-        )
-        f2 = Nonlinearity.from_expression(
-            "x2^(-0.4) * x1^(-0.1)",
-            arity=2,
-            component_index=2,
-            degree_low=(-0.2, -0.4),
-            degree_high=(-0.05, 0.4),
-        )
         problem = DirichletProblem(
-            unit65, (f1, f2), boundary_left=(0.0, 0.0), boundary_right=(0.0, 0.0)
+            unit65,
+            coupled_system(),
+            boundary_left=(0.0, 0.0),
+            boundary_right=(0.0, 0.0),
         )
         pair = construct_bounds(problem)
+        assert verify_lower(problem, pair.alpha).ok
+        assert verify_upper(problem, pair.beta).ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.floats(min_value=1e-3, max_value=1.0), min_size=3, max_size=200
+        ),
+        left=st.floats(min_value=-5.0, max_value=5.0),
+        gamma=st.floats(min_value=0.05, max_value=0.95),
+    )
+    def test_pair_is_ordered_and_verified_on_random_meshes(self, gaps, left, gamma):
+        ts = from_points(left + np.concatenate([[0.0], np.cumsum(gaps)]))
+        problem = DirichletProblem(ts, (power_law(gamma),))
+        pair = construct_bounds(problem)
+        assert np.all(pair.alpha.values <= pair.beta.values)
         assert verify_lower(problem, pair.alpha).ok
         assert verify_upper(problem, pair.beta).ok
 
@@ -478,6 +512,15 @@ class TestVerification:
         report = verify_lower(problem, candidate)
         indices = {k for (_, k, _) in report.violations}
         assert 0 in indices and unit65.last_index in indices
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_second_difference_raises(self):
+        ts = from_points([0.0, 1e-200, 1.0, 2.0])
+        problem = DirichletProblem(ts, (power_law(0.5),))
+        candidate = GridFunction.from_values(ts, [0.0, 1e300, 1.0, 0.0])
+        for verify in (verify_lower, verify_upper):
+            with pytest.raises(NonFiniteResult):
+                verify(problem, candidate)
 
     def test_violation_records_component_index_amount(self, unit65):
         problem = DirichletProblem(unit65, (power_law(0.5),))

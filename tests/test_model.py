@@ -251,15 +251,6 @@ class TestRhsMatrix:
         t = unit65.points[1:-2]
         assert vals[1:, 0].tolist() == [f.evaluate(tk, (4.0,)) for tk in t.tolist()]
 
-    def test_head_error_propagates_when_disabled(self, unit65):
-        f = Nonlinearity.from_expression(
-            "t^(-1)", arity=1, degree_low=(0.0,), degree_high=(0.0,)
-        )
-        p = DirichletProblem(unit65, (f,))
-        states = np.ones((unit65.last_index - 1, 1))
-        with pytest.raises(DomainViolation):
-            rhs_matrix(p, states, improper_head=False)
-
     def test_shape_checked(self, unit65):
         p = DirichletProblem(unit65, (power_law(0.5),))
         with pytest.raises(DimensionMismatch):
