@@ -63,8 +63,8 @@ _EXACT_KEYS = {
     "scale.kind", "scale.start", "scale.end", "scale.points",
     "scale.q", "scale.depth", "scale.values",
     "f.count", "bc.left", "bc.right",
-    "solve.strategy", "solve.tol_residual", "solve.tol_step",
-    "solve.max_iters", "solve.damping", "solve.rhs_mode", "solve.use_bounds",
+    "solve.strategy", "solve.tol_residual", "solve.max_iters",
+    "solve.damping", "solve.rhs_mode", "solve.use_bounds",
     "bounds.kind", "bounds.weight",
     "check.criterion", "check.eval_point", "check.samples",
     "check.band", "check.component",
@@ -402,7 +402,6 @@ def _solve_config(cfg: Config) -> SolveConfig:
     getters = {
         "rhs_mode": lambda key: cfg.get_enum(key, RhsMode, None),
         "tol_residual": cfg.get_float,
-        "tol_step": cfg.get_float,
         "max_iters": cfg.get_int,
         "damping": cfg.get_float,
     }

@@ -5,17 +5,19 @@ where ``phi`` is the affine interpolant of the boundary values and ``G`` the
 kernel solve.  When a lower/upper pair is supplied, the state fed to ``f``
 can be clamped into the band (``TRUNCATED``) or clamped plus a bounded
 correction term that pushes escaped iterates back (``MODIFIED``); ``RAW``
-evaluates as-is.  Reported residuals always use the raw right hand side, so
-a report can only claim convergence on the original problem.
+evaluates as-is.
 
-Picard, both monotone directions and every level of the nested strategy run
-one loop, :func:`_fixed_point`, on plain ``(N+1, n)`` arrays; they differ
-only in the start iterate, the right-hand-side mode and, for monotone runs, a
-direction whose drift the loop checks.  Two array cores hold the formulas
-every path shares: :func:`_regularized` evaluates ``f*`` on the equation
-points, and :func:`_defect` forms ``-u^DD - f*`` there.  The public grid
-function entry points and Newton's system map are thin layers over them;
-``GridFunction`` support checks happen at those public edges only.
+Every strategy runs one loop, :func:`_iterate`, on plain ``(N+1, n)``
+arrays, and stops on its one test: the fixed-point defect
+``|phi + G f(., u^sigma) - u|_inf`` of an in-band iterate, whose roundoff
+floor, unlike that of the differential residual, does not grow as the mesh
+is refined (see :func:`solve`).  Picard, both monotone directions, every
+level of the nested strategy and Newton differ only in the start iterate,
+the right-hand-side mode and the step from one iterate to the next.  Two
+array cores hold the formulas every path shares: :func:`_regularized`
+evaluates ``f*`` on the equation points, and :func:`_defect` forms
+``-u^DD - f*`` there.  ``GridFunction`` support checks happen at the public
+edges only.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ from .green import affine_interpolant, green_apply
 from .model import DirichletProblem, rhs_matrix
 from .timescale import TimeScale, from_points
 
-#: Iterates or residuals beyond this magnitude are declared divergent.
+#: Iterates or fixed-point defects beyond this magnitude are declared divergent.
 DIVERGENCE_LIMIT = 1e12
 
-#: Picard damping is halved after this many non-improving steps, down to 1/64.
+#: Picard damping is halved after this many iterations without a smaller
+#: defect, down to 1/64; a run that cannot damp further stalls.
 _STALL_STREAK = 5
 _MIN_DAMPING = 1.0 / 64.0
 _LINE_SEARCH_HALVINGS = 40
@@ -72,11 +75,14 @@ class RhsMode(Enum):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    tol_residual: float = 1e-10
-    tol_step: float = 1e-12
+    """``tol_residual`` bounds the fixed-point defect relative to
+    ``max(1, |u|_inf)`` (see :func:`solve`); ``damping`` is Picard's starting
+    ``theta``; ``rhs_mode`` is resolved per strategy when left unset."""
+
+    tol_residual: float = 1e-12
     max_iters: int = 10_000
     damping: float = 1.0
-    rhs_mode: RhsMode | None = None  # resolved per strategy when left unset
+    rhs_mode: RhsMode | None = None
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
@@ -86,18 +92,29 @@ class SolveConfig:
                 or isinstance(self.max_iters, bool) or self.max_iters < 0):
             raise ConfigError(
                 f"must be an integer >= 0, got {self.max_iters!r}", key="max_iters")
-        for key in ("tol_residual", "tol_step"):
-            if not getattr(self, key) >= 0.0:
-                raise ConfigError(f"must be >= 0, got {getattr(self, key)!r}", key=key)
+        if not self.tol_residual >= 0.0:
+            raise ConfigError(f"must be >= 0, got {self.tol_residual!r}",
+                              key="tol_residual")
 
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of :func:`solve`.
+
+    ``defect`` is ``|phi + G f*(., u^sigma) - u|_inf`` at the solution, the
+    quantity that decided the status (infinite if the image could not be
+    formed).  ``final_residual`` is the differential residual
+    ``|-u^DD - f(., u^sigma)|_inf`` with the raw ``f``, computed once at the
+    end (infinite outside ``f``'s domain).  Nested runs report both for
+    their widest level.
+    """
+
     solution: GridFunction
     strategy: Strategy
     status: Status
     iterations: int
     final_residual: float
+    defect: float
     bracket_respected: bool
     nest_trail: tuple[float, ...] | None = None
     notes: tuple[str, ...] = ()
@@ -153,21 +170,14 @@ def _band(brackets, mode: RhsMode):
 
 
 def _regularized(
-    problem: DirichletProblem, u: np.ndarray, band, mode: RhsMode, raw=None
+    problem: DirichletProblem, u: np.ndarray, band, mode: RhsMode
 ) -> np.ndarray:
     """:func:`regularized_rhs` on plain arrays: ``u`` is a full ``(N+1, n)``
-    iterate, ``band`` comes from :func:`_band`; one row per equation point.
-
-    ``raw``, if given, is ``rhs_matrix`` at the unclamped states ``u[1:N]``;
-    it is reused whenever clamping moves nothing, because then the states are
-    the same and the ``MODIFIED`` correction is zero.
-    """
+    iterate, ``band`` comes from :func:`_band`; one row per equation point."""
     N = problem.scale.last_index
     shifted = u[1:N]
     states = shifted if band is None else np.clip(shifted, band[0][1:N], band[1][1:N])
-    vals = raw
-    if vals is None or not np.array_equal(states, shifted):
-        vals = rhs_matrix(problem, states)[0]
+    vals = rhs_matrix(problem, states)[0]
     if mode is RhsMode.MODIFIED:
         gap = states - shifted
         vals = vals + gap / (1.0 + np.abs(gap))
@@ -180,18 +190,16 @@ def _defect(ts: TimeScale, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return -difference_quotient(difference_quotient(u, mu), mu[:-1]) - rhs
 
 
-def _residual(problem: DirichletProblem, u: np.ndarray):
-    """Max-norm raw defect at ``u`` and the raw right hand side behind it.
-
-    The right hand side is ``None`` when ``f`` cannot be evaluated at ``u``;
-    the defect is then infinite.
-    """
-    try:
-        rhs = _regularized(problem, u, None, RhsMode.RAW)
-    except (DomainViolation, NonFiniteResult):
-        return math.inf, None
+def _residual(problem: DirichletProblem, u: np.ndarray, rhs=None) -> float:
+    """Max-norm ``-u^DD - f(., u^sigma)`` with the raw ``f`` (``rhs`` if
+    already evaluated); infinite outside ``f``'s domain."""
+    if rhs is None:
+        try:
+            rhs = _regularized(problem, u, None, RhsMode.RAW)
+        except (DomainViolation, NonFiniteResult):
+            return math.inf
     size = float(np.max(np.abs(_defect(problem.scale, u, rhs))))
-    return (size if math.isfinite(size) else math.inf), rhs
+    return size if math.isfinite(size) else math.inf
 
 
 def regularized_rhs(
@@ -233,7 +241,7 @@ def residual_norm(problem: DirichletProblem, u: GridFunction) -> float:
     infinity rather than raising.
     """
     full = full_support_values(u, problem.scale.last_index, "iterate")
-    return _residual(problem, full)[0]
+    return _residual(problem, full)
 
 
 def _bracket_respected(u: np.ndarray, brackets) -> bool:
@@ -255,10 +263,18 @@ def solve(
 
     ``brackets`` is an optional ``(alpha, beta)`` pair of grid functions on
     the full realization; monotone and nested strategies require it.  It is
-    checked here once; every strategy below works on its value arrays.  The
-    report's status is ``CONVERGED`` only when the raw residual meets the
-    tolerance and the solution respects the band, and ``STALLED`` when the
-    iteration stopped moving before it got there.
+    checked here once; every strategy below works on its value arrays.
+
+    Every strategy stops on one test, applied to each iterate ``u``:
+    ``CONVERGED`` when ``u`` lies in the band, so the clamp moves no entry
+    and ``f*`` is the raw ``f``, and its fixed-point defect
+    ``|phi + G f*(., u^sigma) - u|_inf`` is at most
+    ``config.tol_residual * max(1, |u|_inf)``; ``DIVERGED`` when ``|u|_inf``
+    or the defect passes ``DIVERGENCE_LIMIT`` or ``f*`` cannot be
+    evaluated; ``STALLED`` when the defect has not decreased for
+    ``_STALL_STREAK`` iterations at the smallest damping (1/64, or 1 for
+    monotone runs and Newton), or when Newton's line search fails;
+    ``MAX_ITERS`` otherwise.
     """
     config = config or SolveConfig()
     if brackets is not None:
@@ -283,132 +299,137 @@ def solve(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _start_iterate(problem: DirichletProblem, brackets, phi: np.ndarray) -> np.ndarray:
-    if brackets is None:
-        return phi
-    alpha, beta = brackets
-    mid = 0.5 * (alpha + beta)
-    mid[0] = problem.boundary_left
-    mid[-1] = problem.boundary_right
-    return mid
-
-
-def _fixed_point(
-    problem, brackets, mode, config, strategy, start=None, direction=0
+def _iterate(
+    problem, brackets, mode, config, strategy, advance, notes,
+    start=None, theta=1.0, min_theta=1.0,
 ) -> SolveReport:
-    """Iterate ``u <- (1 - theta) u + theta (phi + G f*(., u^sigma))``.
+    """Judge iterates ``u_0 = start`` (default: band midpoint, or ``phi``),
+    ``u_1``, ... by :func:`solve`'s stopping test until it decides.
 
-    ``start`` defaults to the band midpoint (``phi`` without a band).  A
-    nonzero ``direction`` (+1 up, -1 down) makes this the monotone
-    iteration: each image must move that way and ``theta`` stays one.
-    Otherwise ``theta`` starts at ``config.damping`` and is halved on
-    stagnation.  The start residual is reported if no step is taken.
-
-    Each residual evaluation also yields the raw right hand side at the new
-    iterate, which the next step reuses unless the clamp moves it, so a step
-    costs one ``rhs_matrix`` call on in-band iterates.
+    The test reads ``T u_k - u_k`` with ``T u = phi + G f*(., u^sigma)``;
+    ``advance(it, u, rhs, image, theta)`` then turns ``f*`` and ``T u_k``
+    into ``u_{k+1}``, or returns a status (after noting why) to end the run.
+    Stagnation halves ``theta`` down to ``min_theta``, then stalls.  Each
+    iterate costs one ``rhs_matrix`` call and one kernel apply; the
+    differential residual is computed once at the end, from the last ``f*``
+    when that was the raw ``f``.
     """
     ts = problem.scale
     N = ts.last_index
     phi = affine_interpolant(ts, problem.boundary_left, problem.boundary_right).values
     band = _band(brackets, mode)
-    u = _start_iterate(problem, brackets, phi) if start is None else start
-    theta = 1.0 if direction else config.damping
-    best = math.inf
-    streak = 0
-    notes: list[str] = []
-    residual, raw = _residual(problem, u)
-    status = Status.MAX_ITERS
-    it = 0
-    for it in range(1, config.max_iters + 1):
+    u = start
+    if u is None:
+        u = phi.copy() if brackets is None else 0.5 * (brackets[0] + brackets[1])
+        u[0], u[-1] = problem.boundary_left, problem.boundary_right
+    best, streak = math.inf, 0
+    for it in range(config.max_iters + 1):
         try:
-            rhs = GridFunction(ts, _regularized(problem, u, band, mode, raw), 0, N - 2)
-            image = phi + green_apply(ts, rhs).values
-            u_next = (1.0 - theta) * u + theta * image
-            if not np.all(np.isfinite(u_next)):
-                raise NonFiniteResult("iterate is not finite")
+            rhs = _regularized(problem, u, band, mode)
+            image = phi + green_apply(ts, GridFunction(ts, rhs, 0, N - 2)).values
+            if not np.all(np.isfinite(image)):
+                raise NonFiniteResult("image is not finite")
         except (DomainViolation, NonFiniteResult) as exc:
             notes.append(f"iteration {it}: {exc}")
+            status, defect, inside = Status.DIVERGED, math.inf, False
+            break
+        defect = float(np.max(np.abs(image - u)))
+        size = float(np.max(np.abs(u)))
+        inside = brackets is None or bool(
+            np.all(brackets[0][1:N] <= u[1:N]) and np.all(u[1:N] <= brackets[1][1:N])
+        )
+        if size > DIVERGENCE_LIMIT or defect > DIVERGENCE_LIMIT:
+            notes.append(f"iteration {it}: defect {defect:.3e}, |u| {size:.3e}")
             status = Status.DIVERGED
             break
-        if direction:
-            drift = direction * (image - u)
-            slack = 1e-12 * max(1.0, np.abs(u).max(), np.abs(image).max())
-            if np.min(drift) < -slack:
-                k, i = np.unravel_index(int(np.argmin(drift)), drift.shape)
-                notes.append(
-                    f"iteration {it}: monotonicity violated by {-np.min(drift):.3e} "
-                    f"at index {k}, component {i + 1}"
-                )
-                status = Status.DIVERGED
-                break
-        step = float(np.max(np.abs(u_next - u)))
-        u = u_next
-        size = float(np.max(np.abs(u)))
-        residual, raw = _residual(problem, u)
-        if residual <= config.tol_residual and _bracket_respected(u, brackets):
+        if inside and defect <= config.tol_residual * max(1.0, size):
             status = Status.CONVERGED
             break
-        if size > DIVERGENCE_LIMIT or residual > DIVERGENCE_LIMIT:
-            notes.append(f"iteration {it}: residual {residual:.3e}")
-            status = Status.DIVERGED
-            break
-        if residual < best:
-            best = residual
+        best, streak = (defect, 0) if defect < best else (best, streak + 1)
+        if streak >= _STALL_STREAK:
             streak = 0
-        elif not direction:
-            streak += 1
-            if streak >= _STALL_STREAK and theta > _MIN_DAMPING:
-                theta = max(0.5 * theta, _MIN_DAMPING)
-                streak = 0
-                notes.append(f"iteration {it}: damping reduced to {theta:g}")
-        if step <= config.tol_step * max(1.0, size):
-            notes.append(f"iteration {it}: step stalled at {step:.3e}")
-            status = Status.STALLED
+            if theta <= min_theta:
+                notes.append(f"iteration {it}: defect stalled at {best:.3e}")
+                status = Status.STALLED
+                break
+            theta = max(0.5 * theta, min_theta)
+            notes.append(f"iteration {it}: damping reduced to {theta:g}")
+        if it == config.max_iters:
+            status = Status.MAX_ITERS
             break
+        following = advance(it, u, rhs, image, theta)
+        if isinstance(following, Status):
+            status = following
+            break
+        u = following
     return SolveReport(
         solution=GridFunction(ts, u, 0, N),
         strategy=strategy,
         status=status,
         iterations=it,
-        final_residual=residual,
+        final_residual=_residual(problem, u, rhs if inside else None),
+        defect=defect,
         bracket_respected=_bracket_respected(u, brackets),
         notes=tuple(notes),
     )
 
 
-def _system_map(problem, brackets, mode):
-    """Residual map F(z) = 0 of the full discrete system, z component-major."""
-    ts = problem.scale
-    N = ts.last_index
-    n = problem.n_components
-    band = _band(brackets, mode)
-    left = np.asarray(problem.boundary_left)
-    right = np.asarray(problem.boundary_right)
+def _fixed_point(
+    problem, brackets, mode, config, strategy, start=None, direction=0
+) -> SolveReport:
+    """Picard's step ``u <- (1 - theta) u + theta T u``, ``theta`` starting at
+    ``config.damping``; with a nonzero ``direction`` (+1 up, -1 down) the
+    monotone step ``u <- T u``, each image moving that way."""
+    notes: list[str] = []
 
-    def F(z: np.ndarray) -> np.ndarray:
-        vals = z.reshape((N + 1, n), order="F")
-        out = np.empty((N + 1, n))
-        out[0] = vals[0] - left
-        out[1:N] = _defect(ts, vals, _regularized(problem, vals, band, mode))
-        out[N] = vals[N] - right
-        return out.flatten(order="F")
+    def monotone(it, u, rhs, image, theta):
+        drift = direction * (image - u)
+        slack = 1e-12 * max(1.0, np.abs(u).max(), np.abs(image).max())
+        if np.min(drift) < -slack:
+            k, i = np.unravel_index(int(np.argmin(drift)), drift.shape)
+            notes.append(
+                f"iteration {it}: monotonicity violated by {-np.min(drift):.3e} "
+                f"at index {k}, component {i + 1}"
+            )
+            return Status.DIVERGED
+        return image
 
-    return F
+    if direction:
+        return _iterate(problem, brackets, mode, config, strategy, monotone, notes, start)
+    return _iterate(
+        problem, brackets, mode, config, strategy,
+        lambda it, u, rhs, image, theta: (1.0 - theta) * u + theta * image,
+        notes, start, config.damping, _MIN_DAMPING,
+    )
+
+
+def _system_rows(problem, u, rhs):
+    """Rows of the full discrete system at ``u`` given ``f*`` there: the two
+    boundary mismatches and ``-u^DD - f*`` between them."""
+    N = problem.scale.last_index
+    out = np.empty_like(u)
+    out[0] = u[0] - np.asarray(problem.boundary_left)
+    out[1:N] = _defect(problem.scale, u, rhs)
+    out[N] = u[N] - np.asarray(problem.boundary_right)
+    return out
 
 
 def _newton(problem, brackets, mode, config):
+    """Newton steps on the full discrete system ``F(z) = 0`` (``z``
+    component-major) with a finite-difference Jacobian and a backtracking
+    line search on ``|F|``, judged by :func:`_iterate`'s stopping test."""
     ts = problem.scale
     N = ts.last_index
     n = problem.n_components
     dim = (N + 1) * n
-    F = _system_map(problem, brackets, mode)
-    phi = affine_interpolant(ts, problem.boundary_left, problem.boundary_right).values
-    u = _start_iterate(problem, brackets, phi)
-    z = u.flatten(order="F")
+    band = _band(brackets, mode)
     notes: list[str] = []
-    status = Status.MAX_ITERS
-    it = 0
+
+    def F(zv: np.ndarray) -> np.ndarray:
+        vals = zv.reshape((N + 1, n), order="F")
+        return _system_rows(
+            problem, vals, _regularized(problem, vals, band, mode)
+        ).flatten(order="F")
 
     def clipped(zv: np.ndarray) -> np.ndarray:
         vals = zv.reshape((N + 1, n), order="F")
@@ -428,19 +449,9 @@ def _newton(problem, brackets, mode, config):
             return math.inf
         return float(np.max(np.abs(fz)))
 
-    residual = math.inf
-    for it in range(1, config.max_iters + 1):
-        u = z.reshape((N + 1, n), order="F")
-        residual = _residual(problem, u)[0]
-        if residual <= config.tol_residual and _bracket_respected(u, brackets):
-            status = Status.CONVERGED
-            break
-        try:
-            Fz = F(z)
-        except (DomainViolation, NonFiniteResult) as exc:
-            notes.append(f"iteration {it}: {exc}")
-            status = Status.DIVERGED
-            break
+    def step(it, u, rhs, image, theta):
+        z = u.flatten(order="F")
+        Fz = _system_rows(problem, u, rhs).flatten(order="F")
         J = np.empty((dim, dim))
         for j in range(dim):
             h = 1e-6 * max(1.0, abs(z[j]))
@@ -452,36 +463,23 @@ def _newton(problem, brackets, mode, config):
                 J[:, j] = (F(zp) - F(zm)) / (2.0 * h)
             except (DomainViolation, NonFiniteResult):
                 # fall back to a one-sided difference toward the iterate
-                J[:, j] = (F(z) - F(zm)) / h
+                J[:, j] = (Fz - F(zm)) / h
         try:
             direction = np.linalg.solve(J, -Fz)
         except np.linalg.LinAlgError:
             notes.append(f"iteration {it}: singular jacobian")
-            status = Status.DIVERGED
-            break
+            return Status.DIVERGED
         base = float(np.max(np.abs(Fz)))
         lam = 1.0
-        accepted = False
         for _ in range(_LINE_SEARCH_HALVINGS + 1):
             z_try = clipped(z + lam * direction)
             if safe_norm(z_try) < base:
-                z = z_try
-                accepted = True
-                break
+                return z_try.reshape((N + 1, n), order="F")
             lam *= 0.5
-        if not accepted:
-            notes.append(f"iteration {it}: line search failed at |F| = {base:.3e}")
-            status = Status.STALLED
-            break
-    return SolveReport(
-        solution=GridFunction(ts, u, 0, N),
-        strategy=Strategy.NEWTON_ORACLE,
-        status=status,
-        iterations=it,
-        final_residual=residual,
-        bracket_respected=_bracket_respected(u, brackets),
-        notes=tuple(notes),
-    )
+        notes.append(f"iteration {it}: line search failed at |F| = {base:.3e}")
+        return Status.STALLED
+
+    return _iterate(problem, brackets, mode, config, Strategy.NEWTON_ORACLE, step, notes)
 
 
 def _nested(problem, brackets, config):
@@ -489,8 +487,8 @@ def _nested(problem, brackets, config):
 
     Each level keeps indices ``k .. N-k`` of the realization, pins the
     truncated boundary to the band midpoints there, and runs the damped
-    fixed-point iteration.  The reported residual is the widest level's own
-    residual; the trail records max-abs changes between consecutive levels
+    fixed-point iteration.  The reported status, defect and residual are the
+    widest level's own; the trail records max-abs changes between consecutive levels
     on shared indices.
     """
     if brackets is None:
@@ -506,7 +504,6 @@ def _nested(problem, brackets, config):
     notes: list[str] = []
     prev = None
     total_iters = 0
-    sub_report = None
     for k in range(k_max, 0, -1):
         sub_ts = from_points(ts.points[k : N - k + 1])
         sub_problem = DirichletProblem(
@@ -522,7 +519,7 @@ def _nested(problem, brackets, config):
         total_iters += sub_report.iterations
         notes.append(
             f"level {k}: {sub_ts.npoints} points, {sub_report.iterations} iterations, "
-            f"residual {sub_report.final_residual:.3e}"
+            f"defect {sub_report.defect:.3e}, residual {sub_report.final_residual:.3e}"
         )
         if prev is not None:
             # current level rows 1..-2 sit on the previous level's indices
@@ -541,6 +538,7 @@ def _nested(problem, brackets, config):
         status=sub_report.status,
         iterations=total_iters,
         final_residual=sub_report.final_residual,
+        defect=sub_report.defect,
         bracket_respected=_bracket_respected(solution.values, brackets),
         nest_trail=tuple(trail),
         notes=tuple(notes),

@@ -1,6 +1,7 @@
 """Command-line front end: configs, outputs, and exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -238,14 +239,17 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "entry",
-        ["solve.damping = 0", "solve.max_iters = -1", "solve.tol_step = -1",
-         "solve.tol_step = x"],
+        ["solve.damping = 0", "solve.max_iters = -1", "solve.tol_residual = -1",
+         "solve.tol_residual = x", "solve.tol_step = 1e-12"],
     )
     def test_invalid_solve_setting(self, tmp_path, capsys, entry):
+        # solve.tol_step is gone: the defect test has one tolerance
         cfg = write_cfg(tmp_path, SOLVE_CFG + entry + "\n")
         assert main(["solve", str(cfg)]) == 4
         err = capsys.readouterr().err
         assert f"key '{entry.split(' = ')[0]}', line 14" in err
+        if entry.startswith("solve.tol_step"):
+            assert "unknown entry" in err
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate", "x"]) == 4
@@ -270,14 +274,19 @@ class TestRunFailures:
         assert main(["solve", str(cfg)]) == 2
 
     def test_stalled_solve_exits_three(self, tmp_path):
+        # a zero tolerance sits below the defect's roundoff floor
         cfg = write_cfg(
-            tmp_path, SOLVE_CFG.replace("scale.points = 65", "scale.points = 1025")
+            tmp_path,
+            SOLVE_CFG.replace("scale.points = 65", "scale.points = 1025")
+            + "solve.tol_residual = 0\n",
         )
         out = tmp_path / "run.csv"
         assert main(["solve", str(cfg), "--out", str(out)]) == 3
         text = out.read_text()
         assert "# status = stalled" in text
-        assert "# note = iteration 41: step stalled" in text
+        iterations = int(re.search(r"^# iterations = (\d+)$", text, re.M).group(1))
+        assert iterations < 200
+        assert f"# note = iteration {iterations}: defect stalled at" in text
 
     def test_unresolvable_bounds_exit_two(self, tmp_path):
         # negative boundary data puts the problem outside the positive class

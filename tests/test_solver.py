@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tsdyn.solver
+from test_green import banded_oracle
 from tsdyn import (
     BracketViolation,
     ConfigError,
@@ -20,6 +21,7 @@ from tsdyn import (
     clamp_to_band,
     construct_bounds,
     envelope_weight,
+    quantum,
     regularized_rhs,
     residual_norm,
     solve,
@@ -99,7 +101,9 @@ class TestPicard:
         assert report.status is Status.MAX_ITERS
         assert report.iterations == 3
 
-    @pytest.mark.parametrize("strategy", [Strategy.PICARD, Strategy.TRUNCATED_NEST])
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.PICARD, Strategy.TRUNCATED_NEST, Strategy.NEWTON_ORACLE]
+    )
     def test_start_residual_reported_without_steps(self, singular65, strategy):
         pair = construct_bounds(singular65)
         report = solve(
@@ -109,7 +113,8 @@ class TestPicard:
         assert report.status is Status.MAX_ITERS
         assert report.iterations == 0
         assert 0.0 < report.final_residual < np.inf
-        if strategy is Strategy.PICARD:
+        assert 0.0 < report.defect < np.inf
+        if strategy is not Strategy.TRUNCATED_NEST:
             assert report.final_residual == residual_norm(singular65, report.solution)
 
     def test_one_rhs_evaluation_per_iteration(self, singular65, monkeypatch):
@@ -124,14 +129,87 @@ class TestPicard:
         assert len(calls) == report.iterations + 1  # the start iterate's too
 
     def test_stalled_step_is_not_an_iteration_cap(self):
-        # the absolute tolerance sits below this mesh's roundoff floor, so the
-        # iteration stops moving long before max_iters
+        # a zero tolerance sits below the defect's roundoff floor: once the
+        # defect stops decreasing at the smallest damping the run stalls,
+        # long before max_iters
         p = power_problem(uniform(0.0, 1.0, 1025))
-        report = solve(p, brackets=construct_bounds(p).pair)
+        report = solve(
+            p, brackets=construct_bounds(p).pair, config=SolveConfig(tol_residual=0.0)
+        )
         assert report.status is Status.STALLED
-        assert report.iterations == 41
-        assert report.final_residual < 1e-9
-        assert "step stalled" in report.notes[-1]
+        assert report.iterations < 200
+        assert 0.0 < report.defect < 1e-15
+        # theta is halved down to 1/64 before the run may stall
+        assert [note.split(": ", 1)[1] for note in report.notes[:-1]] == [
+            f"damping reduced to {2.0 ** -k:g}" for k in range(1, 7)
+        ]
+        assert "defect stalled" in report.notes[-1]
+
+
+class TestDefectStop:
+    """Picard stops on the fixed-point defect, whose roundoff floor does not
+    grow as the mesh is refined, so fine uniform and deep quantum meshes
+    converge; each solution is checked by scipy's banded solve."""
+
+    @pytest.mark.parametrize(
+        "make_scale,damping",
+        [
+            (lambda: uniform(0.0, 1.0, 65), 0.5),
+            (lambda: uniform(0.0, 1.0, 1025), 1.0),
+            (lambda: uniform(0.0, 1.0, 4097), 1.0),
+            (lambda: quantum(2.0, 30), 1.0),
+            (lambda: quantum(2.0, 80), 1.0),
+        ],
+        ids=["uniform-65-damped", "uniform-1025", "uniform-4097", "quantum-30",
+             "quantum-80"],
+    )
+    def test_converges_to_the_banded_solution(self, make_scale, damping):
+        ts = make_scale()
+        p = power_problem(ts)
+        config = SolveConfig(damping=damping)
+        report = solve(p, brackets=construct_bounds(p).pair, config=config)
+        assert report.status is Status.CONVERGED
+        assert report.bracket_respected
+        u = report.solution.component(1)
+        bound = config.tol_residual * max(1.0, float(np.max(np.abs(u))))
+        assert report.defect <= bound
+        # -v^DD = f(u^sigma) with zero ends, solved without the kernel route
+        v = banded_oracle(ts, u[1:-1] ** -0.5)
+        assert np.max(np.abs(u - v)) <= 10.0 * bound
+
+    def test_tolerance_scales_with_the_solution(self, unit65):
+        # |u| is about 1.1e5, so the run stops at a defect that an absolute
+        # tolerance of 1e-12 would reject
+        f = Nonlinearity.from_expression("8e5 + x1", arity=1)
+        report = solve(DirichletProblem(unit65, (f,)))
+        size = float(np.max(np.abs(report.solution.values)))
+        assert report.converged
+        assert 1e-12 < report.defect <= SolveConfig().tol_residual * size
+
+    @pytest.mark.parametrize("strategy", [Strategy.PICARD, Strategy.MONOTONE_UP])
+    def test_fixed_point_outside_the_band_is_not_converged(self, strategy):
+        # with an upper bracket below the solution the clamped map still has
+        # a fixed point, but the clamp moves entries there; monotone runs
+        # never damp, so they stall after one streak
+        p = isotone_problem(uniform(0.0, 1.0, 33))
+        alpha, beta = construct_bounds(p).pair
+        exact = solve(p, brackets=(alpha, beta)).solution.values
+        low = GridFunction.from_values(p.scale, 0.5 * (alpha.values + exact))
+        report = solve(p, strategy=strategy, brackets=(alpha, low))
+        assert report.status is Status.STALLED
+        assert not report.bracket_respected
+        assert report.defect < 1e-12
+        assert "defect stalled" in report.notes[-1]
+        damped = [note for note in report.notes if "damping reduced" in note]
+        assert len(damped) == (6 if strategy is Strategy.PICARD else 0)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_every_strategy_reports_the_deciding_defect(self, strategy):
+        p = isotone_problem(uniform(0.0, 1.0, 33))
+        report = solve(p, strategy=strategy, brackets=construct_bounds(p).pair)
+        assert report.converged
+        size = float(np.max(np.abs(report.solution.values)))
+        assert report.defect <= SolveConfig().tol_residual * max(1.0, size)
 
 
 class TestNewton:
@@ -285,43 +363,6 @@ class TestRhsModes:
         assert clamped.values.max() == 1.0
 
 
-class TestRhsReuse:
-    """Reusing the residual's right hand side changes no result."""
-
-    def without_reuse(self, monkeypatch):
-        original = tsdyn.solver._residual
-        monkeypatch.setattr(
-            tsdyn.solver, "_residual", lambda p, u: (original(p, u)[0], None)
-        )
-
-    @pytest.mark.parametrize(
-        "strategy,mode",
-        [
-            (Strategy.PICARD, None),
-            (Strategy.PICARD, RhsMode.TRUNCATED),
-            (Strategy.PICARD, RhsMode.RAW),
-            (Strategy.MONOTONE_UP, None),
-            (Strategy.TRUNCATED_NEST, None),
-        ],
-    )
-    @pytest.mark.parametrize("narrow", [False, True])
-    def test_same_report_as_fresh_evaluation(self, monkeypatch, strategy, mode, narrow):
-        p = isotone_problem(uniform(0.0, 1.0, 33))
-        alpha, beta = construct_bounds(p).pair
-        if narrow:
-            # an upper bracket below the solution makes the clamp move entries
-            beta = GridFunction.from_values(p.scale, 0.5 * (alpha.values + beta.values))
-        brackets = (alpha, beta) if mode is not RhsMode.RAW else None
-        config = SolveConfig(rhs_mode=mode, damping=0.5)
-        reused = solve(p, strategy=strategy, brackets=brackets, config=config)
-        self.without_reuse(monkeypatch)
-        fresh = solve(p, strategy=strategy, brackets=brackets, config=config)
-        assert reused.solution.values.tobytes() == fresh.solution.values.tobytes()
-        assert (reused.status, reused.iterations, reused.final_residual, reused.notes) == (
-            fresh.status, fresh.iterations, fresh.final_residual, fresh.notes)
-        assert reused.nest_trail == fresh.nest_trail
-
-
 class TestSolveConfig:
     @pytest.mark.parametrize(
         "key,value",
@@ -335,7 +376,6 @@ class TestSolveConfig:
             ("max_iters", True),
             ("tol_residual", -1.0),
             ("tol_residual", float("nan")),
-            ("tol_step", -1e-3),
         ],
     )
     def test_rejected(self, key, value):
@@ -344,7 +384,7 @@ class TestSolveConfig:
         assert err.value.key == key
 
     def test_edges_accepted(self):
-        config = SolveConfig(tol_residual=0.0, tol_step=0.0, max_iters=0, damping=1.0)
+        config = SolveConfig(tol_residual=0.0, max_iters=0, damping=1.0)
         assert config.max_iters == 0
         assert SolveConfig(max_iters=np.int64(5), damping=1e-3).max_iters == 5
 
