@@ -451,6 +451,7 @@ def _cmd_solve(cfg: Config, args) -> int:
         ("strategy", report.strategy.value),
         ("iterations", str(report.iterations)),
         ("residual", _fmt(report.final_residual)),
+        ("defect", _fmt(report.defect)),
         ("bracket_respected", str(report.bracket_respected).lower()),
     ]
     if report.nest_trail is not None:

@@ -255,10 +255,15 @@ def rhs_matrix(
     propagate, re-raised as the same class with a message that starts
     ``row k, component i:``.
 
-    Expression bodies are evaluated over all rows at once; only the entries
-    they flag, and every entry of a callable body, go through the scalar
-    :meth:`Nonlinearity.evaluate`, in row-major order, so the first error
-    raised is the one a row-by-row loop would meet first.
+    Expression bodies are evaluated over all rows at once.  Callable bodies
+    are called in one row-major pass, ``body(t, states[k])`` with ``t`` a
+    Python float, once per entry, and their results are converted with
+    ``float`` and checked for finiteness as one block.  Only the entries an
+    expression guard flags, and the callable entries that raised or gave a
+    non-finite value, go through the scalar :meth:`Nonlinearity.evaluate`
+    (which calls the body a second time, so bodies are assumed pure), in
+    row-major order, so the first error raised is the one a row-by-row loop
+    would meet first.
     """
     ts = problem.scale
     rows = ts.last_index - 1
@@ -268,12 +273,29 @@ def rhs_matrix(
             f"states must have shape {(rows, n)}, got {states.shape}"
         )
     out = np.empty((rows, n), dtype=float)
-    scalar = np.ones((rows, n), dtype=bool)
+    scalar = np.zeros((rows, n), dtype=bool)
+    callables: list[int] = []
     for i, fi in enumerate(problem.f):
         if isinstance(fi.body, ExpressionTree):
             out[:, i], scalar[:, i] = fi.body.evaluate_array(ts.points[:rows], states)
+        else:
+            callables.append(i)
+    if not (callables or scalar.any()):
+        return out, ()
+    points = ts.points[:rows].tolist()
+    if callables:
+        bodies = [problem.f[i].body for i in callables]
+        vals: list[float] = []
+        for t, x in zip(points, states):
+            for body in bodies:
+                try:
+                    vals.append(float(body(t, x)))
+                except Exception:
+                    vals.append(math.nan)  # sends the entry to the scalar path below
+        block = np.array(vals, dtype=float).reshape(rows, len(callables))
+        out[:, callables] = block
+        scalar[:, callables] = ~np.isfinite(block)
     skipped: list[int] = []
-    points = ts.points.tolist()
     for k, i in np.argwhere(scalar).tolist():
         try:
             out[k, i] = problem.f[i].evaluate(points[k], states[k])

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from tsdyn import SolveConfig
 from tsdyn.cli import main
 
 SOLVE_CFG = """\
@@ -94,6 +95,22 @@ class TestSolveCommand:
         text = out.read_text()
         assert "# strategy = newton_oracle" in text
         assert "# override.strategy = newton_oracle" in text
+
+    def test_summary_reports_the_deciding_defect(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path, SOLVE_CFG.replace("scale.points = 65", "scale.points = 1025")
+        )
+        out = tmp_path / "run.csv"
+        assert main(["solve", str(cfg), "--out", str(out)]) == 0
+        text = out.read_text()
+        summary = re.search(r"^# residual = \S+\n# defect = (\S+)$", text, re.M)
+        assert summary is not None
+        rows = [line.split(",") for line in text.splitlines()
+                if line and not line.startswith("#")]
+        assert rows[0][:2] == ["t", "u1"]
+        u_max = max(abs(float(row[1])) for row in rows[1:])
+        tol = SolveConfig().tol_residual
+        assert 0.0 <= float(summary.group(1)) <= tol * max(1.0, u_max)
 
     def test_stdout_when_no_out_path(self, solve_cfg, capsys):
         assert main(["solve", str(solve_cfg)]) == 0

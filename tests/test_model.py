@@ -1,7 +1,11 @@
 """Nonlinearity declarations, degree brackets, and problem assembly."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsdyn import (
     DimensionMismatch,
@@ -16,6 +20,65 @@ from tsdyn import (
     rhs_matrix,
     uniform,
 )
+
+
+#: What a faulty callable does at its faulty entries: raise or return.
+FAULTS = {
+    "zero-division": ZeroDivisionError("float division by zero"),
+    "value": ValueError("math domain error"),
+    "overflow": OverflowError("math range error"),
+    "domain": DomainViolation("outside the domain"),
+    "type": TypeError("unsupported operand"),
+    "nan": math.nan,
+    "+inf": math.inf,
+    "-inf": -math.inf,
+    "int": 7,
+    "int-overflow": 10**400,  # float() itself raises OverflowError
+    "bool": True,
+    "float64": np.float64(-2.5),
+}
+
+
+def faulty(faults):
+    """A callable that is smooth except at the times in ``faults``."""
+
+    def body(t, x):
+        fault = faults.get(t)
+        if isinstance(fault, Exception):
+            raise type(fault)(*fault.args)
+        if fault is not None:
+            return fault
+        return 1.0 + t * t + math.fsum(v * v for v in x)
+
+    return body
+
+
+def row_by_row(problem, states):
+    """Every entry through the scalar contract, one row after another: the
+    behaviour ``rhs_matrix`` must reproduce."""
+    rows, n = states.shape
+    out = np.empty((rows, n))
+    skipped = []
+    points = problem.scale.points.tolist()
+    for k in range(rows):
+        for i, fi in enumerate(problem.f):
+            try:
+                out[k, i] = fi.evaluate(points[k], states[k])
+            except (DomainViolation, NonFiniteResult) as exc:
+                if k == 0:
+                    out[k, i] = 0.0
+                    skipped.append(i + 1)
+                else:
+                    raise type(exc)(f"row {k}, component {i + 1}: {exc}") from exc
+    return out, tuple(skipped)
+
+
+def outcome(fn, *args):
+    try:
+        vals, skipped = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return vals.tobytes(), skipped
 
 
 def power_law(gamma, lo=None, hi=None):
@@ -250,6 +313,90 @@ class TestRhsMatrix:
         assert skipped == (1,)
         t = unit65.points[1:-2]
         assert vals[1:, 0].tolist() == [f.evaluate(tk, (4.0,)) for tk in t.tolist()]
+
+    def test_callable_called_once_per_entry_in_row_major_order(self, unit65):
+        calls = []
+
+        def recorder(i):
+            def body(t, x):
+                calls.append((i, t, x))
+                return t + x[i]
+            return body
+
+        zeros = (0.0, 0.0)
+        p = DirichletProblem(
+            unit65,
+            (Nonlinearity(2, 1, recorder(0), zeros, zeros),
+             Nonlinearity(2, 2, recorder(1), zeros, zeros)),
+            zeros,
+            zeros,
+        )
+        rows = unit65.last_index - 1
+        states = np.arange(2.0 * rows).reshape(rows, 2) + 1.0
+        vals, skipped = rhs_matrix(p, states)
+        assert skipped == ()
+        points = unit65.points.tolist()
+        assert [(i, t) for i, t, _ in calls] == [
+            (i, points[k]) for k in range(rows) for i in (0, 1)
+        ]
+        for n, (i, t, x) in enumerate(calls):
+            assert type(t) is float
+            assert isinstance(x, np.ndarray) and np.shares_memory(x, states)
+            assert x.tolist() == states[n // 2].tolist()
+        assert vals.tolist() == [
+            [t + s1, t + s2] for t, (s1, s2) in zip(points, states.tolist())
+        ]
+
+    def test_singular_first_cell_costs_one_extra_call(self, unit65):
+        calls = []
+
+        def body(t, x):
+            calls.append(t)
+            return math.pow(t, -1)
+
+        p = DirichletProblem(unit65, (Nonlinearity(1, 1, body, (0.0,), (0.0,)),))
+        rows = unit65.last_index - 1
+        vals, skipped = rhs_matrix(p, np.ones((rows, 1)))
+        assert skipped == (1,)
+        assert len(calls) <= rows + 1
+        assert vals[0, 0] == 0.0
+        assert vals[1:, 0].tolist() == [
+            math.pow(t, -1) for t in unit65.points[1:rows].tolist()
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        npoints=st.integers(min_value=4, max_value=12),
+        kinds=st.lists(st.sampled_from(["callable", "expression"]), min_size=1, max_size=2),
+        faults=st.lists(
+            st.dictionaries(st.integers(0, 9), st.sampled_from(sorted(FAULTS)), max_size=3),
+            min_size=2, max_size=2,
+        ),
+        negative=st.sets(st.integers(0, 9), max_size=2),
+    )
+    def test_matches_the_row_by_row_loop(self, npoints, kinds, faults, negative):
+        """Byte-equal values, the same drops and the same first error as the
+        scalar loop, with faults at random entries (row 0 included) and with
+        expression guards firing on negative states and at t = 0."""
+        ts = uniform(0.0, 1.0, npoints)
+        rows = ts.last_index - 1
+        n = len(kinds)
+        points = ts.points.tolist()
+        zeros = (0.0,) * n
+        f = []
+        for i, kind in enumerate(kinds):
+            if kind == "callable":
+                where = {points[k]: FAULTS[name] for k, name in faults[i].items() if k < rows}
+                f.append(Nonlinearity(n, i + 1, faulty(where), zeros, zeros))
+            else:
+                f.append(Nonlinearity.from_expression(
+                    f"t^(-1) + x{i + 1}^0.5", arity=n, component_index=i + 1))
+        p = DirichletProblem(ts, tuple(f), zeros, zeros)
+        states = np.linspace(0.5, 2.0, rows * n).reshape(rows, n)
+        for k in negative:
+            if k < rows:
+                states[k, -1] = -1.0
+        assert outcome(rhs_matrix, p, states) == outcome(row_by_row, p, states)
 
     def test_shape_checked(self, unit65):
         p = DirichletProblem(unit65, (power_law(0.5),))
