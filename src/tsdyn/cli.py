@@ -285,12 +285,15 @@ def _config_block(cfg: Config, args) -> list[str]:
             lines.append(f"# override.{name} = {value}")
     return lines
 
-def _csv(cfg, args, header: list[str], columns: list[Sequence[float]],
+def _csv(cfg, args, header: list[str], columns: list,
          summary: list[tuple[str, str]]) -> str:
+    """The CSV text: config block, header, one row per point of the float
+    arrays in ``columns``, then the summary lines."""
     lines = _config_block(cfg, args)
     lines.append(",".join(header))
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
+    # "%.17g" % x is format(x, ".17g") for every float, nan and inf included
+    row = ",".join(["%.17g"] * len(columns))
+    lines.extend(row % values for values in zip(*(c.tolist() for c in columns)))
     for key, value in summary:
         lines.append(f"# {key} = {value}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,10 @@ arrays, and stops on its one test: the fixed-point defect
 floor, unlike that of the differential residual, does not grow as the mesh
 is refined (see :func:`solve`).  Picard, both monotone directions, every
 level of the nested strategy and Newton differ only in the start iterate,
-the right-hand-side mode and the step from one iterate to the next.  Two
+the right-hand-side mode and the step from one iterate to the next.
+Picard's step, shared by every nested level, is damped Picard with a
+guarded secant correction on every second step (Anderson acceleration of
+depth 1); the monotone steps and Newton's are unchanged.  Two
 array cores hold the formulas every path shares: :func:`_regularized`
 evaluates ``f*`` on the equation points, and :func:`_defect` forms
 ``-u^DD - f*`` there.  ``GridFunction`` support checks happen at the public
@@ -77,7 +80,9 @@ class RhsMode(Enum):
 class SolveConfig:
     """``tol_residual`` bounds the fixed-point defect relative to
     ``max(1, |u|_inf)`` (see :func:`solve`); ``damping`` is Picard's starting
-    ``theta``; ``rhs_mode`` is resolved per strategy when left unset."""
+    ``theta``, for its damped step and the secant correction it takes on
+    every second step (monotone runs and Newton ignore it); ``rhs_mode`` is
+    resolved per strategy when left unset."""
 
     tol_residual: float = 1e-12
     max_iters: int = 10_000
@@ -379,7 +384,18 @@ def _fixed_point(
 ) -> SolveReport:
     """Picard's step ``u <- (1 - theta) u + theta T u``, ``theta`` starting at
     ``config.damping``; with a nonzero ``direction`` (+1 up, -1 down) the
-    monotone step ``u <- T u``, each image moving that way."""
+    monotone step ``u <- T u``, each image moving that way.
+
+    With ``g_k = T u_k - u_k``, a Picard step that follows a plain one at the
+    same ``theta`` and has ``|g_k|_inf < |g_{k-1}|_inf`` subtracts the secant
+    correction ``c (du + theta dg)``, where ``du = u_k - u_{k-1}``,
+    ``dg = g_k - g_{k-1}`` and ``c = <dg, g_k> / <dg, dg>``, and the step
+    after it is plain again.  It falls back to the plain step when
+    ``<dg, dg> = 0`` or the result is not finite.  For ``f = x^(-gamma)`` the
+    slow error mode is ``u`` itself, which plain Picard shrinks only by
+    ``gamma`` per step and one correction removes.  The correction costs a
+    few array operations and no right-hand-side evaluation; monotone steps
+    never take it, since their ordering needs the plain map."""
     notes: list[str] = []
 
     def monotone(it, u, rhs, image, theta):
@@ -394,11 +410,33 @@ def _fixed_point(
             return Status.DIVERGED
         return image
 
+    last = None  # (u, g, |g|_inf, theta) of the last plain Picard step
+
+    def picard(it, u, rhs, image, theta):
+        nonlocal last
+        g = image - u
+        g_max = float(np.max(np.abs(g)))
+        plain = (1.0 - theta) * u + theta * image
+        prev, last = last, (u, g, g_max, theta)
+        if prev is None:
+            return plain
+        u_prev, g_prev, g_max_prev, theta_prev = prev
+        if theta != theta_prev or not g_max < g_max_prev:
+            return plain
+        dg = g - g_prev
+        dd = float(np.vdot(dg, dg))
+        if not dd > 0.0:
+            return plain
+        step = plain - (float(np.vdot(dg, g)) / dd) * ((u - u_prev) + theta * dg)
+        if not np.all(np.isfinite(step)):
+            return plain
+        last = None  # the next step is plain
+        return step
+
     if direction:
         return _iterate(problem, brackets, mode, config, strategy, monotone, notes, start)
     return _iterate(
-        problem, brackets, mode, config, strategy,
-        lambda it, u, rhs, image, theta: (1.0 - theta) * u + theta * image,
+        problem, brackets, mode, config, strategy, picard,
         notes, start, config.damping, _MIN_DAMPING,
     )
 

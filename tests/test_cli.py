@@ -2,11 +2,13 @@
 
 import json
 import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from tsdyn import SolveConfig
-from tsdyn.cli import main
+from tsdyn.cli import _csv, main
 
 SOLVE_CFG = """\
 # singular power problem on a uniform grid
@@ -111,6 +113,24 @@ class TestSolveCommand:
         u_max = max(abs(float(row[1])) for row in rows[1:])
         tol = SolveConfig().tol_residual
         assert 0.0 <= float(summary.group(1)) <= tol * max(1.0, u_max)
+
+    def test_csv_rows_match_per_cell_formatting(self, rng):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1e16, -1e16, 1e-5, 0.1, 1.0 / 3.0,
+                   1.7976931348623157e308]
+        drawn = rng.standard_normal(280) * 10.0 ** rng.integers(-320, 300, 280)
+        columns = [np.resize(special, 280), drawn, drawn[::-1].copy()]
+        text = _csv(SimpleNamespace(entries={}), SimpleNamespace(command="solve"),
+                    ["a", "b", "c"], columns, [("status", "converged")])
+        # the per-cell join the writer replaced
+        old_rows = [",".join(format(float(v), ".17g") for v in row)
+                    for row in zip(*columns)]
+        lines = text.splitlines()
+        assert lines[2] == "a,b,c"
+        assert lines[3:-1] == old_rows
+        assert lines[-1] == "# status = converged"
+        assert {"0", "-0", "inf", "-inf", "nan", "4.9406564584124654e-324",
+                "10000000000000000"} <= set(",".join(old_rows).split(","))
 
     def test_stdout_when_no_out_path(self, solve_cfg, capsys):
         assert main(["solve", str(solve_cfg)]) == 0

@@ -212,6 +212,98 @@ class TestDefectStop:
         assert report.defect <= SolveConfig().tol_residual * max(1.0, size)
 
 
+PLAIN_STEP_PROBLEMS = pytest.mark.parametrize(
+    "make_problem",
+    [lambda: isotone_problem(uniform(0.0, 1.0, 33)),
+     lambda: power_problem(uniform(0.0, 1.0, 65))],
+    ids=["isotone", "singular65"],
+)
+
+
+class TestSecantStep:
+    """Picard's damped step takes a guarded secant correction on every second
+    step, which removes the slow mode x^(-gamma) leaves behind; monotone runs
+    and Newton keep their own steps."""
+
+    @pytest.mark.parametrize(
+        "make_scale,gamma",
+        [
+            (lambda: uniform(0.0, 1.0, 1025), 0.3),
+            (lambda: uniform(0.0, 1.0, 1025), 0.5),
+            (lambda: uniform(0.0, 1.0, 1025), 0.7),
+            (lambda: quantum(2.0, 80), 0.5),
+        ],
+        ids=["uniform-1025-0.3", "uniform-1025-0.5", "uniform-1025-0.7",
+             "quantum-80-0.5"],
+    )
+    def test_few_iterations_to_the_banded_solution(self, make_scale, gamma):
+        ts = make_scale()
+        p = power_problem(ts, gamma)
+        report = solve(p, brackets=construct_bounds(p).pair)
+        assert report.status is Status.CONVERGED
+        # plain Picard needs 22, 40, 82 and 41 iterations here
+        assert report.iterations <= 16
+        u = report.solution.component(1)
+        bound = SolveConfig().tol_residual * max(1.0, float(np.max(np.abs(u))))
+        assert report.defect <= bound
+        v = banded_oracle(ts, u[1:-1] ** -gamma)
+        assert np.max(np.abs(u - v)) <= 10.0 * bound
+
+    def test_damped_run_keeps_one_rhs_evaluation_per_iterate(
+        self, singular65, monkeypatch
+    ):
+        calls = []
+        original = tsdyn.solver.rhs_matrix
+        monkeypatch.setattr(
+            tsdyn.solver, "rhs_matrix",
+            lambda *a, **k: calls.append(1) or original(*a, **k),
+        )
+        report = solve(
+            singular65, brackets=construct_bounds(singular65).pair,
+            config=SolveConfig(damping=0.5),
+        )
+        assert report.status is Status.CONVERGED
+        size = float(np.max(np.abs(report.solution.values)))
+        assert report.defect <= SolveConfig().tol_residual * max(1.0, size)
+        assert len(calls) == report.iterations + 1
+
+    def test_bracket_free_raw_run_converges(self):
+        p = isotone_problem(uniform(0.0, 1.0, 33))
+        raw = solve(p)
+        assert raw.status is Status.CONVERGED
+        assert not raw.notes
+        banded = solve(p, brackets=construct_bounds(p).pair)
+        gap = np.max(np.abs(raw.solution.values - banded.solution.values))
+        assert gap <= 1e-11
+
+    @PLAIN_STEP_PROBLEMS
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.MONOTONE_UP, Strategy.MONOTONE_DOWN]
+    )
+    def test_monotone_runs_take_the_plain_map(self, make_problem, strategy):
+        # the reported iterate is T applied to the bracket end, bit for bit,
+        # as many times as the report counts steps
+        p = make_problem()
+        pair = construct_bounds(p).pair
+        report = solve(p, strategy=strategy, brackets=pair)
+        assert report.iterations >= 1
+        u = pair[0 if strategy is Strategy.MONOTONE_UP else 1]
+        for _ in range(report.iterations):
+            u = apply_green_operator(p, u, pair, RhsMode.TRUNCATED)
+        assert report.solution.values.tobytes() == u.values.tobytes()
+
+    @PLAIN_STEP_PROBLEMS
+    def test_newton_never_takes_a_picard_step(self, make_problem, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Newton ran the Picard loop")
+
+        p = make_problem()
+        monkeypatch.setattr(tsdyn.solver, "_fixed_point", refuse)
+        report = solve(p, strategy=Strategy.NEWTON_ORACLE,
+                       brackets=construct_bounds(p).pair)
+        assert report.converged
+
+
 class TestNewton:
     def test_agrees_with_picard(self, singular65):
         pair = construct_bounds(singular65)
