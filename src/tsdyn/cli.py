@@ -18,6 +18,7 @@ Exit codes: 0 success or convergent, 2 failure/divergent/domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -534,7 +535,9 @@ def _cmd_quadrature(cfg: Config, args) -> int:
 # --- entry point -----------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every call."""
     parser = argparse.ArgumentParser(
         prog="tsdyn",
         description="Dirichlet problems on finite time-scale realizations",
@@ -580,7 +583,7 @@ _HANDLERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     _setup_logging()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return _EXIT_OK if exc.code in (0, None) else _EXIT_CONFIG
     try:

@@ -208,6 +208,7 @@ class ExpressionTree:
         that :meth:`evaluate` would reject or could compute differently: a
         guard fired, or an intermediate value or the result is not finite.
         Unflagged rows hold the value :meth:`evaluate` returns, bit for bit.
+        The values are read-only and may share memory with ``t`` or ``x``.
         """
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -215,7 +216,11 @@ class ExpressionTree:
         with np.errstate(all="ignore"):
             v = _eval_array(self.root, t, x, flagged)
             flagged |= ~np.isfinite(v)
-        return np.broadcast_to(v, flagged.shape), flagged
+        if np.ndim(v) == 0:
+            return np.broadcast_to(v, flagged.shape), flagged
+        v = v.view()  # read-only, as a broadcast is, without copying
+        v.flags.writeable = False
+        return v, flagged
 
     def max_state_index(self) -> int:
         return _max_state(self.root)
@@ -309,9 +314,24 @@ def _eval_array(node: Node, t: np.ndarray, x: np.ndarray, flagged: np.ndarray):
     if node.op == "/":
         flagged |= (right == 0.0) | ~np.isfinite(right)
         return left / right
-    integral = (right == np.floor(right)) & (np.abs(right) < 1e15)
-    flagged |= ((left == 0.0) & (right < 0.0)) | ((left < 0.0) & ~integral)
-    flagged |= ~(np.isfinite(left) & np.isfinite(right))
+    if np.ndim(right) == 0:
+        # an exponent that is the same on every row: :func:`_power`'s guards
+        # are decided on the scalar once, and only the base's remain per row
+        expo = float(right)
+        if not math.isfinite(expo):
+            flagged |= True
+        else:
+            integral = expo == math.floor(expo) and abs(expo) < 1e15
+            bad = ~np.isfinite(left)
+            if expo < 0.0:
+                bad |= (left <= 0.0) if not integral else (left == 0.0)
+            elif not integral:
+                bad |= left < 0.0
+            flagged |= bad
+    else:
+        integral = (right == np.floor(right)) & (np.abs(right) < 1e15)
+        flagged |= ((left == 0.0) & (right < 0.0)) | ((left < 0.0) & ~integral)
+        flagged |= ~(np.isfinite(left) & np.isfinite(right))
     # float_power calls the C library's pow per element, as Python's ** does;
     # np.power's SIMD loop can differ from it in the last bit
     return np.float_power(left, right)

@@ -12,8 +12,8 @@ is piecewise affine in ``t`` with its only kink at the seam, which is why the
 discrete identity ``-(G h)^DeltaDelta = h`` holds exactly at every equation
 point ``k = 0..N-2``, not merely in a refinement limit.
 
-Each branch is a product of a factor in ``t`` and a factor in ``s``, so
-``green_apply`` needs no kernel matrix: it is two prefix sums, one taken in
+Each branch is a product of a factor in ``t`` and a factor in ``s``, so the
+kernel apply needs no kernel matrix: it is two prefix sums, one taken in
 ascending and one in descending index order, O(N) time and memory.  Both
 orders are fixed, so results do not depend on thread count.  ``green_value``
 is the scalar definition of the kernel; the runtime does not call it.  A
@@ -21,7 +21,10 @@ banded linear solve is kept in the test suite as an independent oracle, not
 here.
 
 This module is the one home of the kernel's formulas: the kernel itself, its
-envelope ``e(t)`` and its lower weight.
+envelope ``e(t)`` and its lower weight.  The apply has one array core,
+:func:`green_solve` on plain arrays with the per-scale factors of
+:func:`kernel_factors`, which a solver computes once per solve;
+:func:`green_apply` is its edge wrapper for grid functions.
 """
 
 from __future__ import annotations
@@ -50,12 +53,23 @@ def green_value(ts: TimeScale, t_idx: int, s_idx: int) -> float:
     return (sig_s - a) * (s2b - t) / D
 
 
-def green_apply(ts: TimeScale, h: GridFunction) -> GridFunction:
-    """Solve -u^DeltaDelta = h with zero boundary values.
+def kernel_factors(ts: TimeScale) -> tuple:
+    """The per-scale factors of :func:`green_solve`: the columns ``mu_k``,
+    ``sigma_k - a`` and ``sigma^2(b) - sigma_k`` for ``k = 0..N-2``, and the
+    span ``D``."""
+    N = ts.last_index
+    # p_1..p_{N-1} are both sigma_k for k = 0..N-2 and t_j for j = 1..N-1
+    p = ts.points[1:N, None]
+    return ts.mu[: N - 1, None], p - ts.a, ts.sigma2_b - p, ts.span
 
-    ``h`` must cover the equation points 0..N-2; extra top entries are
-    ignored.  With ``sigma_k = p_{k+1}`` and ``D = sigma^2(b) - a``, row ``j``
-    takes the first kernel branch exactly for ``k >= j - 1``, so
+
+def green_solve(factors: tuple, h: np.ndarray) -> np.ndarray:
+    """Solve -u^DeltaDelta = h with zero boundary values on plain arrays.
+
+    ``factors`` comes from :func:`kernel_factors`; ``h`` holds one row per
+    equation point ``0..N-2`` and the result one row per point ``0..N``.
+    With ``sigma_k = p_{k+1}`` and ``D = sigma^2(b) - a``, row ``j`` takes the
+    first kernel branch exactly for ``k >= j - 1``, so
 
         u_j = [(sigma^2(b) - t_j) * sum_{k <= j-2} mu_k (sigma_k - a) h_k
                + (t_j - a) * sum_{k >= j-1} mu_k (sigma^2(b) - sigma_k) h_k] / D.
@@ -65,21 +79,26 @@ def green_apply(ts: TimeScale, h: GridFunction) -> GridFunction:
     order is fixed, so results do not depend on thread count.  Rows 0 and N
     are exactly zero.
     """
+    mu, left, right, span = factors
+    weighted = mu * h
+    below = np.empty_like(weighted)
+    below[0] = 0.0
+    (left * weighted)[:-1].cumsum(axis=0, out=below[1:])
+    above = (right * weighted)[::-1].cumsum(axis=0)[::-1]
+    out = np.zeros((weighted.shape[0] + 2, weighted.shape[1]))
+    out[1:-1] = (right * below + left * above) / span
+    return out
+
+
+def green_apply(ts: TimeScale, h: GridFunction) -> GridFunction:
+    """:func:`green_solve` for a grid function ``h`` that covers the equation
+    points ``0..N-2``; extra top entries are ignored."""
     N = ts.last_index
     if h.lo > 0 or h.hi < N - 2:
         raise SupportMismatch(
             f"right-hand side must cover indices [0, {N - 2}], got [{h.lo}, {h.hi}]"
         )
-    a, s2b = ts.a, ts.sigma2_b
-    weighted = ts.mu[: N - 1, None] * h.values[: N - 1]
-    # p_1..p_{N-1} are both sigma_k for k = 0..N-2 and t_j for j = 1..N-1
-    p = ts.points[1:N, None]
-    below = np.zeros_like(weighted)
-    np.cumsum(((p - a) * weighted)[:-1], axis=0, out=below[1:])
-    above = np.cumsum(((s2b - p) * weighted)[::-1], axis=0)[::-1]
-    out = np.zeros((ts.npoints, weighted.shape[1]))
-    out[1:N] = ((s2b - p) * below + (p - a) * above) / ts.span
-    return GridFunction(ts, out, 0, N)
+    return GridFunction(ts, green_solve(kernel_factors(ts), h.values[: N - 1]), 0, N)
 
 
 def affine_interpolant(ts: TimeScale, A, B) -> GridFunction:

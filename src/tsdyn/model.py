@@ -263,7 +263,9 @@ def rhs_matrix(
     non-finite value, go through the scalar :meth:`Nonlinearity.evaluate`
     (which calls the body a second time, so bodies are assumed pure), in
     row-major order, so the first error raised is the one a row-by-row loop
-    would meet first.
+    would meet first.  When every body is an expression and no guard fires,
+    the values are returned as evaluated, read-only; with one component they
+    can share memory with ``states`` or the scale's points.
     """
     ts = problem.scale
     rows = ts.last_index - 1
@@ -272,16 +274,20 @@ def rhs_matrix(
         raise DimensionMismatch(
             f"states must have shape {(rows, n)}, got {states.shape}"
         )
+    times = ts.points[:rows]
+    evaluated = {
+        i: fi.body.evaluate_array(times, states)
+        for i, fi in enumerate(problem.f) if isinstance(fi.body, ExpressionTree)
+    }
+    if len(evaluated) == n and not any(flags.any() for _, flags in evaluated.values()):
+        if n == 1:
+            return evaluated[0][0][:, None], ()
+        return np.stack([column for column, _ in evaluated.values()], axis=1), ()
     out = np.empty((rows, n), dtype=float)
     scalar = np.zeros((rows, n), dtype=bool)
-    callables: list[int] = []
-    for i, fi in enumerate(problem.f):
-        if isinstance(fi.body, ExpressionTree):
-            out[:, i], scalar[:, i] = fi.body.evaluate_array(ts.points[:rows], states)
-        else:
-            callables.append(i)
-    if not (callables or scalar.any()):
-        return out, ()
+    for i, (column, flags) in evaluated.items():
+        out[:, i], scalar[:, i] = column, flags
+    callables = [i for i in range(n) if i not in evaluated]
     points = ts.points[:rows].tolist()
     if callables:
         bodies = [problem.f[i].body for i in callables]

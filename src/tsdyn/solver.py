@@ -16,11 +16,13 @@ level of the nested strategy and Newton differ only in the start iterate,
 the right-hand-side mode and the step from one iterate to the next.
 Picard's step, shared by every nested level, is damped Picard with a
 guarded secant correction on every second step (Anderson acceleration of
-depth 1); the monotone steps and Newton's are unchanged.  Two
-array cores hold the formulas every path shares: :func:`_regularized`
-evaluates ``f*`` on the equation points, and :func:`_defect` forms
-``-u^DD - f*`` there.  ``GridFunction`` support checks happen at the public
-edges only.
+depth 1); the monotone steps and Newton's are unchanged.  Three array
+cores hold the formulas every path shares: :func:`_regularized` evaluates
+``f*`` on the equation points, :func:`~tsdyn.green.green_solve` applies the
+kernel with the factors of :func:`~tsdyn.green.kernel_factors`, which the
+loop forms once per solve, and :func:`_defect` forms ``-u^DD - f*``.  A
+solve builds a ``GridFunction`` only at entry (``phi``) and exit (the
+solution); support checks happen at the public edges only.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
     SupportMismatch,
     TooFewPoints,
 )
-from .green import affine_interpolant, green_apply
+from .green import affine_interpolant, green_apply, green_solve, kernel_factors
 from .model import DirichletProblem, rhs_matrix
 from .timescale import TimeScale, from_points
 
@@ -165,27 +167,30 @@ def _resolve_mode(
     return RhsMode.MODIFIED if has_brackets else RhsMode.RAW
 
 
-def _band(brackets, mode: RhsMode):
-    """Bracket value arrays that ``mode`` clamps into; ``None`` for ``RAW``."""
+def _band(brackets, mode: RhsMode, N: int):
+    """The bracket values at the points ``1..N-1`` that ``mode`` clamps the
+    shifted states into; ``None`` for ``RAW``."""
     if mode is RhsMode.RAW:
         return None
     if brackets is None:
         raise BracketViolation(-1, f"{mode.value} evaluation needs brackets")
-    return brackets
+    return brackets[0][1:N], brackets[1][1:N]
 
 
 def _regularized(
-    problem: DirichletProblem, u: np.ndarray, band, mode: RhsMode
+    problem: DirichletProblem, u: np.ndarray, band, mode: RhsMode,
+    inside: bool = False,
 ) -> np.ndarray:
     """:func:`regularized_rhs` on plain arrays: ``u`` is a full ``(N+1, n)``
-    iterate, ``band`` comes from :func:`_band`; one row per equation point."""
-    N = problem.scale.last_index
-    shifted = u[1:N]
-    states = shifted if band is None else np.clip(shifted, band[0][1:N], band[1][1:N])
+    iterate, ``band`` comes from :func:`_band`; one row per equation point.
+    ``inside`` tells that ``u`` lies in the band, so every gap the clamp
+    leaves is a signed zero, which the bounded correction returns as is."""
+    shifted = u[1 : problem.scale.last_index]
+    states = shifted if band is None else shifted.clip(band[0], band[1])
     vals = rhs_matrix(problem, states)[0]
     if mode is RhsMode.MODIFIED:
         gap = states - shifted
-        vals = vals + gap / (1.0 + np.abs(gap))
+        vals = vals + (gap if inside else gap / (1.0 + np.abs(gap)))
     return vals
 
 
@@ -221,8 +226,9 @@ def regularized_rhs(
     """
     if brackets is not None:
         brackets = _check_brackets(problem, brackets)
-    full = full_support_values(u, problem.scale.last_index, "iterate")
-    vals = _regularized(problem, full, _band(brackets, mode), mode)
+    N = problem.scale.last_index
+    full = full_support_values(u, N, "iterate")
+    vals = _regularized(problem, full, _band(brackets, mode, N), mode)
     return GridFunction.from_values(problem.scale, vals, lo=0)
 
 
@@ -311,38 +317,51 @@ def _iterate(
     """Judge iterates ``u_0 = start`` (default: band midpoint, or ``phi``),
     ``u_1``, ... by :func:`solve`'s stopping test until it decides.
 
-    The test reads ``T u_k - u_k`` with ``T u = phi + G f*(., u^sigma)``;
-    ``advance(it, u, rhs, image, theta)`` then turns ``f*`` and ``T u_k``
-    into ``u_{k+1}``, or returns a status (after noting why) to end the run.
-    Stagnation halves ``theta`` down to ``min_theta``, then stalls.  Each
-    iterate costs one ``rhs_matrix`` call and one kernel apply; the
-    differential residual is computed once at the end, from the last ``f*``
-    when that was the raw ``f``.
+    The test reads ``g = T u_k - u_k`` with ``T u = phi + G f*(., u^sigma)``;
+    ``advance(it, u, rhs, image, g, defect, theta)`` then turns ``f*``,
+    ``T u_k``, ``g`` and ``|g|_inf`` into ``u_{k+1}``, or returns a status
+    (after noting why) to end the run.  Stagnation halves ``theta`` down to
+    ``min_theta``, then stalls.
+
+    Everything between the start iterate and the report is a plain
+    ``(N+1, n)`` array: ``phi``, the kernel factors of
+    :func:`~tsdyn.green.kernel_factors` and the band slices are formed once
+    per solve, and each iterate costs one ``rhs_matrix`` call and one
+    :func:`~tsdyn.green.green_solve`.  The only grid functions are ``phi``'s
+    at entry and the solution's in the report.  The differential residual
+    is computed once at the end, from the last ``f*`` when that was the raw
+    ``f``.
     """
     ts = problem.scale
     N = ts.last_index
     phi = affine_interpolant(ts, problem.boundary_left, problem.boundary_right).values
-    band = _band(brackets, mode)
+    factors = kernel_factors(ts)
+    band = _band(brackets, mode, N)
+    if brackets is not None:
+        lower, upper = brackets[0][1:N], brackets[1][1:N]
     u = start
     if u is None:
         u = phi.copy() if brackets is None else 0.5 * (brackets[0] + brackets[1])
         u[0], u[-1] = problem.boundary_left, problem.boundary_right
     best, streak = math.inf, 0
     for it in range(config.max_iters + 1):
+        if brackets is None:
+            inside = True
+        else:
+            inner = u[1:N]
+            inside = bool((lower <= inner).all() and (inner <= upper).all())
         try:
-            rhs = _regularized(problem, u, band, mode)
-            image = phi + green_apply(ts, GridFunction(ts, rhs, 0, N - 2)).values
-            if not np.all(np.isfinite(image)):
+            rhs = _regularized(problem, u, band, mode, inside)
+            image = phi + green_solve(factors, rhs)
+            if not np.isfinite(image).all():
                 raise NonFiniteResult("image is not finite")
         except (DomainViolation, NonFiniteResult) as exc:
             notes.append(f"iteration {it}: {exc}")
             status, defect, inside = Status.DIVERGED, math.inf, False
             break
-        defect = float(np.max(np.abs(image - u)))
-        size = float(np.max(np.abs(u)))
-        inside = brackets is None or bool(
-            np.all(brackets[0][1:N] <= u[1:N]) and np.all(u[1:N] <= brackets[1][1:N])
-        )
+        g = image - u
+        defect = float(np.abs(g).max())
+        size = float(np.abs(u).max())
         if size > DIVERGENCE_LIMIT or defect > DIVERGENCE_LIMIT:
             notes.append(f"iteration {it}: defect {defect:.3e}, |u| {size:.3e}")
             status = Status.DIVERGED
@@ -362,7 +381,7 @@ def _iterate(
         if it == config.max_iters:
             status = Status.MAX_ITERS
             break
-        following = advance(it, u, rhs, image, theta)
+        following = advance(it, u, rhs, image, g, defect, theta)
         if isinstance(following, Status):
             status = following
             break
@@ -398,10 +417,10 @@ def _fixed_point(
     never take it, since their ordering needs the plain map."""
     notes: list[str] = []
 
-    def monotone(it, u, rhs, image, theta):
-        drift = direction * (image - u)
+    def monotone(it, u, rhs, image, g, g_max, theta):
+        drift = direction * g
         slack = 1e-12 * max(1.0, np.abs(u).max(), np.abs(image).max())
-        if np.min(drift) < -slack:
+        if drift.min() < -slack:
             k, i = np.unravel_index(int(np.argmin(drift)), drift.shape)
             notes.append(
                 f"iteration {it}: monotonicity violated by {-np.min(drift):.3e} "
@@ -412,10 +431,8 @@ def _fixed_point(
 
     last = None  # (u, g, |g|_inf, theta) of the last plain Picard step
 
-    def picard(it, u, rhs, image, theta):
+    def picard(it, u, rhs, image, g, g_max, theta):
         nonlocal last
-        g = image - u
-        g_max = float(np.max(np.abs(g)))
         plain = (1.0 - theta) * u + theta * image
         prev, last = last, (u, g, g_max, theta)
         if prev is None:
@@ -428,7 +445,7 @@ def _fixed_point(
         if not dd > 0.0:
             return plain
         step = plain - (float(np.vdot(dg, g)) / dd) * ((u - u_prev) + theta * dg)
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             return plain
         last = None  # the next step is plain
         return step
@@ -460,7 +477,7 @@ def _newton(problem, brackets, mode, config):
     N = ts.last_index
     n = problem.n_components
     dim = (N + 1) * n
-    band = _band(brackets, mode)
+    band = _band(brackets, mode, N)
     notes: list[str] = []
 
     def F(zv: np.ndarray) -> np.ndarray:
@@ -487,7 +504,7 @@ def _newton(problem, brackets, mode, config):
             return math.inf
         return float(np.max(np.abs(fz)))
 
-    def step(it, u, rhs, image, theta):
+    def step(it, u, rhs, image, g, g_max, theta):
         z = u.flatten(order="F")
         Fz = _system_rows(problem, u, rhs).flatten(order="F")
         J = np.empty((dim, dim))

@@ -66,7 +66,9 @@ class TimeScale:
     q: float | None = None
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
+        # a private copy: the caller's array stays writable, and later writes
+        # to it cannot move the points away from the graininesses kept below
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 1:
             raise NonMonotonePoints(0, "points must be a flat sequence")
         if pts.size < 4:
@@ -82,7 +84,9 @@ class TimeScale:
         if bad.size:
             raise NonMonotonePoints(int(bad[0]) + 1)
         pts.setflags(write=False)
+        diffs.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_mu", diffs)
 
     # -- size and boundary identification --------------------------------
 
@@ -141,8 +145,9 @@ class TimeScale:
 
     @property
     def mu(self) -> np.ndarray:
-        """All graininesses mu_0..mu_{N-1} (the last point is omitted)."""
-        return np.diff(self.points)
+        """All graininesses mu_0..mu_{N-1} (the last point is omitted);
+        computed once, read-only."""
+        return self._mu
 
     def index_of(self, value: float) -> int:
         """Index whose point equals ``value`` within ``VALUE_LOOKUP_TOL``."""

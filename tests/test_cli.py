@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import tsdyn.cli
 from tsdyn import SolveConfig
 from tsdyn.cli import _csv, main
 
@@ -298,6 +299,48 @@ class TestConfigErrors:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "tsdyn" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; later calls must not see the flags of
+    earlier ones."""
+
+    def test_consecutive_calls_behave_as_with_fresh_parsers(self, tmp_path, capsys):
+        solve_path = write_cfg(tmp_path, SOLVE_CFG, "solve.cfg")
+        check_path = write_cfg(tmp_path, CHECK_CFG.format(gamma=0.5), "check.cfg")
+        calls = [
+            ["solve", str(solve_path), "--strategy", "newton_oracle"],
+            ["check", str(check_path), "--family", "17,33,65,129,257", "--seed", "3"],
+            ["solve", str(solve_path)],
+            ["--version"],
+            ["check", str(check_path)],
+            ["solve", str(solve_path), "--strategy", "bogus"],
+            ["solve"],
+            ["solve", str(solve_path)],
+        ]
+
+        def run(fresh):
+            seen = []
+            for argv in calls:
+                if fresh:
+                    tsdyn.cli._parser.cache_clear()
+                code = main(argv)
+                captured = capsys.readouterr()
+                seen.append((code, captured.out, captured.err))
+            return seen
+
+        shared, fresh = run(fresh=False), run(fresh=True)
+        assert shared == fresh
+        codes = [code for code, _, _ in shared]
+        assert codes == [0, 0, 0, 0, 0, 4, 4, 0]
+        assert "# strategy = newton_oracle" in shared[0][1]
+        assert "# strategy = picard" in shared[2][1]
+        assert "override" not in shared[2][1]
+        assert shared[2][1] == shared[7][1]
+        assert shared[3][1].startswith("tsdyn ")
+        assert '"points":[17,33,65,129,257]' in shared[1][1]
+        assert '"points":[17,33,65,129,257]' not in shared[4][1]
+        assert tsdyn.cli._parser() is tsdyn.cli._parser()
 
 
 class TestRunFailures:

@@ -229,6 +229,50 @@ class TestArrayEvaluation:
         with pytest.raises(UnknownVariable):
             parse_expression("x2").evaluate_array(np.zeros(2), np.zeros((2, 1)))
 
+    @pytest.mark.parametrize(
+        "expo",
+        [0.0, -0.0, 2.0, -2.0, 0.5, -0.5, 1e15, -1e15, math.inf, -math.inf, math.nan],
+    )
+    def test_constant_exponent_guards_match_the_row_exponent(self, expo):
+        """``x1^c`` decides its guards on the scalar ``c`` once; ``x1^x2``
+        with ``x2 = c`` on every row takes the per-row path.  Both give the
+        same bytes and flags, and every unflagged row is :meth:`evaluate`'s
+        value while every row it rejects is flagged."""
+        bases = [0.0, -0.0, 1.0, 2.5, -1.0, -2.5, 1e-300, math.inf, -math.inf, math.nan]
+        t = np.zeros(len(bases))
+        x = np.column_stack([bases, np.full(len(bases), expo)])
+        const = ExpressionTree(BinOp("^", StateVar(1), Const(expo)))
+        row = ExpressionTree(BinOp("^", StateVar(1), StateVar(2)))
+        vals, flagged = const.evaluate_array(t, x)
+        row_vals, row_flagged = row.evaluate_array(t, x)
+        assert vals.tobytes() == row_vals.tobytes()
+        assert flagged.tolist() == row_flagged.tolist()
+        for k, base in enumerate(bases):
+            try:
+                value = const.evaluate(0.0, (base,))
+            except (DomainViolation, NonFiniteResult):
+                assert flagged[k]
+                continue
+            if not flagged[k]:
+                assert np.float64(value).tobytes() == vals[k].tobytes()
+
+    def test_negated_constant_exponent_takes_the_scalar_guards(self):
+        # "x1^(-0.5)" parses to a negation of a constant, which is row-free too
+        tree = parse_expression("x1^(-0.5)")
+        assert isinstance(tree.root.right, Neg)
+        vals, flagged = tree.evaluate_array(
+            np.zeros(4), np.array([[4.0], [0.0], [-1.0], [math.inf]])
+        )
+        assert flagged.tolist() == [False, True, True, True]
+        assert vals[0] == 0.5
+
+    def test_values_are_read_only(self):
+        x = np.array([[1.0], [2.0]])
+        for src in ("x1", "t", "2", "x1^2"):
+            vals, _ = parse_expression(src).evaluate_array(np.zeros(2), x)
+            assert not vals.flags.writeable
+        assert x.flags.writeable
+
 
 # -- property tests over random trees ------------------------------------------
 

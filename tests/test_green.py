@@ -23,6 +23,7 @@ from tsdyn import (
     uniform,
 )
 from conftest import SEED, random_scale
+from tsdyn.green import green_solve, kernel_factors
 
 EPS = np.finfo(float).eps
 
@@ -226,6 +227,55 @@ class TestGreenApply:
         defect = (delta_second(u) + GridFunction.from_values(ts, h)).max_abs()
         floor = EPS * np.max(np.abs(h)) * (ts.span / float(np.min(ts.mu))) ** 2
         assert defect <= floor
+
+
+MESHES = st.one_of(
+    st.builds(
+        lambda gaps, left: from_points(left + np.concatenate([[0.0], np.cumsum(gaps)])),
+        st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=3, max_size=80),
+        st.floats(min_value=-5.0, max_value=5.0),
+    ),
+    st.builds(
+        lambda a, length, n: uniform(a, a + length, n),
+        st.floats(min_value=-5.0, max_value=5.0),
+        st.floats(min_value=0.1, max_value=10.0),
+        st.integers(min_value=4, max_value=300),
+    ),
+    st.builds(
+        quantum,
+        st.floats(min_value=1.1, max_value=4.0),
+        st.integers(min_value=3, max_value=60),
+    ),
+)
+
+
+class TestKernelCore:
+    """``green_solve`` on plain arrays is the one formula; ``green_apply`` only
+    checks and wraps it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ts=MESHES,
+        n=st.sampled_from([1, 2]),
+        extra=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_core_is_green_apply_byte_for_byte(self, ts, n, extra, seed):
+        N = ts.last_index
+        rows = N + 1 if extra else N - 1  # extra top rows are ignored
+        h = np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, n))
+        core = green_solve(kernel_factors(ts), h[: N - 1])
+        wrapped = green_apply(ts, GridFunction.from_values(ts, h))
+        assert core.shape == wrapped.values.shape == (N + 1, n)
+        assert core.tobytes() == wrapped.values.tobytes()
+
+    def test_factors_are_the_graininess_and_branch_factors(self, q23):
+        mu, left, right, span = kernel_factors(q23)
+        sig = q23.points[1 : q23.last_index]
+        assert mu[:, 0].tolist() == np.diff(q23.points)[:-1].tolist()
+        assert left[:, 0].tolist() == (sig - q23.a).tolist()
+        assert right[:, 0].tolist() == (q23.sigma2_b - sig).tolist()
+        assert span == q23.span
 
 
 class TestMatrix:

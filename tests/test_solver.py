@@ -128,6 +128,40 @@ class TestPicard:
         assert report.converged
         assert len(calls) == report.iterations + 1  # the start iterate's too
 
+    def test_grid_functions_only_at_entry_and_exit(self, singular65, monkeypatch):
+        """The loop runs on plain arrays: the number of grid functions a
+        solve builds does not grow with its iteration count."""
+        pair = construct_bounds(singular65).pair
+        built = []
+        original = GridFunction.__post_init__
+
+        def counted(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(GridFunction, "__post_init__", counted)
+        per_solve = {}
+        for max_iters in (2, 20):
+            built.clear()
+            report = solve(
+                singular65, brackets=pair,
+                config=SolveConfig(max_iters=max_iters, tol_residual=0.0),
+            )
+            assert report.status is Status.MAX_ITERS
+            assert report.iterations == max_iters
+            per_solve[max_iters] = len(built)
+        assert per_solve[2] == per_solve[20] <= 2
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_image_diverges_with_a_note(self):
+        # mu * f overflows on this long mesh, so the image is not finite
+        f = Nonlinearity.from_expression("1e308", arity=1)
+        report = solve(DirichletProblem(uniform(0.0, 1e3, 65), (f,)))
+        assert report.status is Status.DIVERGED
+        assert report.iterations == 0
+        assert report.defect == np.inf
+        assert report.notes == ("iteration 0: image is not finite",)
+
     def test_stalled_step_is_not_an_iteration_cap(self):
         # a zero tolerance sits below the defect's roundoff floor: once the
         # defect stops decreasing at the smallest damping the run stalls,

@@ -74,6 +74,22 @@ class TestJumpOperators:
         ts = from_points(pts)
         assert np.array_equal(ts.mu, np.diff(pts))
 
+    def test_points_are_a_private_copy(self):
+        base = np.linspace(0.0, 1.0, 9)
+        ts = from_points(base[::2])
+        assert base.flags.writeable
+        base[2] = 0.3
+        assert ts.points.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert ts.mu.tolist() == [0.25] * 4
+
+    def test_mu_is_kept_read_only(self, rng):
+        ts = from_points(np.cumsum(rng.uniform(0.1, 1.0, size=12)))
+        assert ts.mu is ts.mu
+        assert ts.mu.tobytes() == np.diff(ts.points).tobytes()
+        with pytest.raises(ValueError):
+            ts.mu[0] = 1.0
+        assert ts.mu.tobytes() == np.diff(ts.points).tobytes()
+
     def test_index_of(self, unit5):
         assert unit5.index_of(0.75) == 3
         with pytest.raises(IndexOutOfRange):
