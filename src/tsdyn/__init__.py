@@ -99,4 +99,32 @@ from .timescale import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "GridFunction", "delta_derivative", "delta_integral", "delta_second",
+    "sigma_shift",
+    "DEFAULT_SEED", "BoundsPair", "ConvergenceVerdict", "CriterionReport",
+    "LipschitzReport", "LowerWeight", "SampleReport", "ScalingReport",
+    "Verdict", "VerificationReport", "check_lipschitz_bound",
+    "check_monotone_in_state", "check_scaling_exponents",
+    "classify_weighted_bound", "compute_envelope", "construct_bounds",
+    "construct_lower", "criterion_necessary", "criterion_sufficient",
+    "endpoint_slope_limits", "family_quadrature", "verify_lower",
+    "verify_upper",
+    "BadRange", "BoundOrderViolation", "BracketViolation", "ConfigError",
+    "CriterionNotSatisfied", "DegenerateInterval", "DimensionMismatch",
+    "DomainViolation", "EmptySupport", "EnvelopeViolation",
+    "ExpressionSyntaxError", "FamilyTooShort", "IndexOutOfRange",
+    "InvalidBase", "NonFiniteResult", "NonMonotonePoints",
+    "NonpositiveEndpoint", "ScaleMismatch", "ShapeViolation",
+    "SupportMismatch", "TooFewPoints", "TsdynError", "UnknownVariable",
+    "ExpressionTree", "parse_expression",
+    "affine_interpolant", "envelope_weight", "green_apply", "green_value",
+    "kernel_lower_weight",
+    "DirichletProblem", "Nonlinearity", "emden_fowler", "rhs_matrix",
+    "RhsMode", "SolveConfig", "SolveReport", "Status", "Strategy",
+    "apply_green_operator", "clamp_to_band", "regularized_rhs",
+    "residual_norm", "solve",
+    "QUANTUM_FAMILY_DEPTHS", "UNIFORM_FAMILY_SIZES", "Kind", "TimeScale",
+    "from_points", "quantum", "quantum_family", "same_realization", "uniform",
+    "uniform_family",
+]

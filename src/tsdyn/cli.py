@@ -42,11 +42,11 @@ from .criteria import (
     verify_lower,
     verify_upper,
 )
-from .criteria import DEFAULT_SEED
+from .criteria import DEFAULT_SEED, _refinement_family
 from .errors import ConfigError, CriterionNotSatisfied, ShapeViolation, TsdynError
 from .model import DirichletProblem, Nonlinearity
-from .solver import RhsMode, SolveConfig, Status, Strategy, solve
-from .timescale import Kind, TimeScale, from_points, quantum, quantum_family, uniform, uniform_family
+from .solver import SolveConfig, Status, Strategy, solve
+from .timescale import TimeScale, from_points, quantum, uniform
 
 log = logging.getLogger("tsdyn")
 
@@ -64,8 +64,7 @@ _EXACT_KEYS = {
     "scale.kind", "scale.start", "scale.end", "scale.points",
     "scale.q", "scale.depth", "scale.values",
     "f.count", "bc.left", "bc.right",
-    "solve.strategy", "solve.tol_residual", "solve.max_iters",
-    "solve.damping", "solve.rhs_mode", "solve.use_bounds",
+    "solve.strategy", "solve.tol_residual", "solve.max_iters", "solve.use_bounds",
     "bounds.kind", "bounds.weight",
     "check.criterion", "check.eval_point", "check.samples",
     "check.band", "check.component",
@@ -78,78 +77,65 @@ _F_KEY = re.compile(r"f\.[1-9]\d*\.(expr|lambda|mu)$")
 class Config:
     """Flat dotted-key configuration with typed, error-reporting access."""
 
-    def __init__(self, entries: dict[str, tuple[str, int]]):
+    def __init__(self, entries: dict[str, tuple[str, int | None]]):
         self.entries = entries
 
     def __contains__(self, key: str) -> bool:
         return key in self.entries
 
-    def _raw(self, key: str, default):
-        if key in self.entries:
-            return self.entries[key][0]
-        if default is not None:
-            return default
-        raise ConfigError("missing required entry", key=key)
-
     def line(self, key: str) -> int | None:
         return self.entries[key][1] if key in self.entries else None
 
+    def _read(self, key: str, default, convert, expected: str):
+        """``convert`` applied to the entry ``key``, or ``default`` when the
+        entry is absent; an absent entry without a default is missing."""
+        if key not in self.entries:
+            if default is None:
+                raise ConfigError("missing required entry", key=key)
+            return default
+        raw = self.entries[key][0]
+        try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"expected {expected}, got {raw!r}",
+                              key=key, line=self.line(key))
+
     def get_str(self, key: str, default: str | None = None) -> str:
-        return str(self._raw(key, default))
+        return self._read(key, default, str, "text")
 
     def get_float(self, key: str, default: float | None = None) -> float:
-        raw = self._raw(key, default)
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"expected a number, got {raw!r}", key=key, line=self.line(key))
+        return self._read(key, default, float, "a number")
 
     def get_int(self, key: str, default: int | None = None) -> int:
-        raw = self._raw(key, default)
-        try:
-            return int(str(raw))
-        except ValueError:
-            raise ConfigError(f"expected an integer, got {raw!r}", key=key, line=self.line(key))
+        return self._read(key, default, int, "an integer")
 
     def get_bool(self, key: str, default: bool | None = None) -> bool:
-        raw = self._raw(key, default)
-        if isinstance(raw, bool):
-            return raw
-        try:
-            return _BOOL[str(raw).strip().lower()]
-        except KeyError:
-            raise ConfigError(f"expected a boolean, got {raw!r}", key=key, line=self.line(key))
+        return self._read(key, default, lambda raw: _BOOL[raw.lower()], "a boolean")
 
     def get_floats(self, key: str, default: Sequence[float] | None = None) -> tuple[float, ...]:
-        if key not in self.entries and default is not None:
-            return tuple(default)
-        raw = self.get_str(key)
-        try:
-            return tuple(float(part) for part in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"expected comma-separated numbers, got {raw!r}",
-                              key=key, line=self.line(key))
+        return self._read(key, default, lambda raw: tuple(map(float, raw.split(","))),
+                          "comma-separated numbers")
 
     def get_ints(self, key: str, default: Sequence[int] | None = None) -> tuple[int, ...]:
-        if key not in self.entries and default is not None:
-            return tuple(default)
-        raw = self.get_str(key)
-        try:
-            return tuple(int(part) for part in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"expected comma-separated integers, got {raw!r}",
-                              key=key, line=self.line(key))
+        return self._read(key, default, lambda raw: tuple(map(int, raw.split(","))),
+                          "comma-separated integers")
 
-    def get_enum(self, key: str, enum_cls, default):
-        raw = self._raw(key, default.value if default is not None else None)
-        if isinstance(raw, enum_cls):
-            return raw
-        try:
-            return enum_cls(str(raw).strip().lower())
-        except ValueError:
-            options = ", ".join(m.value for m in enum_cls)
-            raise ConfigError(f"expected one of {options}, got {raw!r}",
-                              key=key, line=self.line(key))
+    def get_enum(self, key: str, enum_cls, default=None):
+        options = ", ".join(m.value for m in enum_cls)
+        return self._read(key, default, lambda raw: enum_cls(raw.strip().lower()),
+                          f"one of {options}")
+
+    def library_error(self, exc: ConfigError, section: str) -> ConfigError:
+        """``exc``, raised by the library for its parameter ``exc.key``, as an
+        error of the entry ``section.<key>`` and its line."""
+        key = f"{section}.{exc.key}"
+        return ConfigError(exc.reason, key=key, line=self.line(key))
+
+
+def _flag(name: str, value: str) -> Config:
+    """A command-line flag as a one-entry configuration, so its value goes
+    through the same typed reader as the file's entries."""
+    return Config({name: (value, None)})
 
 
 def read_config(path: str) -> Config:
@@ -238,26 +224,16 @@ def build_problem(cfg: Config, scale: TimeScale) -> DirichletProblem:
     return DirichletProblem(scale, f, bc("bc.left"), bc("bc.right"))
 
 
-def _family(cfg: Config, scale: TimeScale, override: str | None):
-    """Explicit refinement family, or None to use the default for the scale."""
-    sizes = None
+def _family(cfg: Config, scale: TimeScale, override: str | None) -> list[TimeScale]:
+    """The refinement family of ``scale``: the ``--family`` ladder, else the
+    file's ``family.sizes`` (uniform meshes) or ``family.depths`` (quantum
+    truncations), else the library default for the scale's kind."""
     if override:
-        try:
-            sizes = tuple(int(p) for p in override.split(","))
-        except ValueError:
-            raise ConfigError(f"expected comma-separated integers, got {override!r}",
-                              key="--family")
-    quantum_kind = scale.kind is Kind.QUANTUM and scale.q is not None
-    if sizes is None:
-        if quantum_kind and "family.depths" in cfg:
-            sizes = cfg.get_ints("family.depths")
-        elif not quantum_kind and "family.sizes" in cfg:
-            sizes = cfg.get_ints("family.sizes")
-        else:
-            return None
-    if quantum_kind:
-        return quantum_family(scale.q, sizes)
-    return uniform_family(scale.a, scale.sigma2_b, sizes)
+        ladder = _flag("--family", override).get_ints("--family")
+        return _refinement_family(scale, ladder, ladder)
+    ladders = {name: cfg.get_ints(f"family.{name}")
+               for name in ("sizes", "depths") if f"family.{name}" in cfg}
+    return _refinement_family(scale, **ladders)
 
 
 # --- output helpers ----------------------------------------------------------
@@ -281,6 +257,7 @@ def _config_block(cfg: Config, args) -> list[str]:
     for key in sorted(cfg.entries):
         lines.append(f"# cfg.{key} = {cfg.entries[key][0]}")
     for name in ("seed", "strategy", "family"):
+        # a subcommand's namespace holds only the flags it registers
         value = getattr(args, name, None)
         if value is not None:
             lines.append(f"# override.{name} = {value}")
@@ -403,12 +380,7 @@ def _cmd_check(cfg: Config, args) -> int:
 def _solve_config(cfg: Config) -> SolveConfig:
     """``SolveConfig`` from the ``solve.*`` entries the file sets; every
     absent entry keeps the library default."""
-    getters = {
-        "rhs_mode": lambda key: cfg.get_enum(key, RhsMode, None),
-        "tol_residual": cfg.get_float,
-        "max_iters": cfg.get_int,
-        "damping": cfg.get_float,
-    }
+    getters = {"tol_residual": cfg.get_float, "max_iters": cfg.get_int}
     settings = {
         name: get(f"solve.{name}") for name, get in getters.items()
         if f"solve.{name}" in cfg
@@ -416,19 +388,13 @@ def _solve_config(cfg: Config) -> SolveConfig:
     try:
         return SolveConfig(**settings)
     except ConfigError as exc:
-        key = f"solve.{exc.key}"
-        raise ConfigError(exc.reason, key=key, line=cfg.line(key)) from exc
+        raise cfg.library_error(exc, "solve") from exc
 
 
 def _cmd_solve(cfg: Config, args) -> int:
     problem = build_problem(cfg, build_scale(cfg))
     if args.strategy is not None:
-        try:
-            strategy = Strategy(args.strategy.strip().lower())
-        except ValueError:
-            raise ConfigError(
-                f"expected one of {', '.join(s.value for s in Strategy)}, "
-                f"got {args.strategy!r}", key="--strategy")
+        strategy = _flag("--strategy", args.strategy).get_enum("--strategy", Strategy)
     else:
         strategy = cfg.get_enum("solve.strategy", Strategy, Strategy.PICARD)
     brackets = None
@@ -515,14 +481,14 @@ def _cmd_quadrature(cfg: Config, args) -> int:
     scale = build_scale(cfg)
     f = build_nonlinearities(cfg)
     weight = cfg.get_str("quadrature.weight", "plain").strip().lower()
-    if weight not in ("plain", "necessary", "envelope"):
-        raise ConfigError(f"expected plain, necessary, or envelope, got {weight!r}",
-                          key="quadrature.weight", line=cfg.line("quadrature.weight"))
     override = (cfg.get_float("check.eval_point")
                 if "check.eval_point" in cfg else None)
     family = _family(cfg, scale, args.family)
-    report = family_quadrature(f, family, reference=scale, weight=weight,
-                               eval_point_override=override)
+    try:
+        report = family_quadrature(f, family, reference=scale, weight=weight,
+                                   eval_point_override=override)
+    except ConfigError as exc:
+        raise cfg.library_error(exc, "quadrature") from exc
     records = [
         {"points": size, "integrals": [trail[m] for trail in report.trails]}
         for m, size in enumerate(report.scale_sizes)
@@ -535,6 +501,23 @@ def _cmd_quadrature(cfg: Config, args) -> int:
 # --- entry point -----------------------------------------------------------------
 
 
+#: Each subcommand's handler, help line and the flags it reads besides ``--out``.
+_COMMANDS = {
+    "check": (_cmd_check, "run a solvability criterion or hypothesis check",
+              ("seed", "family")),
+    "solve": (_cmd_solve, "solve the Dirichlet problem", ("strategy",)),
+    "bounds": (_cmd_bounds, "construct and verify lower/upper bounds", ()),
+    "quadrature": (_cmd_quadrature, "dump the refinement-family quadrature trail",
+                   ("family",)),
+}
+
+_FLAGS = {
+    "seed": {"type": int, "help": "seed for sampled checks"},
+    "strategy": {"help": "override the solve strategy"},
+    "family": {"help": "override the refinement family (sizes or depths)"},
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused by every call."""
@@ -544,21 +527,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tsdyn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("check", "run a solvability criterion or hypothesis check"),
-        ("solve", "solve the Dirichlet problem"),
-        ("bounds", "construct and verify lower/upper bounds"),
-        ("quadrature", "dump the refinement-family quadrature trail"),
-    ):
+    for name, (_, blurb, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("config", help="path to a key = value configuration file")
         p.add_argument("--out", default=None, help="write results to this file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for sampled checks")
-        p.add_argument("--strategy", default=None,
-                       help="override the solve strategy")
-        p.add_argument("--family", default=None,
-                       help="override the refinement family (sizes or depths)")
+        for flag in flags:
+            p.add_argument(f"--{flag}", default=None, **_FLAGS[flag])
     return parser
 
 
@@ -572,14 +546,6 @@ def _setup_logging() -> None:
     )
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "solve": _cmd_solve,
-    "bounds": _cmd_bounds,
-    "quadrature": _cmd_quadrature,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     _setup_logging()
     try:
@@ -588,7 +554,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _EXIT_OK if exc.code in (0, None) else _EXIT_CONFIG
     try:
         cfg = read_config(args.config)
-        return _HANDLERS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except ConfigError as exc:
         print(f"tsdyn: configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -22,6 +22,7 @@ import numpy as np
 from .calculus import GridFunction, delta_derivative, full_support_values
 from .errors import (
     BoundOrderViolation,
+    ConfigError,
     CriterionNotSatisfied,
     DomainViolation,
     EnvelopeViolation,
@@ -36,7 +37,8 @@ from .expressions import ExpressionTree
 from .green import envelope_weight, green_apply, kernel_lower_weight
 from .model import DirichletProblem, Nonlinearity, rhs_matrix
 from .solver import _defect
-from .timescale import Kind, TimeScale, quantum_family, same_realization, uniform_family
+from .timescale import (QUANTUM_FAMILY_DEPTHS, UNIFORM_FAMILY_SIZES, Kind, TimeScale,
+                        quantum_family, same_realization, uniform_family)
 
 #: Seed for every sampling-based hypothesis check.
 DEFAULT_SEED = 0xD1E5
@@ -198,16 +200,24 @@ def _classify(
     )
 
 
-def _default_family(reference: TimeScale | None) -> list[TimeScale]:
+def _refinement_family(
+    reference: TimeScale | None,
+    sizes: Sequence[int] = UNIFORM_FAMILY_SIZES,
+    depths: Sequence[int] = QUANTUM_FAMILY_DEPTHS,
+) -> list[TimeScale]:
+    """The refinement family of ``reference``, by default the one a criterion
+    classifies over when given none: quantum realizations of its base at
+    ``depths`` when it is a quantum scale, uniform realizations of its span
+    (of ``[0, 1]`` without a reference) at ``sizes`` points otherwise."""
     if reference is None:
-        return uniform_family(0.0, 1.0)
+        return uniform_family(0.0, 1.0, sizes)
     if reference.kind is Kind.QUANTUM and reference.q is not None:
-        return quantum_family(reference.q)
-    return uniform_family(reference.a, reference.sigma2_b)
+        return quantum_family(reference.q, depths)
+    return uniform_family(reference.a, reference.sigma2_b, sizes)
 
 
 def _resolve_family(scales, reference) -> list[TimeScale]:
-    family = list(scales) if scales is not None else _default_family(reference)
+    family = list(scales) if scales is not None else _refinement_family(reference)
     if len(family) < _MIN_FAMILY:
         raise FamilyTooShort(
             f"need at least {_MIN_FAMILY} realizations, got {len(family)}"
@@ -361,7 +371,8 @@ def family_quadrature(
 
     ``plain`` and ``envelope`` feed the envelope to the state slots and
     integrate with weight one respectively the kernel's lower weight;
-    ``necessary`` pins the state at the realized right endpoint.
+    ``necessary`` pins the state at the realized right endpoint.  Any other
+    ``weight`` raises :class:`~tsdyn.errors.ConfigError` keyed ``weight``.
     """
     if weight == "plain":
         return criterion_sufficient(f, scales, reference=reference)
@@ -370,7 +381,9 @@ def family_quadrature(
             f, scales, reference=reference, eval_point_override=eval_point_override
         )
     if weight != "envelope":
-        raise ValueError(f"unknown quadrature weight {weight!r}")
+        raise ConfigError(
+            f"expected plain, necessary, or envelope, got {weight!r}", key="weight"
+        )
     family = _resolve_family(scales, reference)
 
     return _trail_report(f, family, _envelope_states, kernel_lower_weight)

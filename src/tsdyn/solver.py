@@ -80,21 +80,16 @@ class RhsMode(Enum):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """``tol_residual`` bounds the fixed-point defect relative to
-    ``max(1, |u|_inf)`` (see :func:`solve`); ``damping`` is Picard's starting
-    ``theta``, for its damped step and the secant correction it takes on
-    every second step (monotone runs and Newton ignore it); ``rhs_mode`` is
-    resolved per strategy when left unset."""
+    """The stopping rule of :func:`solve`: ``tol_residual`` bounds the
+    fixed-point defect relative to ``max(1, |u|_inf)``, and ``max_iters``
+    caps the iterations.  The right-hand-side mode follows from the strategy
+    and the brackets, and Picard's damping from the measured defects (see
+    :func:`solve`)."""
 
     tol_residual: float = 1e-12
     max_iters: int = 10_000
-    damping: float = 1.0
-    rhs_mode: RhsMode | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise ConfigError(f"must lie in (0, 1], got {self.damping!r}",
-                              key="damping")
         if (not isinstance(self.max_iters, numbers.Integral)
                 or isinstance(self.max_iters, bool) or self.max_iters < 0):
             raise ConfigError(
@@ -153,18 +148,6 @@ def _check_brackets(problem: DirichletProblem, brackets) -> tuple:
         bad = int(np.argwhere(alpha > beta)[0][0])
         raise BracketViolation(bad)
     return alpha, beta
-
-
-def _resolve_mode(
-    strategy: Strategy, config: SolveConfig, has_brackets: bool
-) -> RhsMode:
-    if strategy in (Strategy.MONOTONE_UP, Strategy.MONOTONE_DOWN):
-        # bracket preservation of the iteration map is only exact without
-        # the correction term, so monotone runs always truncate
-        return RhsMode.TRUNCATED
-    if config.rhs_mode is not None:
-        return config.rhs_mode
-    return RhsMode.MODIFIED if has_brackets else RhsMode.RAW
 
 
 def _band(brackets, mode: RhsMode, N: int):
@@ -275,6 +258,8 @@ def solve(
     ``brackets`` is an optional ``(alpha, beta)`` pair of grid functions on
     the full realization; monotone and nested strategies require it.  It is
     checked here once; every strategy below works on its value arrays.
+    ``f*`` is evaluated in ``MODIFIED`` mode with brackets and ``RAW``
+    without, except in monotone runs, which truncate.
 
     Every strategy stops on one test, applied to each iterate ``u``:
     ``CONVERGED`` when ``u`` lies in the band, so the clamp moves no entry
@@ -290,7 +275,7 @@ def solve(
     config = config or SolveConfig()
     if brackets is not None:
         brackets = _check_brackets(problem, brackets)
-    mode = _resolve_mode(strategy, config, brackets is not None)
+    mode = RhsMode.RAW if brackets is None else RhsMode.MODIFIED
     if strategy is Strategy.PICARD:
         return _fixed_point(problem, brackets, mode, config, strategy)
     if strategy in (Strategy.MONOTONE_UP, Strategy.MONOTONE_DOWN):
@@ -300,19 +285,22 @@ def solve(
             )
         up = strategy is Strategy.MONOTONE_UP
         start = brackets[0 if up else 1]
+        # bracket preservation of the iteration map is only exact without
+        # the correction term, so monotone runs truncate
         return _fixed_point(
-            problem, brackets, mode, config, strategy, start, 1 if up else -1
+            problem, brackets, RhsMode.TRUNCATED, config, strategy, start,
+            1 if up else -1,
         )
     if strategy is Strategy.NEWTON_ORACLE:
         return _newton(problem, brackets, mode, config)
     if strategy is Strategy.TRUNCATED_NEST:
         return _nested(problem, brackets, config)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    raise ConfigError(f"unknown strategy {strategy!r}", key="strategy")
 
 
 def _iterate(
     problem, brackets, mode, config, strategy, advance, notes,
-    start=None, theta=1.0, min_theta=1.0,
+    start=None, min_theta=1.0,
 ) -> SolveReport:
     """Judge iterates ``u_0 = start`` (default: band midpoint, or ``phi``),
     ``u_1``, ... by :func:`solve`'s stopping test until it decides.
@@ -320,8 +308,9 @@ def _iterate(
     The test reads ``g = T u_k - u_k`` with ``T u = phi + G f*(., u^sigma)``;
     ``advance(it, u, rhs, image, g, defect, theta)`` then turns ``f*``,
     ``T u_k``, ``g`` and ``|g|_inf`` into ``u_{k+1}``, or returns a status
-    (after noting why) to end the run.  Stagnation halves ``theta`` down to
-    ``min_theta``, then stalls.
+    (after noting why) to end the run.  ``theta`` follows from the measured
+    defects: it starts at 1 and each ``_STALL_STREAK`` iterates without a
+    smaller defect halve it, down to ``min_theta``, where they stall the run.
 
     Everything between the start iterate and the report is a plain
     ``(N+1, n)`` array: ``phi``, the kernel factors of
@@ -343,7 +332,7 @@ def _iterate(
     if u is None:
         u = phi.copy() if brackets is None else 0.5 * (brackets[0] + brackets[1])
         u[0], u[-1] = problem.boundary_left, problem.boundary_right
-    best, streak = math.inf, 0
+    best, streak, theta = math.inf, 0, 1.0
     for it in range(config.max_iters + 1):
         if brackets is None:
             inside = True
@@ -402,8 +391,9 @@ def _fixed_point(
     problem, brackets, mode, config, strategy, start=None, direction=0
 ) -> SolveReport:
     """Picard's step ``u <- (1 - theta) u + theta T u``, ``theta`` starting at
-    ``config.damping``; with a nonzero ``direction`` (+1 up, -1 down) the
-    monotone step ``u <- T u``, each image moving that way.
+    1 and halved by :func:`_iterate` on stagnation; with a nonzero
+    ``direction`` (+1 up, -1 down) the monotone step ``u <- T u``, each image
+    moving that way.
 
     With ``g_k = T u_k - u_k``, a Picard step that follows a plain one at the
     same ``theta`` and has ``|g_k|_inf < |g_{k-1}|_inf`` subtracts the secant
@@ -453,8 +443,7 @@ def _fixed_point(
     if direction:
         return _iterate(problem, brackets, mode, config, strategy, monotone, notes, start)
     return _iterate(
-        problem, brackets, mode, config, strategy, picard,
-        notes, start, config.damping, _MIN_DAMPING,
+        problem, brackets, mode, config, strategy, picard, notes, start, _MIN_DAMPING
     )
 
 

@@ -44,7 +44,8 @@ QUANTUM_FAMILY_DEPTHS = (5, 10, 20, 40, 80)
 
 
 class Kind(Enum):
-    """How a realization was generated; informational, never branched on."""
+    """How a realization was generated; only the criteria's default
+    refinement family branches on it (quantum truncations or uniform meshes)."""
 
     UNIFORM = "uniform"
     QUANTUM = "quantum"

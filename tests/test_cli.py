@@ -247,6 +247,18 @@ class TestQuadratureCommand:
         assert len(per_scale) == 6
         assert records[-1]["overall"] == "convergent"
 
+    def test_unknown_weight_names_the_entry(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "scale.kind = uniform\nscale.points = 17\nf.count = 1\n"
+            "f.1.expr = x1^(-0.5)\nquadrature.weight = Bogus\n",
+        )
+        assert main(["quadrature", str(cfg)]) == 4
+        assert capsys.readouterr().err == (
+            "tsdyn: configuration error: expected plain, necessary, or envelope, "
+            "got 'bogus' (key 'quadrature.weight', line 5)\n"
+        )
+
 
 class TestConfigErrors:
     def test_unknown_key(self, tmp_path, capsys):
@@ -277,17 +289,43 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "entry",
-        ["solve.damping = 0", "solve.max_iters = -1", "solve.tol_residual = -1",
+        ["solve.damping = 0", "solve.damping = 0.5", "solve.rhs_mode = raw",
+         "solve.max_iters = -1", "solve.tol_residual = -1",
          "solve.tol_residual = x", "solve.tol_step = 1e-12"],
     )
     def test_invalid_solve_setting(self, tmp_path, capsys, entry):
-        # solve.tol_step is gone: the defect test has one tolerance
+        # the defect test has one tolerance, the damping follows from the run
+        # and the right-hand-side mode from the strategy, so these keys are gone
         cfg = write_cfg(tmp_path, SOLVE_CFG + entry + "\n")
         assert main(["solve", str(cfg)]) == 4
         err = capsys.readouterr().err
-        assert f"key '{entry.split(' = ')[0]}', line 14" in err
-        if entry.startswith("solve.tol_step"):
+        key = entry.split(" = ")[0]
+        assert f"key '{key}', line 14" in err
+        if key in ("solve.damping", "solve.rhs_mode", "solve.tol_step"):
             assert "unknown entry" in err
+
+    @pytest.mark.parametrize("command", ["check", "solve", "bounds", "quadrature"])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--seed", "7"), ("--strategy", "newton_oracle"),
+         ("--family", "17,33,65,129,257")],
+    )
+    def test_subcommand_takes_only_the_flags_it_reads(
+        self, solve_cfg, capsys, command, flag, value
+    ):
+        reads = {"check": ("--seed", "--family"), "solve": ("--strategy",),
+                 "bounds": (), "quadrature": ("--family",)}
+        code = main([command, str(solve_cfg), flag, value])
+        out, err = capsys.readouterr()
+        if flag not in reads[command]:
+            assert code == 4
+            assert f"unrecognized arguments: {flag} {value}" in err
+            assert out == ""
+        else:
+            assert code == 0
+            # only the CSV outputs of solve and bounds carry a config block
+            if command == "solve":
+                assert f"# override.{flag[2:]} = {value}" in out
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate", "x"]) == 4

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tsdyn import (
     BoundOrderViolation,
+    ConfigError,
     CriterionNotSatisfied,
     DirichletProblem,
     DomainViolation,
@@ -294,8 +295,9 @@ class TestFamilyQuadrature:
         assert len(report.trails) == 2
 
     def test_unknown_weight_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as err:
             family_quadrature([power_law(0.5)], weight="bogus")
+        assert err.value.key == "weight"
 
 
 class TestConstructBounds:

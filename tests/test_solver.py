@@ -1,5 +1,7 @@
 """Fixed-point, monotone, Newton, and nested solution strategies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -186,21 +188,21 @@ class TestDefectStop:
     converge; each solution is checked by scipy's banded solve."""
 
     @pytest.mark.parametrize(
-        "make_scale,damping",
+        "make_scale",
         [
-            (lambda: uniform(0.0, 1.0, 65), 0.5),
-            (lambda: uniform(0.0, 1.0, 1025), 1.0),
-            (lambda: uniform(0.0, 1.0, 4097), 1.0),
-            (lambda: quantum(2.0, 30), 1.0),
-            (lambda: quantum(2.0, 80), 1.0),
+            lambda: uniform(0.0, 1.0, 65),
+            lambda: uniform(0.0, 1.0, 1025),
+            lambda: uniform(0.0, 1.0, 4097),
+            lambda: quantum(2.0, 30),
+            lambda: quantum(2.0, 80),
         ],
-        ids=["uniform-65-damped", "uniform-1025", "uniform-4097", "quantum-30",
+        ids=["uniform-65", "uniform-1025", "uniform-4097", "quantum-30",
              "quantum-80"],
     )
-    def test_converges_to_the_banded_solution(self, make_scale, damping):
+    def test_converges_to_the_banded_solution(self, make_scale):
         ts = make_scale()
         p = power_problem(ts)
-        config = SolveConfig(damping=damping)
+        config = SolveConfig()
         report = solve(p, brackets=construct_bounds(p).pair, config=config)
         assert report.status is Status.CONVERGED
         assert report.bracket_respected
@@ -292,13 +294,17 @@ class TestSecantStep:
             tsdyn.solver, "rhs_matrix",
             lambda *a, **k: calls.append(1) or original(*a, **k),
         )
-        report = solve(
-            singular65, brackets=construct_bounds(singular65).pair,
-            config=SolveConfig(damping=0.5),
-        )
+        pair = construct_bounds(singular65).pair
+        report = solve(singular65, brackets=pair)
         assert report.status is Status.CONVERGED
         size = float(np.max(np.abs(report.solution.values)))
         assert report.defect <= SolveConfig().tol_residual * max(1.0, size)
+        assert len(calls) == report.iterations + 1
+        # a zero tolerance makes the run halve theta before it stalls
+        calls.clear()
+        report = solve(singular65, brackets=pair, config=SolveConfig(tol_residual=0.0))
+        assert report.status is Status.STALLED
+        assert any("damping reduced" in note for note in report.notes)
         assert len(calls) == report.iterations + 1
 
     def test_bracket_free_raw_run_converges(self):
@@ -392,23 +398,6 @@ class TestMonotone:
         gap = np.max(np.abs(up.solution.values - down.solution.values))
         assert gap < 1e-8
 
-    @pytest.mark.parametrize(
-        "strategy", [Strategy.MONOTONE_UP, Strategy.MONOTONE_DOWN]
-    )
-    def test_ignores_damping(self, strategy):
-        ts = uniform(0.0, 1.0, 33)
-        p = isotone_problem(ts)
-        pair = construct_bounds(p)
-        plain = solve(p, strategy=strategy, brackets=pair.pair)
-        damped = solve(
-            p, strategy=strategy, brackets=pair.pair, config=SolveConfig(damping=0.5)
-        )
-        assert damped.solution.values.tobytes() == plain.solution.values.tobytes()
-        assert damped.iterations == plain.iterations
-        assert damped.final_residual == plain.final_residual
-        assert damped.status is plain.status
-        assert damped.notes == plain.notes
-
     def test_antitone_map_breaks_ordering(self, singular65):
         # decreasing f makes the operator order-reversing, which the
         # direction check must flag rather than silently accept
@@ -493,10 +482,6 @@ class TestSolveConfig:
     @pytest.mark.parametrize(
         "key,value",
         [
-            ("damping", 0.0),
-            ("damping", -0.5),
-            ("damping", 3.0),
-            ("damping", float("nan")),
             ("max_iters", -1),
             ("max_iters", 2.5),
             ("max_iters", True),
@@ -510,9 +495,18 @@ class TestSolveConfig:
         assert err.value.key == key
 
     def test_edges_accepted(self):
-        config = SolveConfig(tol_residual=0.0, max_iters=0, damping=1.0)
+        config = SolveConfig(tol_residual=0.0, max_iters=0)
         assert config.max_iters == 0
-        assert SolveConfig(max_iters=np.int64(5), damping=1e-3).max_iters == 5
+        assert SolveConfig(max_iters=np.int64(5)).max_iters == 5
+
+    def test_holds_only_the_stopping_rule(self):
+        fields = [field.name for field in dataclasses.fields(SolveConfig)]
+        assert fields == ["tol_residual", "max_iters"]
+
+    def test_unknown_strategy_is_a_config_error(self, singular65):
+        with pytest.raises(ConfigError) as err:
+            solve(singular65, strategy="picard")
+        assert err.value.key == "strategy"
 
 
 class TestResidual:
