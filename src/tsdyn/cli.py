@@ -228,7 +228,7 @@ def _family(cfg: Config, scale: TimeScale, override: str | None) -> list[TimeSca
     """The refinement family of ``scale``: the ``--family`` ladder, else the
     file's ``family.sizes`` (uniform meshes) or ``family.depths`` (quantum
     truncations), else the library default for the scale's kind."""
-    if override:
+    if override is not None:
         ladder = _flag("--family", override).get_ints("--family")
         return _refinement_family(scale, ladder, ladder)
     ladders = {name: cfg.get_ints(f"family.{name}")

@@ -16,13 +16,14 @@ level of the nested strategy and Newton differ only in the start iterate,
 the right-hand-side mode and the step from one iterate to the next.
 Picard's step, shared by every nested level, is damped Picard with a
 guarded secant correction on every second step (Anderson acceleration of
-depth 1); the monotone steps and Newton's are unchanged.  Three array
-cores hold the formulas every path shares: :func:`_regularized` evaluates
-``f*`` on the equation points, :func:`~tsdyn.green.green_solve` applies the
-kernel with the factors of :func:`~tsdyn.green.kernel_factors`, which the
-loop forms once per solve, and :func:`_defect` forms ``-u^DD - f*``.  A
-solve builds a ``GridFunction`` only at entry (``phi``) and exit (the
-solution); support checks happen at the public edges only.
+depth 1); monotone runs take ``u <- T u``, and Newton a Newton-Krylov step
+whose only operator is the kernel solve.  Three array cores hold the
+formulas every path shares: :func:`_regularized` evaluates ``f*`` on the
+equation points, :func:`~tsdyn.green.green_solve` applies the kernel with
+the factors of :func:`~tsdyn.green.kernel_factors`, which the loop forms
+once per solve, and :func:`_defect` forms ``-u^DD - f*``.  A solve builds a
+``GridFunction`` only at entry (``phi``) and exit (the solution); support
+checks happen at the public edges only.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ DIVERGENCE_LIMIT = 1e12
 _STALL_STREAK = 5
 _MIN_DAMPING = 1.0 / 64.0
 _LINE_SEARCH_HALVINGS = 40
+#: Newton's relative forward-difference step and largest Krylov basis.
+_JACOBIAN_STEP = 1.5e-8
+_KRYLOV_DIM = 60
 
 
 class Strategy(Enum):
@@ -267,9 +271,10 @@ def solve(
     ``|phi + G f*(., u^sigma) - u|_inf`` is at most
     ``config.tol_residual * max(1, |u|_inf)``; ``DIVERGED`` when ``|u|_inf``
     or the defect passes ``DIVERGENCE_LIMIT`` or ``f*`` cannot be
-    evaluated; ``STALLED`` when the defect has not decreased for
-    ``_STALL_STREAK`` iterations at the smallest damping (1/64, or 1 for
-    monotone runs and Newton), or when Newton's line search fails;
+    evaluated; ``STALLED`` at once when the defect meets that bound outside
+    the band, which shows the band is not invariant, when it has not
+    decreased for ``_STALL_STREAK`` iterations at the smallest damping (1/64,
+    or 1 for monotone runs and Newton), or when Newton's line search fails;
     ``MAX_ITERS`` otherwise.
     """
     config = config or SolveConfig()
@@ -325,20 +330,15 @@ def _iterate(
     N = ts.last_index
     phi = affine_interpolant(ts, problem.boundary_left, problem.boundary_right).values
     factors = kernel_factors(ts)
-    band = _band(brackets, mode, N)
-    if brackets is not None:
-        lower, upper = brackets[0][1:N], brackets[1][1:N]
+    band = _band(brackets, mode, N)  # None without brackets
     u = start
     if u is None:
         u = phi.copy() if brackets is None else 0.5 * (brackets[0] + brackets[1])
         u[0], u[-1] = problem.boundary_left, problem.boundary_right
     best, streak, theta = math.inf, 0, 1.0
     for it in range(config.max_iters + 1):
-        if brackets is None:
-            inside = True
-        else:
-            inner = u[1:N]
-            inside = bool((lower <= inner).all() and (inner <= upper).all())
+        inner = u[1:N]
+        inside = band is None or bool(((band[0] <= inner) & (inner <= band[1])).all())
         try:
             rhs = _regularized(problem, u, band, mode, inside)
             image = phi + green_solve(factors, rhs)
@@ -355,8 +355,13 @@ def _iterate(
             notes.append(f"iteration {it}: defect {defect:.3e}, |u| {size:.3e}")
             status = Status.DIVERGED
             break
-        if inside and defect <= config.tol_residual * max(1.0, size):
-            status = Status.CONVERGED
+        if defect <= config.tol_residual * max(1.0, size):
+            status = Status.CONVERGED if inside else Status.STALLED
+            if not inside:
+                moved = int(np.count_nonzero(inner.clip(*band) != inner))
+                notes.append(f"iteration {it}: band not invariant: defect "
+                             f"{defect:.3e} meets the tolerance where the clamp "
+                             f"moves {moved} entries")
             break
         best, streak = (defect, 0) if defect < best else (best, streak + 1)
         if streak >= _STALL_STREAK:
@@ -447,80 +452,74 @@ def _fixed_point(
     )
 
 
-def _system_rows(problem, u, rhs):
-    """Rows of the full discrete system at ``u`` given ``f*`` there: the two
-    boundary mismatches and ``-u^DD - f*`` between them."""
+def _newton_operator(problem, u, band, mode, rhs, factors):
+    """Newton's operator ``v -> (I - G J) v`` on ``(N+1, n)`` arrays at ``u``,
+    where ``f*`` is ``rhs``; rows 0 and N pass through.  ``f*`` at point ``k``
+    reads only ``u_{k+1}``, so ``J`` is block diagonal, ``(N-1, n, n)``, and
+    one forward-difference :func:`_regularized` call per component gives it."""
     N = problem.scale.last_index
-    out = np.empty_like(u)
-    out[0] = u[0] - np.asarray(problem.boundary_left)
-    out[1:N] = _defect(problem.scale, u, rhs)
-    out[N] = u[N] - np.asarray(problem.boundary_right)
-    return out
+    jac = np.empty(rhs.shape + rhs.shape[1:])
+    for j in range(rhs.shape[1]):
+        shifted = u.copy()
+        shifted[1:N, j] += _JACOBIAN_STEP * np.maximum(1.0, np.abs(u[1:N, j]))
+        step = (shifted - u)[1:N, j, None]
+        jac[:, :, j] = (_regularized(problem, shifted, band, mode) - rhs) / step
+    return lambda v: v - green_solve(factors, np.einsum("kij,kj->ki", jac, v[1:N]))
+
+
+def _gmres(apply, b: np.ndarray, rtol: float) -> np.ndarray:
+    """GMRES from zero for ``apply(x) = b`` (``b`` nonzero) until the residual
+    is at most ``rtol * |b|_2`` or the basis holds ``_KRYLOV_DIM`` vectors."""
+    size = float(np.linalg.norm(b))
+    basis, hess = [b / size], np.zeros((_KRYLOV_DIM + 1, _KRYLOV_DIM))
+    target = np.r_[size, np.zeros(_KRYLOV_DIM)]
+    for m in range(1, _KRYLOV_DIM + 1):
+        w = apply(basis[-1])
+        for i, q in enumerate(basis):
+            hess[i, m - 1] = np.vdot(q, w)
+            w = w - hess[i, m - 1] * q
+        hess[m, m - 1] = np.linalg.norm(w)
+        y, gap, *_ = np.linalg.lstsq(hess[: m + 1, :m], target[: m + 1], rcond=None)
+        if not gap.size or gap[0] <= (rtol * size) ** 2:
+            break
+        basis.append(w / hess[m, m - 1])
+    return sum(c * q for c, q in zip(y, basis))
 
 
 def _newton(problem, brackets, mode, config):
-    """Newton steps on the full discrete system ``F(z) = 0`` (``z``
-    component-major) with a finite-difference Jacobian and a backtracking
-    line search on ``|F|``, judged by :func:`_iterate`'s stopping test."""
+    """Newton-Krylov steps on ``g = T u - u = 0``, judged by :func:`_iterate`.
+    GMRES solves ``(I - G J) delta = g`` (:func:`_newton_operator`) to the
+    relative tolerance ``min(1e-2, |g|_inf)``, which keeps the tail quadratic.
+    The step is halved until the trial, clipped into the band with its
+    boundary values pinned, has a smaller defect, or the run stalls."""
     ts = problem.scale
     N = ts.last_index
-    n = problem.n_components
-    dim = (N + 1) * n
+    phi = affine_interpolant(ts, problem.boundary_left, problem.boundary_right).values
+    factors = kernel_factors(ts)
     band = _band(brackets, mode, N)
+    low, high = brackets or (-np.inf, np.inf)
     notes: list[str] = []
 
-    def F(zv: np.ndarray) -> np.ndarray:
-        vals = zv.reshape((N + 1, n), order="F")
-        return _system_rows(
-            problem, vals, _regularized(problem, vals, band, mode)
-        ).flatten(order="F")
-
-    def clipped(zv: np.ndarray) -> np.ndarray:
-        vals = zv.reshape((N + 1, n), order="F")
-        vals = np.array(vals)
-        if brackets is not None:
-            vals = np.clip(vals, *brackets)
-        vals[0] = problem.boundary_left
-        vals[-1] = problem.boundary_right
-        return vals.flatten(order="F")
-
-    def safe_norm(zv: np.ndarray) -> float:
-        try:
-            fz = F(zv)
-        except (DomainViolation, NonFiniteResult):
-            return math.inf
-        if not np.all(np.isfinite(fz)):
-            return math.inf
-        return float(np.max(np.abs(fz)))
-
     def step(it, u, rhs, image, g, g_max, theta):
-        z = u.flatten(order="F")
-        Fz = _system_rows(problem, u, rhs).flatten(order="F")
-        J = np.empty((dim, dim))
-        for j in range(dim):
-            h = 1e-6 * max(1.0, abs(z[j]))
-            zp = np.array(z)
-            zm = np.array(z)
-            zp[j] += h
-            zm[j] -= h
-            try:
-                J[:, j] = (F(zp) - F(zm)) / (2.0 * h)
-            except (DomainViolation, NonFiniteResult):
-                # fall back to a one-sided difference toward the iterate
-                J[:, j] = (Fz - F(zm)) / h
         try:
-            direction = np.linalg.solve(J, -Fz)
-        except np.linalg.LinAlgError:
-            notes.append(f"iteration {it}: singular jacobian")
+            operator = _newton_operator(problem, u, band, mode, rhs, factors)
+        except (DomainViolation, NonFiniteResult) as exc:
+            notes.append(f"iteration {it}: {exc}")
             return Status.DIVERGED
-        base = float(np.max(np.abs(Fz)))
-        lam = 1.0
-        for _ in range(_LINE_SEARCH_HALVINGS + 1):
-            z_try = clipped(z + lam * direction)
-            if safe_norm(z_try) < base:
-                return z_try.reshape((N + 1, n), order="F")
-            lam *= 0.5
-        notes.append(f"iteration {it}: line search failed at |F| = {base:.3e}")
+        delta = _gmres(operator, g, min(1e-2, g_max))
+        reach = (u + delta)[1:N]
+        moved = 0 if band is None else int(np.count_nonzero(reach.clip(*band) != reach))
+        for halvings in range(_LINE_SEARCH_HALVINGS + 1):
+            z = np.clip(u + 0.5**halvings * delta, low, high)
+            z[0], z[-1] = problem.boundary_left, problem.boundary_right
+            try:
+                rhs = _regularized(problem, z, band, mode)
+            except (DomainViolation, NonFiniteResult):
+                continue
+            if np.abs(phi + green_solve(factors, rhs) - z).max() < g_max:
+                return z
+        notes.append(f"iteration {it}: line search failed at defect {g_max:.3e}; "
+                     f"the clamp moves {moved} entries of the full step")
         return Status.STALLED
 
     return _iterate(problem, brackets, mode, config, Strategy.NEWTON_ORACLE, step, notes)

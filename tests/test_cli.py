@@ -327,6 +327,16 @@ class TestConfigErrors:
             if command == "solve":
                 assert f"# override.{flag[2:]} = {value}" in out
 
+    @pytest.mark.parametrize("command", ["check", "quadrature"])
+    def test_empty_family_is_a_config_error(self, solve_cfg, capsys, command):
+        # an empty ladder is not "no override", just as an empty --strategy
+        # is not
+        assert main([command, str(solve_cfg), "--family", ""]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "expected comma-separated integers, got ''" in err
+        assert "key '--family'" in err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate", "x"]) == 4
 
@@ -405,6 +415,22 @@ class TestRunFailures:
         iterations = int(re.search(r"^# iterations = (\d+)$", text, re.M).group(1))
         assert iterations < 200
         assert f"# note = iteration {iterations}: defect stalled at" in text
+
+    @pytest.mark.parametrize("strategy", ["picard", "newton_oracle"])
+    def test_band_that_is_not_invariant_exits_three(self, tmp_path, strategy):
+        # without declared degrees the constructed band has alpha == beta,
+        # which is not a lower/upper pair; the run stops at once
+        cfg = write_cfg(tmp_path, SOLVE_CFG.replace("f.1.lambda = -0.5\n", "")
+                        .replace("f.1.mu = 0.5\n", ""))
+        out = tmp_path / "run.csv"
+        assert main(["solve", str(cfg), "--strategy", strategy, "--out", str(out)]) == 3
+        text = out.read_text()
+        assert "# status = stalled" in text
+        iterations = int(re.search(r"^# iterations = (\d+)$", text, re.M).group(1))
+        assert iterations <= 10
+        note = ("band not invariant" if strategy == "picard"
+                else "the clamp moves 63 entries of the full step")
+        assert note in text
 
     def test_unresolvable_bounds_exit_two(self, tmp_path):
         # negative boundary data puts the problem outside the positive class

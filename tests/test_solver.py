@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsdyn.solver
 from test_green import banded_oracle
@@ -23,12 +25,14 @@ from tsdyn import (
     clamp_to_band,
     construct_bounds,
     envelope_weight,
+    from_points,
     quantum,
     regularized_rhs,
     residual_norm,
     solve,
     uniform,
 )
+from tsdyn.green import kernel_factors
 
 
 def power_problem(ts, gamma=0.5):
@@ -36,6 +40,28 @@ def power_problem(ts, gamma=0.5):
         f"x1^(-{gamma})", arity=1, degree_low=(-gamma,), degree_high=(gamma,)
     )
     return DirichletProblem(ts, (f,))
+
+
+def coupled_problem(ts, gamma=0.5):
+    """Two components, each singular in its own state and weakly in the
+    other's: ``x_i^(-gamma) * x_j^(-gamma/3)``."""
+    weak = gamma / 3.0
+    f = tuple(
+        Nonlinearity.from_expression(
+            f"x{i}^(-{gamma}) * x{j}^(-{weak})", arity=2, component_index=i,
+            degree_low=tuple(-gamma if c == i else -weak for c in (1, 2)),
+            degree_high=tuple(gamma if c == i else -weak for c in (1, 2)),
+        )
+        for i, j in ((1, 2), (2, 1))
+    )
+    return DirichletProblem(ts, f, (0.0, 0.0), (0.0, 0.0))
+
+
+def zero_degree_problem(ts):
+    """The README problem without its declared degrees: both rows default to
+    zero, so ``construct_bounds`` returns ``alpha == beta``, a band that is
+    not invariant."""
+    return DirichletProblem(ts, (Nonlinearity.from_expression("x1^(-0.5)", arity=1),))
 
 
 def isotone_problem(ts):
@@ -225,8 +251,9 @@ class TestDefectStop:
     @pytest.mark.parametrize("strategy", [Strategy.PICARD, Strategy.MONOTONE_UP])
     def test_fixed_point_outside_the_band_is_not_converged(self, strategy):
         # with an upper bracket below the solution the clamped map still has
-        # a fixed point, but the clamp moves entries there; monotone runs
-        # never damp, so they stall after one streak
+        # a fixed point, but the clamp moves entries there: the first iterate
+        # that meets the tolerance outside the band ends the run, before any
+        # damping is reduced
         p = isotone_problem(uniform(0.0, 1.0, 33))
         alpha, beta = construct_bounds(p).pair
         exact = solve(p, brackets=(alpha, beta)).solution.values
@@ -235,9 +262,33 @@ class TestDefectStop:
         assert report.status is Status.STALLED
         assert not report.bracket_respected
         assert report.defect < 1e-12
-        assert "defect stalled" in report.notes[-1]
-        damped = [note for note in report.notes if "damping reduced" in note]
-        assert len(damped) == (6 if strategy is Strategy.PICARD else 0)
+        assert report.notes == (
+            f"iteration {report.iterations}: band not invariant: defect "
+            f"{report.defect:.3e} meets the tolerance where the clamp moves "
+            "31 entries",
+        )
+
+    @pytest.mark.parametrize("points", [65, 1025])
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.PICARD, Strategy.MONOTONE_DOWN]
+    )
+    def test_band_that_is_not_invariant_stops_at_once(self, points, strategy):
+        # alpha == beta here, and the modified map's fixed point lies outside
+        # that band; damped Picard used to halve theta six times and stall
+        # after 46 iterations with "defect stalled at 0.000e+00"
+        p = zero_degree_problem(uniform(0.0, 1.0, points))
+        alpha, beta = construct_bounds(p).pair
+        assert np.array_equal(alpha.values, beta.values)
+        report = solve(p, strategy=strategy, brackets=(alpha, beta))
+        assert report.status is Status.STALLED
+        assert report.iterations <= 10
+        assert not report.bracket_respected
+        assert report.defect <= SolveConfig().tol_residual
+        assert report.notes == (
+            f"iteration {report.iterations}: band not invariant: defect "
+            f"{report.defect:.3e} meets the tolerance where the clamp moves "
+            f"{points - 2} entries",
+        )
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_every_strategy_reports_the_deciding_defect(self, strategy):
@@ -361,7 +412,7 @@ class TestNewton:
 
     def test_failed_line_search_is_stalled(self):
         # a zero tolerance is unreachable: at the roundoff floor no step
-        # lowers |F| any more
+        # lowers the fixed-point defect any more
         p = power_problem(uniform(0.0, 1.0, 17))
         report = solve(
             p,
@@ -371,6 +422,105 @@ class TestNewton:
         )
         assert report.status is Status.STALLED
         assert "line search failed" in report.notes[-1]
+
+
+    @pytest.mark.parametrize("make_problem", [power_problem, coupled_problem],
+                             ids=["scalar", "coupled"])
+    def test_operator_matches_a_dense_difference_jacobian(self, make_problem):
+        # (I - G J) v against central differences of u -> T u - u over every
+        # interior entry, at an iterate the band clamp moves in some entries
+        p = make_problem(uniform(0.0, 1.0, 33))
+        ts, N, n = p.scale, p.scale.last_index, p.n_components
+        alpha, beta = construct_bounds(p).pair
+        rng = np.random.default_rng(7)
+        width = beta.values - alpha.values
+        u = alpha.values + width * rng.uniform(-0.5, 1.5, size=width.shape)
+        u[0] = u[-1] = 0.0
+        inner = u[1:N]
+        moved = (inner < alpha.values[1:N]) | (inner > beta.values[1:N])
+        assert 0 < moved.sum() < moved.size
+
+        def defect_map(values):
+            image = apply_green_operator(
+                p, GridFunction(ts, values, 0, N), (alpha, beta), RhsMode.MODIFIED
+            )
+            return (image.values - values)[1:N].ravel()
+
+        dense = np.empty(((N - 1) * n, (N - 1) * n))
+        for col in range((N - 1) * n):
+            k, i = divmod(col, n)
+            h = 1e-6 * max(1.0, abs(u[k + 1, i]))
+            step = np.zeros_like(u)
+            step[k + 1, i] = h
+            dense[:, col] = (defect_map(u + step) - defect_map(u - step)) / (2.0 * h)
+
+        band = tsdyn.solver._band((alpha.values, beta.values), RhsMode.MODIFIED, N)
+        rhs = tsdyn.solver._regularized(p, u, band, RhsMode.MODIFIED)
+        operator = tsdyn.solver._newton_operator(
+            p, u, band, RhsMode.MODIFIED, rhs, kernel_factors(ts)
+        )
+        structured = np.empty_like(dense)
+        for col in range((N - 1) * n):
+            v = np.zeros_like(u)
+            v[1 + col // n, col % n] = 1.0
+            image = operator(v)
+            assert not image[0].any() and not image[-1].any()
+            structured[:, col] = image[1:N].ravel()
+        # d(T u - u) = G J - I = -(I - G J)
+        assert np.max(np.abs(structured + dense)) <= 1e-5 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.66, 0.69, 0.8])
+    @pytest.mark.parametrize("depth", [30, 80])
+    def test_converges_on_quantum_meshes(self, depth, gamma):
+        p = power_problem(quantum(2.0, depth), gamma)
+        pair = construct_bounds(p).pair
+        picard = solve(p, brackets=pair)
+        newton = solve(p, strategy=Strategy.NEWTON_ORACLE, brackets=pair)
+        assert picard.converged and newton.converged
+        assert newton.bracket_respected
+        u = picard.solution.values
+        gap = np.max(np.abs(u - newton.solution.values))
+        assert gap <= 1e-11 * max(1.0, float(np.max(np.abs(u))))
+
+    def test_band_that_is_not_invariant_stalls_at_once(self):
+        # Newton's trials are clipped into the band, so with alpha == beta
+        # no step can lower the defect; the note counts the entries the
+        # clamp moves in the full step
+        p = zero_degree_problem(uniform(0.0, 1.0, 65))
+        report = solve(p, strategy=Strategy.NEWTON_ORACLE,
+                       brackets=construct_bounds(p).pair)
+        assert report.status is Status.STALLED
+        assert report.iterations == 0
+        assert report.notes == (
+            f"iteration 0: line search failed at defect {report.defect:.3e}; "
+            "the clamp moves 63 entries of the full step",
+        )
+
+
+class TestNewtonAgreesWithPicard:
+    """Random jittered explicit meshes, one and two components."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        points=st.integers(min_value=9, max_value=129),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        gamma=st.floats(min_value=0.3, max_value=0.7),
+        coupled=st.booleans(),
+    )
+    def test_same_solution(self, points, seed, gamma, coupled):
+        jitter = np.random.default_rng(seed).uniform(-0.3, 0.3, points - 2)
+        inner = (np.arange(1, points - 1) + jitter) / (points - 1)
+        ts = from_points(np.concatenate([[0.0], inner, [1.0]]))
+        p = (coupled_problem if coupled else power_problem)(ts, gamma)
+        pair = construct_bounds(p).pair
+        picard = solve(p, brackets=pair)
+        newton = solve(p, strategy=Strategy.NEWTON_ORACLE, brackets=pair)
+        for report in (picard, newton):
+            assert report.status is Status.CONVERGED
+            assert report.bracket_respected
+        u = picard.solution.values
+        gap = np.max(np.abs(u - newton.solution.values))
+        assert gap <= 1e-11 * max(1.0, float(np.max(np.abs(u))))
 
 
 class TestMonotone:
