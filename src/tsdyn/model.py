@@ -14,6 +14,7 @@ strict brackets are what the shape constraints below ask for.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -30,7 +31,7 @@ from .errors import (
 from .expressions import ExpressionTree, parse_expression
 from .timescale import TimeScale
 
-Body = Union[ExpressionTree, Callable[[float, Sequence[float]], float]]
+Body = Union[ExpressionTree, Callable[[float, tuple[float, ...]], float]]
 
 #: States below this are outside every nonlinearity's declared domain.
 DEFAULT_DOMAIN_FLOOR = 1e-12
@@ -48,7 +49,8 @@ class Nonlinearity:
 
     ``component_index`` is 1-based and selects which degree-bracket entries
     are "diagonal" for the shape constraints.  ``body`` is either a parsed
-    expression in ``t, x1..xn`` or any callable ``(t, x) -> float``.
+    expression in ``t, x1..xn`` or any callable ``(t, x) -> float``; a
+    callable always gets ``x`` as a tuple of Python floats.
     """
 
     arity: int
@@ -108,6 +110,7 @@ class Nonlinearity:
             )
         if isinstance(self.body, ExpressionTree):
             return self.body.evaluate(t, x)
+        x = tuple(map(float, x))
         try:
             v = float(self.body(t, x))
         except ZeroDivisionError as exc:
@@ -256,16 +259,19 @@ def rhs_matrix(
     ``row k, component i:``.
 
     Expression bodies are evaluated over all rows at once.  Callable bodies
-    are called in one row-major pass, ``body(t, states[k])`` with ``t`` a
-    Python float, once per entry, and their results are converted with
-    ``float`` and checked for finiteness as one block.  Only the entries an
-    expression guard flags, and the callable entries that raised or gave a
-    non-finite value, go through the scalar :meth:`Nonlinearity.evaluate`
-    (which calls the body a second time, so bodies are assumed pure), in
-    row-major order, so the first error raised is the one a row-by-row loop
-    would meet first.  When every body is an expression and no guard fires,
-    the values are returned as evaluated, read-only; with one component they
-    can share memory with ``states`` or the scale's points.
+    are called column by column, rows in order within each column, once per
+    entry, as ``body(t, x)`` with ``t`` a Python float and ``x`` the state
+    row as a tuple of Python floats (built once per call and shared by the
+    columns).  Each column is one pass of ``map(float, starmap(body, ...))``;
+    an entry that raises is marked and the pass resumes at the next entry.
+    Only the entries an expression guard flags, and the callable entries
+    that raised or gave a non-finite value, go through the scalar
+    :meth:`Nonlinearity.evaluate` (which calls the body a second time, so
+    bodies are assumed pure), in row-major order, so the first error raised
+    is the one a row-by-row loop would meet first.  When every body is an
+    expression and no guard fires, the values are returned as evaluated,
+    read-only; with one component they can share memory with ``states`` or
+    the scale's points.
     """
     ts = problem.scale
     rows = ts.last_index - 1
@@ -287,20 +293,28 @@ def rhs_matrix(
     scalar = np.zeros((rows, n), dtype=bool)
     for i, (column, flags) in evaluated.items():
         out[:, i], scalar[:, i] = column, flags
-    callables = [i for i in range(n) if i not in evaluated]
     points = ts.points[:rows].tolist()
+    callables = [i for i in range(n) if i not in evaluated]
     if callables:
-        bodies = [problem.f[i].body for i in callables]
-        vals: list[float] = []
-        for t, x in zip(points, states):
-            for body in bodies:
-                try:
-                    vals.append(float(body(t, x)))
-                except Exception:
-                    vals.append(math.nan)  # sends the entry to the scalar path below
-        block = np.array(vals, dtype=float).reshape(rows, len(callables))
-        out[:, callables] = block
-        scalar[:, callables] = ~np.isfinite(block)
+        xs = list(zip(*states.T.tolist()))
+    for i in callables:
+        body = problem.f[i].body
+        values: list[float] = []
+        rest = zip(points, xs)
+        while True:
+            try:
+                values.extend(map(float, itertools.starmap(body, rest)))
+            except Exception:
+                pass
+            if len(values) == rows:
+                break
+            # the pass stopped at the first missing entry: it raised, or its
+            # StopIteration ended the pass.  ``extend`` keeps what it
+            # appended; mark the entry for the scalar path below and resume
+            # after it.
+            values.append(math.nan)
+        out[:, i] = values
+        scalar[:, i] = ~np.isfinite(out[:, i])
     skipped: list[int] = []
     for k, i in np.argwhere(scalar).tolist():
         try:

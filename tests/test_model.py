@@ -1,6 +1,7 @@
 """Nonlinearity declarations, degree brackets, and problem assembly."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from tsdyn import (
     Nonlinearity,
     ShapeViolation,
     UnknownVariable,
+    check_lipschitz_bound,
+    check_monotone_in_state,
+    check_scaling_exponents,
     emden_fowler,
     rhs_matrix,
     uniform,
@@ -29,6 +33,7 @@ FAULTS = {
     "overflow": OverflowError("math range error"),
     "domain": DomainViolation("outside the domain"),
     "type": TypeError("unsupported operand"),
+    "stop": StopIteration("exhausted"),  # ends a bare iterator pass early
     "nan": math.nan,
     "+inf": math.inf,
     "-inf": -math.inf,
@@ -39,10 +44,22 @@ FAULTS = {
 }
 
 
-def faulty(faults):
-    """A callable that is smooth except at the times in ``faults``."""
+def fails(fault):
+    """Whether an entry that gives ``fault`` goes to the scalar path: it
+    raises, or ``float`` of it raises or is not finite."""
+    try:
+        return not math.isfinite(float(fault))
+    except Exception:
+        return True
+
+
+def faulty(faults, calls=None, i=0):
+    """A callable that is smooth except at the times in ``faults``; with
+    ``calls``, it counts its calls per ``(i, t)``."""
 
     def body(t, x):
+        if calls is not None:
+            calls[i, t] += 1
         fault = faults.get(t)
         if isinstance(fault, Exception):
             raise type(fault)(*fault.args)
@@ -121,6 +138,24 @@ class TestNonlinearity:
             degree_high=(0.0,),
         )
         assert f.evaluate(0.5, (1.5,)) == 2.0
+
+    def test_callable_gets_a_tuple_of_floats_on_every_path(self, unit65):
+        seen = set()
+
+        def body(t, x):
+            seen.add((type(x), *map(type, x)))
+            return math.pow(x[0], -0.5) * math.pow(x[1], -0.25)
+
+        f = Nonlinearity(2, 1, body, (-0.5, -0.25), (0.5, -0.25))
+        g = Nonlinearity(2, 2, body, (-0.5, -0.25), (-0.5, 0.25))
+        assert f.evaluate(0.5, np.array([4.0, 16.0])) == 0.25
+        assert f.evaluate(0.5, [4, 16]) == 0.25
+        DirichletProblem(unit65, (f, g), (0.0, 0.0), (0.0, 0.0)).evaluate_rhs(
+            0.5, np.array([1.0, 2.0]))
+        check_scaling_exponents(f, unit65, samples=5)
+        check_monotone_in_state(f, unit65, samples=5)
+        check_lipschitz_bound(f, unit65, (0.5, 2.0), samples=5)
+        assert seen == {(tuple, float, float)}
 
     def test_callable_arithmetic_errors_translated(self):
         f = Nonlinearity(
@@ -314,7 +349,7 @@ class TestRhsMatrix:
         t = unit65.points[1:-2]
         assert vals[1:, 0].tolist() == [f.evaluate(tk, (4.0,)) for tk in t.tolist()]
 
-    def test_callable_called_once_per_entry_in_row_major_order(self, unit65):
+    def test_callable_called_once_per_entry_column_by_column(self, unit65):
         calls = []
 
         def recorder(i):
@@ -337,12 +372,12 @@ class TestRhsMatrix:
         assert skipped == ()
         points = unit65.points.tolist()
         assert [(i, t) for i, t, _ in calls] == [
-            (i, points[k]) for k in range(rows) for i in (0, 1)
+            (i, points[k]) for i in (0, 1) for k in range(rows)
         ]
         for n, (i, t, x) in enumerate(calls):
             assert type(t) is float
-            assert isinstance(x, np.ndarray) and np.shares_memory(x, states)
-            assert x.tolist() == states[n // 2].tolist()
+            assert type(x) is tuple and all(type(v) is float for v in x)
+            assert list(x) == states[n % rows].tolist()
         assert vals.tolist() == [
             [t + s1, t + s2] for t, (s1, s2) in zip(points, states.tolist())
         ]
@@ -366,28 +401,37 @@ class TestRhsMatrix:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        npoints=st.integers(min_value=4, max_value=12),
+        npoints=st.integers(min_value=4, max_value=40),
         kinds=st.lists(st.sampled_from(["callable", "expression"]), min_size=1, max_size=2),
-        faults=st.lists(
-            st.dictionaries(st.integers(0, 9), st.sampled_from(sorted(FAULTS)), max_size=3),
+        runs=st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 39), st.integers(1, 4), st.sampled_from(sorted(FAULTS))),
+                max_size=3,
+            ),
             min_size=2, max_size=2,
         ),
-        negative=st.sets(st.integers(0, 9), max_size=2),
+        negative=st.sets(st.integers(0, 39), max_size=2),
     )
-    def test_matches_the_row_by_row_loop(self, npoints, kinds, faults, negative):
+    def test_matches_the_row_by_row_loop(self, npoints, kinds, runs, negative):
         """Byte-equal values, the same drops and the same first error as the
-        scalar loop, with faults at random entries (row 0 included) and with
-        expression guards firing on negative states and at t = 0."""
+        scalar loop, with runs of faulty rows at random places (row 0 and the
+        last row included, back to back too) and with expression guards
+        firing on negative states and at t = 0.  Every callable entry is
+        called once, and once more if it faults and the scalar loop reaches
+        it."""
         ts = uniform(0.0, 1.0, npoints)
         rows = ts.last_index - 1
         n = len(kinds)
         points = ts.points.tolist()
         zeros = (0.0,) * n
-        f = []
+        calls = Counter()
+        f, where = [], {}
         for i, kind in enumerate(kinds):
             if kind == "callable":
-                where = {points[k]: FAULTS[name] for k, name in faults[i].items() if k < rows}
-                f.append(Nonlinearity(n, i + 1, faulty(where), zeros, zeros))
+                where[i] = {points[k]: FAULTS[name]
+                            for start, length, name in runs[i]
+                            for k in range(start, min(start + length, rows))}
+                f.append(Nonlinearity(n, i + 1, faulty(where[i], calls, i), zeros, zeros))
             else:
                 f.append(Nonlinearity.from_expression(
                     f"t^(-1) + x{i + 1}^0.5", arity=n, component_index=i + 1))
@@ -396,7 +440,14 @@ class TestRhsMatrix:
         for k in negative:
             if k < rows:
                 states[k, -1] = -1.0
-        assert outcome(rhs_matrix, p, states) == outcome(row_by_row, p, states)
+        got = outcome(rhs_matrix, p, states)
+        got_calls = calls.copy()
+        calls.clear()
+        assert got == outcome(row_by_row, p, states)
+        for i, faults in where.items():
+            for t in points[:rows]:
+                again = fails(faults.get(t, 0.0)) and calls[i, t] > 0
+                assert got_calls[i, t] == 1 + again, (i, t)
 
     def test_shape_checked(self, unit65):
         p = DirichletProblem(unit65, (power_law(0.5),))

@@ -1,6 +1,7 @@
 """Fixed-point, monotone, Newton, and nested solution strategies."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +75,40 @@ def isotone_problem(ts):
 @pytest.fixture
 def singular65(unit65):
     return power_problem(unit65)
+
+
+class TestCallableBodies:
+    """A callable right-hand side gets each state row as a tuple of Python
+    floats.  Without brackets the states ``solve`` evaluates are a view of
+    the iterate, so a body that writes into ``x`` must fail, not change it."""
+
+    @pytest.mark.parametrize("bracketed", [False, True])
+    def test_body_sees_only_tuples(self, unit65, bracketed):
+        seen = set()
+
+        def body(t, x):
+            seen.add((type(t), type(x), *map(type, x)))
+            return math.pow(x[0], -0.5)
+
+        problem = DirichletProblem(unit65, (Nonlinearity(1, 1, body, (-0.5,), (0.5,)),))
+        twin = power_problem(unit65)
+        brackets = construct_bounds(twin).pair if bracketed else None
+        report = solve(problem, brackets=brackets)
+        expected = solve(twin, brackets=brackets)
+        assert seen == {(float, tuple, float)}
+        assert report.status is expected.status
+        assert report.solution.values.tobytes() == expected.solution.values.tobytes()
+
+    @pytest.mark.parametrize("bracketed", [False, True])
+    def test_body_cannot_write_into_the_iterate(self, unit65, bracketed):
+        def body(t, x):
+            x[0] = 0.0
+            return 1.0
+
+        problem = DirichletProblem(unit65, (Nonlinearity(1, 1, body, (0.0,), (0.0,)),))
+        brackets = construct_bounds(power_problem(unit65)).pair if bracketed else None
+        with pytest.raises(TypeError):
+            solve(problem, brackets=brackets)
 
 
 class TestLinearRegression:
