@@ -137,8 +137,7 @@ class GridFunction:
 
     def _binary(self, other, op) -> "GridFunction":
         if isinstance(other, GridFunction):
-            if not same_realization(self.scale, other.scale):
-                raise ScaleMismatch("operands live on different realizations")
+            require_realization(other, self.scale, "operand")
             lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
             if lo > hi:
                 raise EmptySupport("supports do not overlap")
@@ -174,10 +173,18 @@ class GridFunction:
         return GridFunction(self.scale, -self.values, self.lo, self.hi)
 
 
-def full_support_values(u: GridFunction, last_index: int, what: str) -> np.ndarray:
-    """``u``'s values, which must cover indices ``0 .. last_index``; ``what``
-    names ``u`` in the error."""
-    if u.lo > 0 or u.hi < last_index:
+def require_realization(u: GridFunction, scale: TimeScale, what: str) -> None:
+    """Raise :class:`ScaleMismatch` unless ``u`` lives on ``scale``'s
+    realization (:func:`same_realization`); ``what`` names ``u``."""
+    if not same_realization(u.scale, scale):
+        raise ScaleMismatch(f"{what} lives on another realization")
+
+
+def full_support_values(u: GridFunction, scale: TimeScale, what: str) -> np.ndarray:
+    """``u``'s values, which must live on ``scale``'s realization and cover
+    all of it; ``what`` names ``u`` in the error."""
+    require_realization(u, scale, what)
+    if u.lo > 0 or u.hi < scale.last_index:
         raise SupportMismatch(f"{what} must cover the whole realization")
     return u.values
 

@@ -424,8 +424,6 @@ def _cmd_solve(cfg: Config, args) -> int:
         ("defect", _fmt(report.defect)),
         ("bracket_respected", str(report.bracket_respected).lower()),
     ]
-    if report.nest_trail is not None:
-        summary.append(("nest_trail", ";".join(_fmt(v) for v in report.nest_trail)))
     summary.extend(("note", note) for note in report.notes)
     _emit(_csv(cfg, args, header, columns, summary), args.out)
     if report.status is Status.CONVERGED:

@@ -19,7 +19,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .calculus import GridFunction, delta_derivative, full_support_values
+from .calculus import (GridFunction, delta_derivative, full_support_values,
+                       require_realization)
 from .errors import (
     BoundOrderViolation,
     ConfigError,
@@ -29,7 +30,6 @@ from .errors import (
     FamilyTooShort,
     NonFiniteResult,
     NonpositiveEndpoint,
-    ScaleMismatch,
     ShapeViolation,
     SupportMismatch,
 )
@@ -38,7 +38,7 @@ from .green import envelope_weight, green_apply, kernel_lower_weight
 from .model import DirichletProblem, Nonlinearity, rhs_matrix
 from .solver import _defect
 from .timescale import (QUANTUM_FAMILY_DEPTHS, UNIFORM_FAMILY_SIZES, Kind, TimeScale,
-                        quantum_family, same_realization, uniform_family)
+                        quantum_family, uniform_family)
 
 #: Seed for every sampling-based hypothesis check.
 DEFAULT_SEED = 0xD1E5
@@ -53,6 +53,8 @@ _MAGNITUDE_LIMIT = 1e12
 _TINY = 1e-300
 _ABS_FLOOR = 1e-12
 _MIN_FAMILY = 5
+#: The sampled hypothesis checks draw states log-uniformly in [10 * this, 1e3].
+_STATE_FLOOR = 1e-12
 
 
 class Verdict(Enum):
@@ -103,8 +105,7 @@ class BoundsPair:
     def __post_init__(self):
         if self.beta is None:
             return
-        if not same_realization(self.alpha.scale, self.beta.scale):
-            raise ScaleMismatch("bounds must live on one realization")
+        require_realization(self.beta, self.alpha.scale, "upper bound")
         if self.alpha.support != self.beta.support:
             raise SupportMismatch("bounds must share a support")
         if np.any(self.alpha.values > self.beta.values):
@@ -533,7 +534,7 @@ def construct_lower(
 def _verify(problem, candidate, sign, slack) -> VerificationReport:
     ts = problem.scale
     N = ts.last_index
-    u = full_support_values(candidate, N, "candidate")
+    u = full_support_values(candidate, ts, "candidate")
     vals, skipped = rhs_matrix(problem, u[1:N])
     # sign +1 checks a lower solution: -u^DD <= f; -1 the reverse
     margin = -sign * _defect(ts, u, vals)
@@ -588,7 +589,7 @@ def compute_envelope(
     _require_positive_system(problem, "the envelope display")
     ts = problem.scale
     N = ts.last_index
-    u = full_support_values(solution, N, "solution")
+    u = full_support_values(solution, ts, "solution")
     vals, skipped = rhs_matrix(problem, u[1:N])
     J1 = _quadrature(ts, vals, kernel_lower_weight(ts))
     J2 = _quadrature(ts, vals)
@@ -641,7 +642,7 @@ def check_scaling_exponents(
     """
     rng = np.random.default_rng(seed)
     times = _interior_times(ts)
-    lo_x = math.log10(f.domain_floor * 10.0)
+    lo_x = math.log10(_STATE_FLOOR * 10.0)
     try:
         f.validate_shape()
         shape_ok = True
@@ -710,7 +711,7 @@ def check_monotone_in_state(
     """Sample coordinatewise monotonicity of the state dependence."""
     rng = np.random.default_rng(seed)
     times = _interior_times(ts)
-    lo_x = math.log10(f.domain_floor * 10.0)
+    lo_x = math.log10(_STATE_FLOOR * 10.0)
     checked = 0
     witness = None
     for _ in range(samples):

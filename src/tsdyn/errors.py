@@ -49,7 +49,7 @@ class BadRange(TsdynError):
 
 
 class ScaleMismatch(TsdynError):
-    """Two grid functions live on different realizations."""
+    """A grid function lives on another realization than the operation's."""
 
 
 class SupportMismatch(TsdynError):

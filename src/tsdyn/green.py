@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import GridFunction
+from .calculus import GridFunction, require_realization
 from .errors import IndexOutOfRange, SupportMismatch
 from .timescale import TimeScale
 
@@ -92,7 +92,8 @@ def green_solve(factors: tuple, h: np.ndarray) -> np.ndarray:
 
 def green_apply(ts: TimeScale, h: GridFunction) -> GridFunction:
     """:func:`green_solve` for a grid function ``h`` that covers the equation
-    points ``0..N-2``; extra top entries are ignored."""
+    points ``0..N-2`` of ``ts``'s realization; extra top entries are ignored."""
+    require_realization(h, ts, "right-hand side")
     N = ts.last_index
     if h.lo > 0 or h.hi < N - 2:
         raise SupportMismatch(

@@ -33,9 +33,6 @@ from .timescale import TimeScale
 
 Body = Union[ExpressionTree, Callable[[float, tuple[float, ...]], float]]
 
-#: States below this are outside every nonlinearity's declared domain.
-DEFAULT_DOMAIN_FLOOR = 1e-12
-
 
 def _fmt_exponent(v: float) -> str:
     if v == int(v) and abs(v) < 1e15:
@@ -58,7 +55,6 @@ class Nonlinearity:
     body: Body
     degree_low: tuple[float, ...]
     degree_high: tuple[float, ...]
-    domain_floor: float = DEFAULT_DOMAIN_FLOOR
 
     def __post_init__(self):
         if self.arity < 1:
@@ -80,8 +76,6 @@ class Nonlinearity:
                 raise UnknownVariable(
                     f"expression uses x{used} but arity is {self.arity}"
                 )
-        if not self.domain_floor > 0.0:
-            raise DomainViolation("domain floor must be positive")
 
     @classmethod
     def from_expression(

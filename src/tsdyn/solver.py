@@ -11,10 +11,9 @@ Every strategy runs one loop, :func:`_iterate`, on plain ``(N+1, n)``
 arrays, and stops on its one test: the fixed-point defect
 ``|phi + G f(., u^sigma) - u|_inf`` of an in-band iterate, whose roundoff
 floor, unlike that of the differential residual, does not grow as the mesh
-is refined (see :func:`solve`).  Picard, both monotone directions, every
-level of the nested strategy and Newton differ only in the start iterate,
-the right-hand-side mode and the step from one iterate to the next.
-Picard's step, shared by every nested level, is damped Picard with a
+is refined (see :func:`solve`).  Picard, both monotone directions and
+Newton differ only in the start iterate, the right-hand-side mode and the
+step from one iterate to the next.  Picard's step is damped Picard with a
 guarded secant correction on every second step (Anderson acceleration of
 depth 1); monotone runs take ``u <- T u``, and Newton a Newton-Krylov step
 whose only operator is the kernel solve.  Three array cores hold the
@@ -35,18 +34,18 @@ from enum import Enum
 
 import numpy as np
 
-from .calculus import GridFunction, difference_quotient, full_support_values
+from .calculus import (GridFunction, difference_quotient, full_support_values,
+                       require_realization)
 from .errors import (
     BracketViolation,
     ConfigError,
     DomainViolation,
     NonFiniteResult,
     SupportMismatch,
-    TooFewPoints,
 )
 from .green import affine_interpolant, green_apply, green_solve, kernel_factors
 from .model import DirichletProblem, rhs_matrix
-from .timescale import TimeScale, from_points
+from .timescale import TimeScale
 
 #: Iterates or fixed-point defects beyond this magnitude are declared divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -66,7 +65,10 @@ class Strategy(Enum):
     MONOTONE_UP = "monotone_up"
     MONOTONE_DOWN = "monotone_down"
     NEWTON_ORACLE = "newton_oracle"
-    TRUNCATED_NEST = "truncated_nest"
+
+
+# bench/workloads.py still names the removed strategy; as a non-member solve() rejects it
+Strategy.TRUNCATED_NEST = "truncated_nest"
 
 
 class Status(Enum):
@@ -111,8 +113,7 @@ class SolveReport:
     quantity that decided the status (infinite if the image could not be
     formed).  ``final_residual`` is the differential residual
     ``|-u^DD - f(., u^sigma)|_inf`` with the raw ``f``, computed once at the
-    end (infinite outside ``f``'s domain).  Nested runs report both for
-    their widest level.
+    end (infinite outside ``f``'s domain).
     """
 
     solution: GridFunction
@@ -122,7 +123,6 @@ class SolveReport:
     final_residual: float
     defect: float
     bracket_respected: bool
-    nest_trail: tuple[float, ...] | None = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -134,6 +134,8 @@ def clamp_to_band(
     u: GridFunction, alpha: GridFunction, beta: GridFunction
 ) -> GridFunction:
     """Clip ``u`` pointwise into ``[alpha, beta]`` on ``u``'s support."""
+    require_realization(alpha, u.scale, "alpha")
+    require_realization(beta, u.scale, "beta")
     lo = alpha.restrict(u.lo, u.hi).values
     hi = beta.restrict(u.lo, u.hi).values
     return GridFunction(u.scale, np.clip(u.values, lo, hi), u.lo, u.hi)
@@ -142,9 +144,8 @@ def clamp_to_band(
 def _check_brackets(problem: DirichletProblem, brackets) -> tuple:
     """The ``(alpha, beta)`` value arrays of a checked bracket pair."""
     alpha, beta = brackets
-    N = problem.scale.last_index
     for g in (alpha, beta):
-        full_support_values(g, N, "brackets")
+        full_support_values(g, problem.scale, "brackets")
         if g.n_components != problem.n_components:
             raise SupportMismatch("bracket component count differs from the system")
     alpha, beta = alpha.values, beta.values
@@ -214,7 +215,7 @@ def regularized_rhs(
     if brackets is not None:
         brackets = _check_brackets(problem, brackets)
     N = problem.scale.last_index
-    full = full_support_values(u, N, "iterate")
+    full = full_support_values(u, problem.scale, "iterate")
     vals = _regularized(problem, full, _band(brackets, mode, N), mode)
     return GridFunction.from_values(problem.scale, vals, lo=0)
 
@@ -238,7 +239,7 @@ def residual_norm(problem: DirichletProblem, u: GridFunction) -> float:
     Uses the raw right hand side; an iterate outside ``f``'s domain scores
     infinity rather than raising.
     """
-    full = full_support_values(u, problem.scale.last_index, "iterate")
+    full = full_support_values(u, problem.scale, "iterate")
     return _residual(problem, full)
 
 
@@ -260,7 +261,7 @@ def solve(
     """Solve the Dirichlet problem with the chosen strategy.
 
     ``brackets`` is an optional ``(alpha, beta)`` pair of grid functions on
-    the full realization; monotone and nested strategies require it.  It is
+    the full realization; monotone strategies require it.  It is
     checked here once; every strategy below works on its value arrays.
     ``f*`` is evaluated in ``MODIFIED`` mode with brackets and ``RAW``
     without, except in monotone runs, which truncate.
@@ -298,8 +299,6 @@ def solve(
         )
     if strategy is Strategy.NEWTON_ORACLE:
         return _newton(problem, brackets, mode, config)
-    if strategy is Strategy.TRUNCATED_NEST:
-        return _nested(problem, brackets, config)
     raise ConfigError(f"unknown strategy {strategy!r}", key="strategy")
 
 
@@ -524,65 +523,3 @@ def _newton(problem, brackets, mode, config):
 
     return _iterate(problem, brackets, mode, config, Strategy.NEWTON_ORACLE, step, notes)
 
-
-def _nested(problem, brackets, config):
-    """Solve a nest of centered truncations, widening back to the full scale.
-
-    Each level keeps indices ``k .. N-k`` of the realization, pins the
-    truncated boundary to the band midpoints there, and runs the damped
-    fixed-point iteration.  The reported status, defect and residual are the
-    widest level's own; the trail records max-abs changes between consecutive levels
-    on shared indices.
-    """
-    if brackets is None:
-        raise BracketViolation(-1, "nested truncation needs a band for its boundaries")
-    ts = problem.scale
-    N = ts.last_index
-    k_max = (N - 3) // 2
-    if k_max < 1:
-        raise TooFewPoints("nested truncation needs at least six points")
-    alpha, beta = brackets
-    mid = 0.5 * (alpha + beta)
-    trail: list[float] = []
-    notes: list[str] = []
-    prev = None
-    total_iters = 0
-    for k in range(k_max, 0, -1):
-        sub_ts = from_points(ts.points[k : N - k + 1])
-        sub_problem = DirichletProblem(
-            sub_ts, problem.f, tuple(mid[k]), tuple(mid[N - k])
-        )
-        sub_report = _fixed_point(
-            sub_problem,
-            (alpha[k : N - k + 1], beta[k : N - k + 1]),
-            RhsMode.MODIFIED,
-            config,
-            Strategy.TRUNCATED_NEST,
-        )
-        total_iters += sub_report.iterations
-        notes.append(
-            f"level {k}: {sub_ts.npoints} points, {sub_report.iterations} iterations, "
-            f"defect {sub_report.defect:.3e}, residual {sub_report.final_residual:.3e}"
-        )
-        if prev is not None:
-            # current level rows 1..-2 sit on the previous level's indices
-            trail.append(
-                float(np.max(np.abs(sub_report.solution.values[1:-1] - prev)))
-            )
-        prev = sub_report.solution.values
-    assembled = np.empty((N + 1, problem.n_components))
-    assembled[0] = problem.boundary_left
-    assembled[-1] = problem.boundary_right
-    assembled[1:N] = prev
-    solution = GridFunction(ts, assembled, 0, N)
-    return SolveReport(
-        solution=solution,
-        strategy=Strategy.TRUNCATED_NEST,
-        status=sub_report.status,
-        iterations=total_iters,
-        final_residual=sub_report.final_residual,
-        defect=sub_report.defect,
-        bracket_respected=_bracket_respected(solution.values, brackets),
-        nest_trail=tuple(trail),
-        notes=tuple(notes),
-    )

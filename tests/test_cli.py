@@ -327,6 +327,23 @@ class TestConfigErrors:
             if command == "solve":
                 assert f"# override.{flag[2:]} = {value}" in out
 
+    @pytest.mark.parametrize("where", ["entry", "flag"])
+    def test_nested_truncation_is_a_config_error(self, solve_cfg, tmp_path, capsys,
+                                                 where):
+        if where == "entry":
+            cfg = write_cfg(tmp_path, SOLVE_CFG.replace(
+                "solve.strategy = picard", "solve.strategy = truncated_nest"))
+            args, key = ["solve", str(cfg)], "key 'solve.strategy', line 12"
+        else:
+            args = ["solve", str(solve_cfg), "--strategy", "truncated_nest"]
+            key = "key '--strategy'"
+        assert main(args) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert ("expected one of picard, monotone_up, monotone_down, newton_oracle, "
+                "got 'truncated_nest'") in err
+        assert key in err
+
     @pytest.mark.parametrize("command", ["check", "quadrature"])
     def test_empty_family_is_a_config_error(self, solve_cfg, capsys, command):
         # an empty ladder is not "no override", just as an empty --strategy

@@ -1,4 +1,5 @@
-"""Fixed-point, monotone, Newton, and nested solution strategies."""
+"""Fixed-point, monotone and Newton solution strategies, and the realization
+check at the solver and criteria entry points."""
 
 import dataclasses
 import math
@@ -19,19 +20,23 @@ from tsdyn import (
     RhsMode,
     SolveConfig,
     Status,
+    ScaleMismatch,
     Strategy,
     SupportMismatch,
-    TooFewPoints,
     apply_green_operator,
     clamp_to_band,
+    compute_envelope,
     construct_bounds,
     envelope_weight,
     from_points,
+    green_apply,
     quantum,
     regularized_rhs,
     residual_norm,
     solve,
     uniform,
+    verify_lower,
+    verify_upper,
 )
 from tsdyn.green import kernel_factors
 
@@ -165,7 +170,7 @@ class TestPicard:
         assert report.iterations == 3
 
     @pytest.mark.parametrize(
-        "strategy", [Strategy.PICARD, Strategy.TRUNCATED_NEST, Strategy.NEWTON_ORACLE]
+        "strategy", [Strategy.PICARD, Strategy.NEWTON_ORACLE]
     )
     def test_start_residual_reported_without_steps(self, singular65, strategy):
         pair = construct_bounds(singular65)
@@ -177,8 +182,7 @@ class TestPicard:
         assert report.iterations == 0
         assert 0.0 < report.final_residual < np.inf
         assert 0.0 < report.defect < np.inf
-        if strategy is not Strategy.TRUNCATED_NEST:
-            assert report.final_residual == residual_norm(singular65, report.solution)
+        assert report.final_residual == residual_norm(singular65, report.solution)
 
     def test_one_rhs_evaluation_per_iteration(self, singular65, monkeypatch):
         calls = []
@@ -592,31 +596,6 @@ class TestMonotone:
         assert any("monotonicity violated" in n for n in report.notes)
 
 
-class TestNested:
-    def test_converges_on_truncations(self):
-        ts = uniform(0.0, 1.0, 33)
-        p = isotone_problem(ts)
-        pair = construct_bounds(p)
-        report = solve(p, strategy=Strategy.TRUNCATED_NEST, brackets=pair.pair)
-        assert report.converged
-        assert report.nest_trail is not None
-        assert len(report.nest_trail) >= 2
-        assert report.solution.support == (0, ts.last_index)
-
-    def test_needs_room_to_truncate(self, unit5):
-        p = isotone_problem(unit5)
-        pair = construct_bounds(p)
-        with pytest.raises(TooFewPoints):
-            solve(p, strategy=Strategy.TRUNCATED_NEST, brackets=pair.pair)
-
-    def test_trail_contracts(self, singular65):
-        pair = construct_bounds(singular65)
-        report = solve(singular65, strategy=Strategy.TRUNCATED_NEST, brackets=pair.pair)
-        assert report.converged
-        # successive truncations stay inside the band and settle down
-        assert report.nest_trail[-1] < 1.0
-
-
 class TestRhsModes:
     def test_truncated_stays_in_band(self, singular65):
         pair = construct_bounds(singular65)
@@ -693,6 +672,16 @@ class TestSolveConfig:
             solve(singular65, strategy="picard")
         assert err.value.key == "strategy"
 
+    def test_nested_truncation_is_gone(self, singular65):
+        # its widest level pinned indices 1 and N-1 to the band midpoints, so
+        # it solved another problem than the one it was given
+        assert [s.value for s in Strategy] == [
+            "picard", "monotone_up", "monotone_down", "newton_oracle"]
+        pair = construct_bounds(singular65)
+        with pytest.raises(ConfigError) as err:
+            solve(singular65, strategy=Strategy.TRUNCATED_NEST, brackets=pair.pair)
+        assert err.value.key == "strategy"
+
 
 class TestResidual:
     def test_exact_solution_scores_zero(self, unit65):
@@ -712,3 +701,46 @@ class TestResidual:
         u = report.solution
         image = apply_green_operator(singular65, u, pair.pair, RhsMode.TRUNCATED)
         assert np.max(np.abs(image.values - u.values)) < 1e-8
+
+
+#: Each entry point handed grid functions on ``other``: a band ``(alpha,
+#: beta)`` and an iterate ``u``, all for the problem ``p``.
+ENTRY_POINTS = {
+    "solve": lambda p, alpha, beta, u: solve(p, brackets=(alpha, beta)),
+    "regularized_rhs": lambda p, alpha, beta, u: regularized_rhs(
+        p, u, (alpha, beta), RhsMode.MODIFIED),
+    "apply_green_operator": lambda p, alpha, beta, u: apply_green_operator(p, u),
+    "residual_norm": lambda p, alpha, beta, u: residual_norm(p, u),
+    "verify_lower": lambda p, alpha, beta, u: verify_lower(p, alpha),
+    "verify_upper": lambda p, alpha, beta, u: verify_upper(p, beta),
+    "compute_envelope": lambda p, alpha, beta, u: compute_envelope(p, u),
+    "green_apply": lambda p, alpha, beta, u: green_apply(p.scale, u),
+    "clamp_to_band": lambda p, alpha, beta, u: clamp_to_band(
+        GridFunction(p.scale, u.values, u.lo, u.hi), alpha, beta),
+}
+
+
+class TestRealizationCheck:
+    """Grid functions on another realization with the same point count are
+    refused where they enter; an equal-points copy of the scale is the same
+    realization."""
+
+    @staticmethod
+    def moved(other):
+        ts = uniform(0.0, 1.0, 65)
+        p = power_problem(ts)
+        pair = construct_bounds(p)
+        u = solve(p, brackets=pair.pair).solution
+        return p, *(GridFunction(other, g.values, g.lo, g.hi)
+                    for g in (pair.alpha, pair.beta, u))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_another_realization_is_refused(self, entry):
+        other = quantum(2.0, 63)
+        assert other.npoints == 65
+        with pytest.raises(ScaleMismatch):
+            ENTRY_POINTS[entry](*self.moved(other))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_equal_points_copy_is_accepted(self, entry):
+        ENTRY_POINTS[entry](*self.moved(from_points(np.linspace(0.0, 1.0, 65))))
