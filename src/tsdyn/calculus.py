@@ -195,6 +195,13 @@ def difference_quotient(values: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return (values[1:] - values[:-1]) / mu[:, None]
 
 
+def equation_defect(ts: TimeScale, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``-u^DD - rhs`` at the equation points ``k = 0 .. N-2`` of ``ts``, for
+    full ``(N+1, n)`` values ``u`` and one ``rhs`` row per equation point."""
+    mu = ts.mu
+    return -difference_quotient(difference_quotient(u, mu), mu[:-1]) - rhs
+
+
 def delta_derivative(u: GridFunction) -> GridFunction:
     """Forward difference quotient against graininess; support shrinks by one."""
     if u.hi - u.lo < 1:

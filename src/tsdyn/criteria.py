@@ -19,8 +19,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .calculus import (GridFunction, delta_derivative, full_support_values,
-                       require_realization)
+from .calculus import (GridFunction, delta_derivative, equation_defect,
+                       full_support_values, require_realization)
 from .errors import (
     BoundOrderViolation,
     ConfigError,
@@ -36,7 +36,6 @@ from .errors import (
 from .expressions import ExpressionTree
 from .green import envelope_weight, green_apply, kernel_lower_weight
 from .model import DirichletProblem, Nonlinearity, rhs_matrix
-from .solver import _defect
 from .timescale import (QUANTUM_FAMILY_DEPTHS, UNIFORM_FAMILY_SIZES, Kind, TimeScale,
                         quantum_family, uniform_family)
 
@@ -55,6 +54,10 @@ _ABS_FLOOR = 1e-12
 _MIN_FAMILY = 5
 #: The sampled hypothesis checks draw states log-uniformly in [10 * this, 1e3].
 _STATE_FLOOR = 1e-12
+#: Relative pad of the sampled scaling and monotonicity comparisons.
+_SAMPLE_REL_TOL = 1e-9
+#: Absolute slack of the envelope display, for an approximate solution.
+_ENVELOPE_SLACK = 1e-6
 
 
 class Verdict(Enum):
@@ -537,7 +540,7 @@ def _verify(problem, candidate, sign, slack) -> VerificationReport:
     u = full_support_values(candidate, ts, "candidate")
     vals, skipped = rhs_matrix(problem, u[1:N])
     # sign +1 checks a lower solution: -u^DD <= f; -1 the reverse
-    margin = -sign * _defect(ts, u, vals)
+    margin = -sign * equation_defect(ts, u, vals)
     if not np.all(np.isfinite(margin)):
         raise NonFiniteResult("second delta derivative of the candidate is not finite")
     bad = np.argwhere(margin < -slack)
@@ -576,15 +579,13 @@ def verify_upper(
     return _verify(problem, candidate, -1.0, slack)
 
 
-def compute_envelope(
-    problem: DirichletProblem, solution: GridFunction, *, slack: float = 1e-6
-) -> dict:
+def compute_envelope(problem: DirichletProblem, solution: GridFunction) -> dict:
     """Pin the solution between scaled copies of the envelope weight.
 
     Every nonnegative kernel image lies between ``J1 e(t)`` and ``J2 e(t)``
-    where the ``J`` are the solution-fed construction integrals; ``slack``
-    absorbs the residual of an approximate solution.  Raises
-    :class:`EnvelopeViolation` at the first escape.
+    where the ``J`` are the solution-fed construction integrals;
+    ``_ENVELOPE_SLACK`` absorbs the residual of an approximate solution.
+    Raises :class:`EnvelopeViolation` at the first escape.
     """
     _require_positive_system(problem, "the envelope display")
     ts = problem.scale
@@ -595,8 +596,8 @@ def compute_envelope(
     J2 = _quadrature(ts, vals)
     e = envelope_weight(ts).component(1)
     for i in range(problem.n_components):
-        low = J1[i] * e - slack
-        high = J2[i] * e + slack
+        low = J1[i] * e - _ENVELOPE_SLACK
+        high = J2[i] * e + _ENVELOPE_SLACK
         col = u[:, i]
         if np.any(col < low):
             k = int(np.argmax(col - low < 0))
@@ -630,7 +631,6 @@ def check_scaling_exponents(
     *,
     samples: int = 64,
     seed: int = DEFAULT_SEED,
-    rel_tol: float = 1e-9,
 ) -> ScalingReport:
     """Sample the two-sided degree bracket the nonlinearity declares.
 
@@ -674,7 +674,7 @@ def check_scaling_exponents(
                     lower, upper = c**hi_edge * base, c**lo_edge * base
                 else:
                     lower, upper = c**lo_edge * base, c**hi_edge * base
-                pad = rel_tol * (abs(lower) + abs(upper)) + _TINY
+                pad = _SAMPLE_REL_TOL * (abs(lower) + abs(upper)) + _TINY
                 if witness is None and (value < lower - pad or value > upper + pad):
                     witness = {
                         "t": t,
@@ -706,7 +706,6 @@ def check_monotone_in_state(
     samples: int = 200,
     seed: int = DEFAULT_SEED,
     nonincreasing: bool = True,
-    rel_tol: float = 1e-9,
 ) -> SampleReport:
     """Sample coordinatewise monotonicity of the state dependence."""
     rng = np.random.default_rng(seed)
@@ -727,7 +726,7 @@ def check_monotone_in_state(
         except (DomainViolation, NonFiniteResult):
             continue
         drift = after - before if nonincreasing else before - after
-        pad = rel_tol * (abs(before) + abs(after)) + _TINY
+        pad = _SAMPLE_REL_TOL * (abs(before) + abs(after)) + _TINY
         if witness is None and drift > pad:
             witness = {
                 "t": t,

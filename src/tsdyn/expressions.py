@@ -281,8 +281,6 @@ def _power(base: float, expo: float) -> float:
         return base ** expo
     except OverflowError as exc:
         raise NonFiniteResult("power overflow") from exc
-    except ZeroDivisionError as exc:  # 0 ** negative int via pow
-        raise DomainViolation("zero base with negative exponent") from exc
 
 
 def _eval_array(node: Node, t: np.ndarray, x: np.ndarray, flagged: np.ndarray):
@@ -352,7 +350,7 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
 def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 

@@ -110,6 +110,7 @@ def affine_interpolant(ts: TimeScale, A, B) -> GridFunction:
         raise SupportMismatch("boundary vectors must have equal length")
     frac = (ts.points - ts.a) / ts.span
     vals = Avec[None, :] + (Bvec - Avec)[None, :] * frac[:, None]
+    vals[-1] = Bvec  # A + (B - A) * 1 can miss B by an ulp
     return GridFunction(ts, vals, 0, ts.last_index)
 
 

@@ -14,6 +14,7 @@ strict brackets are what the shape constraints below ask for.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,16 +29,10 @@ from .errors import (
     ShapeViolation,
     UnknownVariable,
 )
-from .expressions import ExpressionTree, parse_expression
+from .expressions import BinOp, Const, ExpressionTree, StateVar, TimeVar, parse_expression
 from .timescale import TimeScale
 
 Body = Union[ExpressionTree, Callable[[float, tuple[float, ...]], float]]
-
-
-def _fmt_exponent(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
 
 
 @dataclass(frozen=True)
@@ -169,18 +164,22 @@ def emden_fowler(
     if not coefficient > 0.0:
         raise ShapeViolation("coefficient must be positive")
     exps = tuple(float(g) for g in exponents)
-    parts = []
+    if not all(map(math.isfinite, (coefficient, t_power) + exps)):
+        raise ShapeViolation("coefficient, t_power and exponents must be finite")
+
+    def power(base, expo):
+        return base if expo == 1.0 else BinOp("^", base, Const(float(expo)))
+
+    factors = []
     if coefficient != 1.0 or (t_power == 0.0 and all(g == 0.0 for g in exps)):
-        parts.append(_fmt_exponent(coefficient))
+        factors.append(Const(float(coefficient)))
     if t_power != 0.0:
-        parts.append("t" if t_power == 1.0 else f"t^{_fmt_exponent(t_power)}")
-    for j, g in enumerate(exps, start=1):
-        if g != 0.0:
-            parts.append(f"x{j}" if g == 1.0 else f"x{j}^{_fmt_exponent(g)}")
+        factors.append(power(TimeVar(), t_power))
+    factors += [power(StateVar(j), g) for j, g in enumerate(exps, start=1) if g != 0.0]
     return Nonlinearity(
         arity=len(exps),
         component_index=component_index,
-        body=parse_expression("*".join(parts)),
+        body=ExpressionTree(functools.reduce(lambda a, b: BinOp("*", a, b), factors)),
         degree_low=exps,
         degree_high=exps,
     )

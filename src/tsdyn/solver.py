@@ -7,20 +7,17 @@ can be clamped into the band (``TRUNCATED``) or clamped plus a bounded
 correction term that pushes escaped iterates back (``MODIFIED``); ``RAW``
 evaluates as-is.
 
-Every strategy runs one loop, :func:`_iterate`, on plain ``(N+1, n)``
-arrays, and stops on its one test: the fixed-point defect
-``|phi + G f(., u^sigma) - u|_inf`` of an in-band iterate, whose roundoff
-floor, unlike that of the differential residual, does not grow as the mesh
-is refined (see :func:`solve`).  Picard, both monotone directions and
-Newton differ only in the start iterate, the right-hand-side mode and the
-step from one iterate to the next.  Picard's step is damped Picard with a
-guarded secant correction on every second step (Anderson acceleration of
-depth 1); monotone runs take ``u <- T u``, and Newton a Newton-Krylov step
-whose only operator is the kernel solve.  Three array cores hold the
-formulas every path shares: :func:`_regularized` evaluates ``f*`` on the
-equation points, :func:`~tsdyn.green.green_solve` applies the kernel with
-the factors of :func:`~tsdyn.green.kernel_factors`, which the loop forms
-once per solve, and :func:`_defect` forms ``-u^DD - f*``.  A solve builds a
+A solve builds one fixed-point map, :class:`_FixedPointMap`, which forms
+``phi``, the kernel factors and the band once and is the one place where
+``f*`` and ``T u = phi + G f*(., u^sigma)`` are evaluated.  Every strategy
+runs one loop, :func:`_iterate`, on plain ``(N+1, n)`` arrays, and stops on
+its one test: the fixed-point defect ``|T u - u|_inf`` of an in-band
+iterate, whose roundoff floor, unlike that of the differential residual,
+does not grow as the mesh is refined (see :func:`solve`).  :func:`solve`
+picks the start iterate, the right-hand-side mode and the step: damped
+Picard with a guarded secant correction on every second step (Anderson
+acceleration of depth 1), the monotone step ``u <- T u``, or a Newton-Krylov
+step whose only operator is the kernel solve.  A solve builds a
 ``GridFunction`` only at entry (``phi``) and exit (the solution); support
 checks happen at the public edges only.
 """
@@ -34,8 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .calculus import (GridFunction, difference_quotient, full_support_values,
-                       require_realization)
+from .calculus import GridFunction, equation_defect, full_support_values, require_realization
 from .errors import (
     BracketViolation,
     ConfigError,
@@ -43,9 +39,8 @@ from .errors import (
     NonFiniteResult,
     SupportMismatch,
 )
-from .green import affine_interpolant, green_apply, green_solve, kernel_factors
+from .green import affine_interpolant, green_solve, kernel_factors
 from .model import DirichletProblem, rhs_matrix
-from .timescale import TimeScale
 
 #: Iterates or fixed-point defects beyond this magnitude are declared divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -155,37 +150,53 @@ def _check_brackets(problem: DirichletProblem, brackets) -> tuple:
     return alpha, beta
 
 
-def _band(brackets, mode: RhsMode, N: int):
-    """The bracket values at the points ``1..N-1`` that ``mode`` clamps the
-    shifted states into; ``None`` for ``RAW``."""
-    if mode is RhsMode.RAW:
-        return None
-    if brackets is None:
-        raise BracketViolation(-1, f"{mode.value} evaluation needs brackets")
-    return brackets[0][1:N], brackets[1][1:N]
+class _FixedPointMap:
+    """``T u = phi + G f*(., u^sigma)`` of one solve on plain ``(N+1, n)``
+    arrays, ``f*`` in ``mode``.  ``brackets`` are checked value arrays or
+    ``None``; ``band``, their rows ``1..N-1``, is what ``mode`` clamps the
+    shifted states into (``None`` for ``RAW``)."""
+
+    def __init__(self, problem: DirichletProblem, brackets, mode: RhsMode):
+        ts = problem.scale
+        self.problem, self.brackets, self.mode = problem, brackets, mode
+        self.N = N = ts.last_index
+        if mode is not RhsMode.RAW and brackets is None:
+            raise BracketViolation(-1, f"{mode.value} evaluation needs brackets")
+        self.band = None if mode is RhsMode.RAW else (brackets[0][1:N], brackets[1][1:N])
+        self.phi = affine_interpolant(ts, problem.boundary_left, problem.boundary_right).values
+        self.factors = kernel_factors(ts)
+
+    def moved(self, u: np.ndarray) -> int:
+        """How many entries of ``u``'s rows ``1..N-1`` the band clamp moves."""
+        if self.band is None:
+            return 0
+        inner, (lo, hi) = u[1 : self.N], self.band
+        return inner.size - int(np.count_nonzero((lo <= inner) & (inner <= hi)))
+
+    def rhs(self, u: np.ndarray, inside: bool = False) -> np.ndarray:
+        """``f*`` at the equation points, one row each.  ``inside`` tells
+        that ``u`` lies in the band, so every gap the clamp leaves is a
+        signed zero, which the bounded correction returns as is."""
+        shifted = u[1 : self.N]
+        states = shifted if self.band is None else shifted.clip(*self.band)
+        vals = rhs_matrix(self.problem, states)[0]
+        if self.mode is RhsMode.MODIFIED:
+            gap = states - shifted
+            vals = vals + (gap if inside else gap / (1.0 + np.abs(gap)))
+        return vals
+
+    def __call__(self, u: np.ndarray, inside: bool = False) -> tuple:
+        """``(f*, T u)``."""
+        rhs = self.rhs(u, inside)
+        return rhs, self.phi + green_solve(self.factors, rhs)
 
 
-def _regularized(
-    problem: DirichletProblem, u: np.ndarray, band, mode: RhsMode,
-    inside: bool = False,
-) -> np.ndarray:
-    """:func:`regularized_rhs` on plain arrays: ``u`` is a full ``(N+1, n)``
-    iterate, ``band`` comes from :func:`_band`; one row per equation point.
-    ``inside`` tells that ``u`` lies in the band, so every gap the clamp
-    leaves is a signed zero, which the bounded correction returns as is."""
-    shifted = u[1 : problem.scale.last_index]
-    states = shifted if band is None else shifted.clip(band[0], band[1])
-    vals = rhs_matrix(problem, states)[0]
-    if mode is RhsMode.MODIFIED:
-        gap = states - shifted
-        vals = vals + (gap if inside else gap / (1.0 + np.abs(gap)))
-    return vals
-
-
-def _defect(ts: TimeScale, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``-u^DD - rhs`` at the equation points ``k = 0 .. N-2``."""
-    mu = ts.mu
-    return -difference_quotient(difference_quotient(u, mu), mu[:-1]) - rhs
+def _edge_map(problem, u, brackets, mode) -> tuple:
+    """The fixed-point map of a public edge call and ``u``'s full values."""
+    if brackets is not None:
+        brackets = _check_brackets(problem, brackets)
+    full = full_support_values(u, problem.scale, "iterate")
+    return _FixedPointMap(problem, brackets, mode), full
 
 
 def _residual(problem: DirichletProblem, u: np.ndarray, rhs=None) -> float:
@@ -193,10 +204,10 @@ def _residual(problem: DirichletProblem, u: np.ndarray, rhs=None) -> float:
     already evaluated); infinite outside ``f``'s domain."""
     if rhs is None:
         try:
-            rhs = _regularized(problem, u, None, RhsMode.RAW)
+            rhs = rhs_matrix(problem, u[1 : problem.scale.last_index])[0]
         except (DomainViolation, NonFiniteResult):
             return math.inf
-    size = float(np.max(np.abs(_defect(problem.scale, u, rhs))))
+    size = float(np.max(np.abs(equation_defect(problem.scale, u, rhs))))
     return size if math.isfinite(size) else math.inf
 
 
@@ -212,12 +223,8 @@ def regularized_rhs(
     correction ``(d - x) / (1 + |d - x|)`` per component, which vanishes
     exactly on in-band iterates.
     """
-    if brackets is not None:
-        brackets = _check_brackets(problem, brackets)
-    N = problem.scale.last_index
-    full = full_support_values(u, problem.scale, "iterate")
-    vals = _regularized(problem, full, _band(brackets, mode, N), mode)
-    return GridFunction.from_values(problem.scale, vals, lo=0)
+    T, full = _edge_map(problem, u, brackets, mode)
+    return GridFunction.from_values(problem.scale, T.rhs(full), lo=0)
 
 
 def apply_green_operator(
@@ -227,10 +234,8 @@ def apply_green_operator(
     mode: RhsMode = RhsMode.RAW,
 ) -> GridFunction:
     """One application of ``u -> phi + G f*(., u^sigma)``."""
-    ts = problem.scale
-    rhs = regularized_rhs(problem, u, brackets, mode)
-    base = affine_interpolant(ts, problem.boundary_left, problem.boundary_right)
-    return base + green_apply(ts, rhs)
+    T, full = _edge_map(problem, u, brackets, mode)
+    return GridFunction(problem.scale, T(full)[1], 0, T.N)
 
 
 def residual_norm(problem: DirichletProblem, u: GridFunction) -> float:
@@ -283,64 +288,53 @@ def solve(
         brackets = _check_brackets(problem, brackets)
     mode = RhsMode.RAW if brackets is None else RhsMode.MODIFIED
     if strategy is Strategy.PICARD:
-        return _fixed_point(problem, brackets, mode, config, strategy)
+        T = _FixedPointMap(problem, brackets, mode)
+        return _iterate(T, config, strategy, _picard(), min_theta=_MIN_DAMPING)
     if strategy in (Strategy.MONOTONE_UP, Strategy.MONOTONE_DOWN):
         if brackets is None:
             raise BracketViolation(
                 -1, "monotone iteration needs a lower and an upper solution"
             )
         up = strategy is Strategy.MONOTONE_UP
-        start = brackets[0 if up else 1]
         # bracket preservation of the iteration map is only exact without
         # the correction term, so monotone runs truncate
-        return _fixed_point(
-            problem, brackets, RhsMode.TRUNCATED, config, strategy, start,
-            1 if up else -1,
-        )
+        T = _FixedPointMap(problem, brackets, RhsMode.TRUNCATED)
+        return _iterate(T, config, strategy, _monotone(1 if up else -1),
+                        start=brackets[0 if up else 1])
     if strategy is Strategy.NEWTON_ORACLE:
-        return _newton(problem, brackets, mode, config)
+        return _newton(_FixedPointMap(problem, brackets, mode), config)
     raise ConfigError(f"unknown strategy {strategy!r}", key="strategy")
 
 
 def _iterate(
-    problem, brackets, mode, config, strategy, advance, notes,
-    start=None, min_theta=1.0,
+    T: _FixedPointMap, config, strategy, step, start=None, min_theta=1.0
 ) -> SolveReport:
     """Judge iterates ``u_0 = start`` (default: band midpoint, or ``phi``),
-    ``u_1``, ... by :func:`solve`'s stopping test until it decides.
+    ``u_1``, ... by :func:`solve`'s stopping test until it decides; every
+    stop and every note is recorded here.
 
-    The test reads ``g = T u_k - u_k`` with ``T u = phi + G f*(., u^sigma)``;
-    ``advance(it, u, rhs, image, g, defect, theta)`` then turns ``f*``,
-    ``T u_k``, ``g`` and ``|g|_inf`` into ``u_{k+1}``, or returns a status
-    (after noting why) to end the run.  ``theta`` follows from the measured
-    defects: it starts at 1 and each ``_STALL_STREAK`` iterates without a
-    smaller defect halve it, down to ``min_theta``, where they stall the run.
-
-    Everything between the start iterate and the report is a plain
-    ``(N+1, n)`` array: ``phi``, the kernel factors of
-    :func:`~tsdyn.green.kernel_factors` and the band slices are formed once
-    per solve, and each iterate costs one ``rhs_matrix`` call and one
-    :func:`~tsdyn.green.green_solve`.  The only grid functions are ``phi``'s
-    at entry and the solution's in the report.  The differential residual
-    is computed once at the end, from the last ``f*`` when that was the raw
-    ``f``.
+    The test reads ``g = T u_k - u_k``.  ``step(u, rhs, image, g, defect,
+    theta)`` turns ``f*``, ``T u_k``, ``g`` and ``|g|_inf`` into
+    ``(u_{k+1}, T(u_{k+1}) or None)``, or into ``(status, note)`` to end the
+    run.  ``theta`` starts at 1, and each ``_STALL_STREAK`` iterates without
+    a smaller defect halve it, down to ``min_theta``, where they stall the
+    run.  Each iterate costs at most one ``rhs_matrix`` call and one kernel
+    solve, both in ``T``; the differential residual is computed once at the
+    end, from the last ``f*`` when that was the raw ``f``.
     """
-    ts = problem.scale
-    N = ts.last_index
-    phi = affine_interpolant(ts, problem.boundary_left, problem.boundary_right).values
-    factors = kernel_factors(ts)
-    band = _band(brackets, mode, N)  # None without brackets
+    problem, N = T.problem, T.N
     u = start
     if u is None:
-        u = phi.copy() if brackets is None else 0.5 * (brackets[0] + brackets[1])
+        u = T.phi.copy() if T.brackets is None else 0.5 * (T.brackets[0] + T.brackets[1])
         u[0], u[-1] = problem.boundary_left, problem.boundary_right
+    notes: list[str] = []
+    evaluated = None
     best, streak, theta = math.inf, 0, 1.0
     for it in range(config.max_iters + 1):
-        inner = u[1:N]
-        inside = band is None or bool(((band[0] <= inner) & (inner <= band[1])).all())
+        moved = T.moved(u)
+        inside = not moved
         try:
-            rhs = _regularized(problem, u, band, mode, inside)
-            image = phi + green_solve(factors, rhs)
+            rhs, image = evaluated or T(u, inside)
             if not np.isfinite(image).all():
                 raise NonFiniteResult("image is not finite")
         except (DomainViolation, NonFiniteResult) as exc:
@@ -357,7 +351,6 @@ def _iterate(
         if defect <= config.tol_residual * max(1.0, size):
             status = Status.CONVERGED if inside else Status.STALLED
             if not inside:
-                moved = int(np.count_nonzero(inner.clip(*band) != inner))
                 notes.append(f"iteration {it}: band not invariant: defect "
                              f"{defect:.3e} meets the tolerance where the clamp "
                              f"moves {moved} entries")
@@ -374,96 +367,91 @@ def _iterate(
         if it == config.max_iters:
             status = Status.MAX_ITERS
             break
-        following = advance(it, u, rhs, image, g, defect, theta)
+        following, extra = step(u, rhs, image, g, defect, theta)
         if isinstance(following, Status):
+            notes.append(f"iteration {it}: {extra}")
             status = following
             break
-        u = following
+        u, evaluated = following, extra
     return SolveReport(
-        solution=GridFunction(ts, u, 0, N),
+        solution=GridFunction(problem.scale, u, 0, N),
         strategy=strategy,
         status=status,
         iterations=it,
         final_residual=_residual(problem, u, rhs if inside else None),
         defect=defect,
-        bracket_respected=_bracket_respected(u, brackets),
+        bracket_respected=_bracket_respected(u, T.brackets),
         notes=tuple(notes),
     )
 
 
-def _fixed_point(
-    problem, brackets, mode, config, strategy, start=None, direction=0
-) -> SolveReport:
-    """Picard's step ``u <- (1 - theta) u + theta T u``, ``theta`` starting at
-    1 and halved by :func:`_iterate` on stagnation; with a nonzero
-    ``direction`` (+1 up, -1 down) the monotone step ``u <- T u``, each image
-    moving that way.
+def _picard():
+    """Picard's step ``u <- (1 - theta) u + theta T u``, ``theta`` starting
+    at 1 and halved by :func:`_iterate` on stagnation.
 
-    With ``g_k = T u_k - u_k``, a Picard step that follows a plain one at the
-    same ``theta`` and has ``|g_k|_inf < |g_{k-1}|_inf`` subtracts the secant
+    With ``g_k = T u_k - u_k``, a step that follows a plain one at the same
+    ``theta`` and has ``|g_k|_inf < |g_{k-1}|_inf`` subtracts the secant
     correction ``c (du + theta dg)``, where ``du = u_k - u_{k-1}``,
     ``dg = g_k - g_{k-1}`` and ``c = <dg, g_k> / <dg, dg>``, and the step
     after it is plain again.  It falls back to the plain step when
     ``<dg, dg> = 0`` or the result is not finite.  For ``f = x^(-gamma)`` the
     slow error mode is ``u`` itself, which plain Picard shrinks only by
     ``gamma`` per step and one correction removes.  The correction costs a
-    few array operations and no right-hand-side evaluation; monotone steps
-    never take it, since their ordering needs the plain map."""
-    notes: list[str] = []
+    few array operations and no right-hand-side evaluation."""
+    last = None  # (u, g, |g|_inf, theta) of the last plain step
 
-    def monotone(it, u, rhs, image, g, g_max, theta):
-        drift = direction * g
-        slack = 1e-12 * max(1.0, np.abs(u).max(), np.abs(image).max())
-        if drift.min() < -slack:
-            k, i = np.unravel_index(int(np.argmin(drift)), drift.shape)
-            notes.append(
-                f"iteration {it}: monotonicity violated by {-np.min(drift):.3e} "
-                f"at index {k}, component {i + 1}"
-            )
-            return Status.DIVERGED
-        return image
-
-    last = None  # (u, g, |g|_inf, theta) of the last plain Picard step
-
-    def picard(it, u, rhs, image, g, g_max, theta):
+    def step(u, rhs, image, g, g_max, theta):
         nonlocal last
         plain = (1.0 - theta) * u + theta * image
         prev, last = last, (u, g, g_max, theta)
         if prev is None:
-            return plain
+            return plain, None
         u_prev, g_prev, g_max_prev, theta_prev = prev
         if theta != theta_prev or not g_max < g_max_prev:
-            return plain
+            return plain, None
         dg = g - g_prev
         dd = float(np.vdot(dg, dg))
         if not dd > 0.0:
-            return plain
-        step = plain - (float(np.vdot(dg, g)) / dd) * ((u - u_prev) + theta * dg)
-        if not np.isfinite(step).all():
-            return plain
+            return plain, None
+        corrected = plain - (float(np.vdot(dg, g)) / dd) * ((u - u_prev) + theta * dg)
+        if not np.isfinite(corrected).all():
+            return plain, None
         last = None  # the next step is plain
-        return step
+        return corrected, None
 
-    if direction:
-        return _iterate(problem, brackets, mode, config, strategy, monotone, notes, start)
-    return _iterate(
-        problem, brackets, mode, config, strategy, picard, notes, start, _MIN_DAMPING
-    )
+    return step
 
 
-def _newton_operator(problem, u, band, mode, rhs, factors):
+def _monotone(direction: int):
+    """The monotone step ``u <- T u`` (no damping, no secant correction,
+    since the ordering needs the plain map), each image moving ``direction``
+    (+1 up, -1 down); a step against it ends the run as divergent."""
+
+    def step(u, rhs, image, g, g_max, theta):
+        drift = direction * g
+        slack = 1e-12 * max(1.0, np.abs(u).max(), np.abs(image).max())
+        if drift.min() < -slack:
+            k, i = np.unravel_index(int(np.argmin(drift)), drift.shape)
+            return Status.DIVERGED, (f"monotonicity violated by {-np.min(drift):.3e} "
+                                     f"at index {k}, component {i + 1}")
+        return image, None
+
+    return step
+
+
+def _newton_operator(T: _FixedPointMap, u, rhs):
     """Newton's operator ``v -> (I - G J) v`` on ``(N+1, n)`` arrays at ``u``,
     where ``f*`` is ``rhs``; rows 0 and N pass through.  ``f*`` at point ``k``
     reads only ``u_{k+1}``, so ``J`` is block diagonal, ``(N-1, n, n)``, and
-    one forward-difference :func:`_regularized` call per component gives it."""
-    N = problem.scale.last_index
+    one forward-difference ``T.rhs`` call per component gives it."""
+    N = T.N
     jac = np.empty(rhs.shape + rhs.shape[1:])
     for j in range(rhs.shape[1]):
         shifted = u.copy()
         shifted[1:N, j] += _JACOBIAN_STEP * np.maximum(1.0, np.abs(u[1:N, j]))
         step = (shifted - u)[1:N, j, None]
-        jac[:, :, j] = (_regularized(problem, shifted, band, mode) - rhs) / step
-    return lambda v: v - green_solve(factors, np.einsum("kij,kj->ki", jac, v[1:N]))
+        jac[:, :, j] = (T.rhs(shifted) - rhs) / step
+    return lambda v: v - green_solve(T.factors, np.einsum("kij,kj->ki", jac, v[1:N]))
 
 
 def _gmres(apply, b: np.ndarray, rtol: float) -> np.ndarray:
@@ -485,41 +473,32 @@ def _gmres(apply, b: np.ndarray, rtol: float) -> np.ndarray:
     return sum(c * q for c, q in zip(y, basis))
 
 
-def _newton(problem, brackets, mode, config):
+def _newton(T: _FixedPointMap, config: SolveConfig) -> SolveReport:
     """Newton-Krylov steps on ``g = T u - u = 0``, judged by :func:`_iterate`.
     GMRES solves ``(I - G J) delta = g`` (:func:`_newton_operator`) to the
     relative tolerance ``min(1e-2, |g|_inf)``, which keeps the tail quadratic.
     The step is halved until the trial, clipped into the band with its
-    boundary values pinned, has a smaller defect, or the run stalls."""
-    ts = problem.scale
-    N = ts.last_index
-    phi = affine_interpolant(ts, problem.boundary_left, problem.boundary_right).values
-    factors = kernel_factors(ts)
-    band = _band(brackets, mode, N)
-    low, high = brackets or (-np.inf, np.inf)
-    notes: list[str] = []
+    boundary values pinned, has a smaller defect, or the run stalls; the
+    accepted trial goes back to the loop with ``T`` of it."""
+    low, high = T.brackets or (-np.inf, np.inf)
 
-    def step(it, u, rhs, image, g, g_max, theta):
+    def step(u, rhs, image, g, g_max, theta):
         try:
-            operator = _newton_operator(problem, u, band, mode, rhs, factors)
+            operator = _newton_operator(T, u, rhs)
         except (DomainViolation, NonFiniteResult) as exc:
-            notes.append(f"iteration {it}: {exc}")
-            return Status.DIVERGED
+            return Status.DIVERGED, str(exc)
         delta = _gmres(operator, g, min(1e-2, g_max))
-        reach = (u + delta)[1:N]
-        moved = 0 if band is None else int(np.count_nonzero(reach.clip(*band) != reach))
         for halvings in range(_LINE_SEARCH_HALVINGS + 1):
             z = np.clip(u + 0.5**halvings * delta, low, high)
-            z[0], z[-1] = problem.boundary_left, problem.boundary_right
+            z[0], z[-1] = T.problem.boundary_left, T.problem.boundary_right
             try:
-                rhs = _regularized(problem, z, band, mode)
+                trial = T(z)
             except (DomainViolation, NonFiniteResult):
                 continue
-            if np.abs(phi + green_solve(factors, rhs) - z).max() < g_max:
-                return z
-        notes.append(f"iteration {it}: line search failed at defect {g_max:.3e}; "
-                     f"the clamp moves {moved} entries of the full step")
-        return Status.STALLED
+            if np.abs(trial[1] - z).max() < g_max:
+                return z, trial
+        return Status.STALLED, (f"line search failed at defect {g_max:.3e}; the "
+                                f"clamp moves {T.moved(u + delta)} entries of the "
+                                "full step")
 
-    return _iterate(problem, brackets, mode, config, Strategy.NEWTON_ORACLE, step, notes)
-
+    return _iterate(T, config, Strategy.NEWTON_ORACLE, step)

@@ -174,9 +174,9 @@ def same_realization(u: TimeScale, v: TimeScale) -> bool:
     )
 
 
-def from_points(points: Sequence[float], kind: Kind = Kind.EXPLICIT) -> TimeScale:
+def from_points(points: Sequence[float]) -> TimeScale:
     """Wrap an explicit strictly increasing point list."""
-    return TimeScale(np.asarray(points, dtype=float), kind)
+    return TimeScale(np.asarray(points, dtype=float), Kind.EXPLICIT)
 
 
 def uniform(a: float, end: float, n: int) -> TimeScale:

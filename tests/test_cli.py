@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import tsdyn.cli
-from tsdyn import SolveConfig
-from tsdyn.cli import _csv, main
+from tsdyn import SolveConfig, check_lipschitz_bound, check_monotone_in_state
+from tsdyn.cli import _csv, build_nonlinearities, build_scale, main, read_config
 
 SOLVE_CFG = """\
 # singular power problem on a uniform grid
@@ -52,6 +52,22 @@ f.2.lambda = -0.2,-0.4
 f.2.mu = -0.05,0.4
 check.criterion = sufficient
 """
+
+
+#: A sampled hypothesis check on an explicit realization.
+SAMPLED_CFG = """\
+scale.kind = explicit
+scale.values = 0,0.1,0.25,0.3,0.5,0.55,0.8,1
+f.count = 1
+f.1.expr = x1^(-0.5)
+f.1.lambda = -0.5
+f.1.mu = 0.5
+check.criterion = {criterion}
+"""
+
+
+def _single(path):
+    return build_nonlinearities(read_config(path))[0]
 
 
 @pytest.fixture
@@ -133,6 +149,38 @@ class TestSolveCommand:
         assert {"0", "-0", "inf", "-inf", "nan", "4.9406564584124654e-324",
                 "10000000000000000"} <= set(",".join(old_rows).split(","))
 
+    @pytest.mark.parametrize("strategy", ["picard", "newton_oracle"])
+    def test_last_row_is_the_right_boundary_value(self, tmp_path, strategy):
+        cfg = write_cfg(
+            tmp_path,
+            "scale.kind = uniform\nscale.points = 65\nf.count = 1\n"
+            "f.1.expr = 1 + x1^0.5\nbc.left = 0.7\nbc.right = 0.1\n",
+        )
+        out = tmp_path / "run.csv"
+        assert main(["solve", str(cfg), "--strategy", strategy, "--out", str(out)]) == 0
+        rows = [line for line in out.read_text().splitlines()
+                if line and not line.startswith("#")]
+        assert rows[1] == "0,0.69999999999999996"
+        assert rows[-1] == "1,0.10000000000000001"
+
+    def test_explicit_scale_solves_like_its_uniform_twin(self, solve_cfg, tmp_path):
+        values = ",".join(map(repr, np.linspace(0.0, 1.0, 65).tolist()))
+        explicit = SOLVE_CFG.replace(
+            "scale.kind = uniform\nscale.start = 0\nscale.end = 1\nscale.points = 65\n",
+            f"scale.kind = explicit\nscale.values = {values}\n",
+        )
+        assert "scale.kind = explicit" in explicit
+        cfg = write_cfg(tmp_path, explicit)
+        a, b = tmp_path / "explicit.csv", tmp_path / "uniform.csv"
+        assert main(["solve", str(cfg), "--out", str(a)]) == 0
+        assert main(["solve", str(solve_cfg), "--out", str(b)]) == 0
+
+        def body(path):
+            return [line for line in path.read_text().splitlines()
+                    if not line.startswith("# cfg.")]
+
+        assert body(a) == body(b)
+
     def test_stdout_when_no_out_path(self, solve_cfg, capsys):
         assert main(["solve", str(solve_cfg)]) == 0
         captured = capsys.readouterr().out
@@ -200,6 +248,34 @@ class TestCheckCommand:
         )
         assert main(["check", str(cfg)]) == 4
         assert "key 'check.samples', line 6" in capsys.readouterr().err
+
+    def test_monotone_criterion_output(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SAMPLED_CFG.format(criterion="monotone"))
+        assert main(["check", str(cfg)]) == 0
+        record, = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l]
+        expected = check_monotone_in_state(_single(cfg), build_scale(read_config(cfg)))
+        assert record == {"ok": True, "checked": expected.checked, "witness": None}
+        assert record["checked"] > 0
+
+    def test_monotone_criterion_failure_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path, SAMPLED_CFG.format(criterion="monotone").replace("x1^(-0.5)", "x1^2")
+        )
+        assert main(["check", str(cfg)]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["ok"] is False and record["witness"]["coordinate"] == 1
+
+    def test_lipschitz_criterion_output(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SAMPLED_CFG.format(criterion="lipschitz")
+                        + "check.band = 0.25,2\n")
+        assert main(["check", str(cfg)]) == 0
+        record, = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l]
+        expected = check_lipschitz_bound(
+            _single(cfg), build_scale(read_config(cfg)), (0.25, 2.0)
+        )
+        assert record["bound"] == expected.bound > 0.0
+        assert record["checked"] == expected.checked
+        assert record["at"] == {**expected.at, "x": list(expected.at["x"])}
 
     def test_scaling_criterion_failure_exits_two(self, tmp_path):
         cfg = write_cfg(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tsdyn import (
     BoundOrderViolation,
+    BoundsPair,
     ConfigError,
     CriterionNotSatisfied,
     DirichletProblem,
@@ -26,6 +27,7 @@ from tsdyn import (
     NonpositiveEndpoint,
     Nonlinearity,
     ShapeViolation,
+    SupportMismatch,
     Verdict,
     check_lipschitz_bound,
     check_monotone_in_state,
@@ -468,6 +470,20 @@ class TestConstructLower:
         report = verify_lower(problem, pair.alpha)
         assert report.ok, report.violations
 
+    def test_crossed_pair_is_refused(self, problem):
+        alpha, beta = construct_bounds(problem).pair
+        low = alpha.values.copy()
+        low[[7, 30]] = beta.values[[7, 30]] + 1e-3
+        crossed = GridFunction(alpha.scale, low, 0, alpha.scale.last_index)
+        with pytest.raises(BoundOrderViolation, match="at index 7$"):
+            BoundsPair(alpha=crossed, beta=beta, constants={})
+
+    def test_pair_must_share_a_support(self, problem):
+        alpha, beta = construct_bounds(problem).pair
+        N = alpha.scale.last_index
+        with pytest.raises(SupportMismatch, match="share a support"):
+            BoundsPair(alpha=alpha, beta=beta.restrict(1, N), constants={})
+
     def test_no_upper_half(self, problem):
         pair = construct_lower(problem)
         with pytest.raises(BoundOrderViolation):
@@ -573,6 +589,19 @@ class TestEnvelopeDisplay:
             compute_envelope(problem, inflated)
         assert err.value.component == 1
         assert err.value.amount > 0.0
+
+    def test_escape_below_raises_at_the_first_index(self, solved):
+        problem, u = solved
+        # f(x) = x^-0.5 grows as the solution shrinks, so the lower edge
+        # J1 e(t) rises while the deflated values fall
+        deflated = GridFunction(u.scale, u.values * 0.01, u.lo, u.hi)
+        with pytest.raises(EnvelopeViolation) as err:
+            compute_envelope(problem, deflated)
+        assert (err.value.component, err.value.index) == (1, 1)
+        e = envelope_at(problem.scale, problem.scale.points)
+        J1 = 10.0 * compute_envelope(problem, u)["lower"][0]
+        col = deflated.component(1)
+        assert err.value.amount == pytest.approx(J1 * e[1] - 1e-6 - col[1], rel=1e-12)
 
     def test_endpoint_slopes_are_finite_and_signed(self, solved):
         _, u = solved

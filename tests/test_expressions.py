@@ -19,7 +19,7 @@ from tsdyn import (
     rhs_matrix,
     uniform,
 )
-from tsdyn.expressions import BinOp, Const, Neg, StateVar, TimeVar
+from tsdyn.expressions import BinOp, Const, Neg, StateVar, TimeVar, _power
 
 
 def ev(src, t=0.0, x=()):
@@ -94,6 +94,13 @@ class TestErrors:
         with pytest.raises(DomainViolation):
             ev("t^(-1)", t=0.0)
 
+    @pytest.mark.parametrize("base", [0.0, -0.0])
+    @pytest.mark.parametrize("expo", [-1.0, -2.0, -0.5, -1e300])
+    def test_zero_base_guard_fires_before_the_power(self, base, expo):
+        # Python's 0.0 ** -1.0 raises ZeroDivisionError; the guard answers first
+        with pytest.raises(DomainViolation, match="zero base with negative exponent"):
+            _power(base, expo)
+
     def test_negative_to_fractional_power(self):
         with pytest.raises(DomainViolation):
             ev("x1^0.5", x=(-4.0,))
@@ -166,6 +173,13 @@ class TestPrinter:
     def test_power_parens_kept_where_needed(self):
         assert str(parse_expression("(2^3)^2")) == "(2^3)^2"
         assert str(parse_expression("2^(3^2)")) == "2^3^2"
+
+    def test_non_finite_constants_print(self):
+        assert str(parse_expression("1e400")) == "inf"
+        assert str(parse_expression("x1*1e400")) == "x1*inf"
+        tree = ExpressionTree(BinOp("^", StateVar(1), Const(-math.inf)))
+        assert str(tree) == "x1^(-inf)"
+        assert str(ExpressionTree(BinOp("+", TimeVar(), Const(math.nan)))) == "t + nan"
 
     def test_negative_constant_base_keeps_parens(self):
         # a built tree may hold a negative constant; it must print as (-2)

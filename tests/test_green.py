@@ -318,6 +318,14 @@ class TestAffineInterpolant:
         assert phi.n_components == 2
         assert np.allclose(phi.value_at(2), [0.5, 0.5])
 
+    def test_end_rows_are_the_boundary_values_exactly(self, unit65, q23):
+        # A + (B - A) * 1 misses B by an ulp for A = 0.7, B = 0.1
+        assert 0.7 + (0.1 - 0.7) * 1.0 != 0.1
+        for ts in (unit65, q23):
+            phi = affine_interpolant(ts, [0.7, 2.9], [0.1, 0.3])
+            assert phi.value_at(0).tolist() == [0.7, 2.9]
+            assert phi.value_at(ts.last_index).tolist() == [0.1, 0.3]
+
 
 def test_envelope_values(unit5, q23):
     assert envelope_weight(unit5).value_at(2)[0] == pytest.approx(0.25, abs=1e-15)

@@ -21,6 +21,7 @@ from tsdyn import (
     check_monotone_in_state,
     check_scaling_exponents,
     emden_fowler,
+    parse_expression,
     rhs_matrix,
     uniform,
 )
@@ -248,6 +249,46 @@ class TestEmdenFowler:
     def test_positive_coefficient_required(self):
         with pytest.raises(ShapeViolation):
             emden_fowler([-0.5], coefficient=-1.0)
+
+    @pytest.mark.parametrize(
+        "exponents,coefficient,t_power",
+        [
+            ([math.inf], 1.0, 0.0),
+            ([-0.5, math.nan], 1.0, 0.0),
+            ([-0.5], math.inf, 0.0),
+            ([-0.5], 1.0, -math.inf),
+            ([-0.5], 1.0, math.nan),
+        ],
+    )
+    def test_non_finite_parameters_are_shape_violations(
+        self, exponents, coefficient, t_power
+    ):
+        with pytest.raises(ShapeViolation, match="must be finite"):
+            emden_fowler(exponents, coefficient=coefficient, t_power=t_power)
+
+    @pytest.mark.parametrize(
+        "args,text",
+        [
+            (([-0.5, 2.0], 1.5, -0.25), "1.5*t^(-0.25)*x1^(-0.5)*x2^2"),
+            (([1.0, 0.0, -3.0], 1.0, 1.0), "t*x1*x3^(-3)"),
+            (([0.0], 2.0, 0.0), "2"),
+            (([0.0], 1.0, 0.0), "1"),
+            (([1e20], 1e-5, 1e15), "1e-05*t^1000000000000000*x1^1e+20"),
+        ],
+    )
+    def test_tree_prints_and_evaluates_as_its_text(self, args, text):
+        exponents, coefficient, t_power = args
+        f = emden_fowler(exponents, coefficient=coefficient, t_power=t_power)
+        assert str(f.body) == text
+        # the tree is built directly, not parsed; it must equal the parse
+        parsed = parse_expression(text)
+        t = np.array([0.3, 0.7])
+        x = np.array([[0.9, 0.6, 0.5], [0.4, 0.8, 0.7]])[:, : len(exponents)]
+        for k in range(2):
+            assert f.evaluate(t[k], x[k]) == parsed.evaluate(t[k], x[k])
+        assert f.body.evaluate_array(t, x)[0].tobytes() == (
+            parsed.evaluate_array(t, x)[0].tobytes()
+        )
 
     def test_component_index_forwarded(self):
         f = emden_fowler([-0.5, -0.5], component_index=2)

@@ -38,7 +38,6 @@ from tsdyn import (
     verify_lower,
     verify_upper,
 )
-from tsdyn.green import kernel_factors
 
 
 def power_problem(ts, gamma=0.5):
@@ -428,7 +427,7 @@ class TestSecantStep:
             raise AssertionError("Newton ran the Picard loop")
 
         p = make_problem()
-        monkeypatch.setattr(tsdyn.solver, "_fixed_point", refuse)
+        monkeypatch.setattr(tsdyn.solver, "_picard", refuse)
         report = solve(p, strategy=Strategy.NEWTON_ORACLE,
                        brackets=construct_bounds(p).pair)
         assert report.converged
@@ -493,11 +492,10 @@ class TestNewton:
             step[k + 1, i] = h
             dense[:, col] = (defect_map(u + step) - defect_map(u - step)) / (2.0 * h)
 
-        band = tsdyn.solver._band((alpha.values, beta.values), RhsMode.MODIFIED, N)
-        rhs = tsdyn.solver._regularized(p, u, band, RhsMode.MODIFIED)
-        operator = tsdyn.solver._newton_operator(
-            p, u, band, RhsMode.MODIFIED, rhs, kernel_factors(ts)
+        T = tsdyn.solver._FixedPointMap(
+            p, (alpha.values, beta.values), RhsMode.MODIFIED
         )
+        operator = tsdyn.solver._newton_operator(T, u, T.rhs(u))
         structured = np.empty_like(dense)
         for col in range((N - 1) * n):
             v = np.zeros_like(u)
@@ -520,6 +518,23 @@ class TestNewton:
         u = picard.solution.values
         gap = np.max(np.abs(u - newton.solution.values))
         assert gap <= 1e-11 * max(1.0, float(np.max(np.abs(u))))
+
+    def test_one_rhs_evaluation_per_jacobian_column_and_trial(
+        self, singular65, monkeypatch
+    ):
+        # the start iterate, then per iteration one Jacobian column and the
+        # accepted full step, whose evaluation the loop reuses
+        calls = []
+        original = tsdyn.solver.rhs_matrix
+        monkeypatch.setattr(
+            tsdyn.solver, "rhs_matrix",
+            lambda *a, **k: calls.append(1) or original(*a, **k),
+        )
+        report = solve(singular65, strategy=Strategy.NEWTON_ORACLE,
+                       brackets=construct_bounds(singular65).pair)
+        assert report.converged
+        assert report.iterations == 6
+        assert len(calls) == 13
 
     def test_band_that_is_not_invariant_stalls_at_once(self):
         # Newton's trials are clipped into the band, so with alpha == beta
@@ -560,6 +575,40 @@ class TestNewtonAgreesWithPicard:
         u = picard.solution.values
         gap = np.max(np.abs(u - newton.solution.values))
         assert gap <= 1e-11 * max(1.0, float(np.max(np.abs(u))))
+
+
+class TestBoundaryValues:
+    @pytest.mark.parametrize("strategy", [Strategy.PICARD, Strategy.NEWTON_ORACLE])
+    @pytest.mark.parametrize("make_scale", [lambda: uniform(0.0, 1.0, 65),
+                                            lambda: quantum(2.0, 30)],
+                             ids=["uniform-65", "quantum-30"])
+    def test_solution_ends_on_the_boundary_values(self, make_scale, strategy):
+        # phi's last row used to be A + (B - A) * 1, an ulp off B = 0.1
+        ts = make_scale()
+        f = Nonlinearity.from_expression("1 + x1^0.5", arity=1)
+        p = DirichletProblem(ts, (f,), (0.7,), (0.1,))
+        report = solve(p, strategy=strategy)
+        assert report.converged
+        assert report.solution.value_at(0).tolist() == [0.7]
+        assert report.solution.value_at(ts.last_index).tolist() == [0.1]
+
+
+class TestBracketChecks:
+    def test_crossed_brackets_name_the_first_crossing(self, singular65):
+        alpha, beta = construct_bounds(singular65).pair
+        crossed = beta.values.copy()
+        crossed[[20, 40]] = alpha.values[[20, 40]] - 1e-3
+        beta = GridFunction(beta.scale, crossed, 0, beta.scale.last_index)
+        with pytest.raises(BracketViolation) as err:
+            solve(singular65, brackets=(alpha, beta))
+        assert err.value.index == 20
+
+    def test_component_count_must_match(self, singular65):
+        ts = singular65.scale
+        alpha = GridFunction.constant(ts, [0.0, 0.0])
+        beta = GridFunction.constant(ts, [1.0, 1.0])
+        with pytest.raises(SupportMismatch, match="component count"):
+            solve(singular65, brackets=(alpha, beta))
 
 
 class TestMonotone:
