@@ -398,13 +398,12 @@ def _cmd_solve(cfg: Config, args) -> int:
     else:
         strategy = cfg.get_enum("solve.strategy", Strategy, Strategy.PICARD)
     brackets = None
-    bounds = None
+    notes: tuple[str, ...] = ()
     if cfg.get_bool("solve.use_bounds", True) and problem.is_positive_system:
         try:
-            bounds = construct_bounds(problem)
-            brackets = bounds.pair
+            brackets = construct_bounds(problem).pair
         except (ShapeViolation, CriterionNotSatisfied) as exc:
-            log.info("solving without bounds: %s", exc)
+            notes = (f"solved without bounds: {exc}",)
     report = solve(problem, strategy=strategy, brackets=brackets,
                    config=_solve_config(cfg))
     ts = problem.scale
@@ -424,7 +423,7 @@ def _cmd_solve(cfg: Config, args) -> int:
         ("defect", _fmt(report.defect)),
         ("bracket_respected", str(report.bracket_respected).lower()),
     ]
-    summary.extend(("note", note) for note in report.notes)
+    summary.extend(("note", note) for note in notes + report.notes)
     _emit(_csv(cfg, args, header, columns, summary), args.out)
     if report.status is Status.CONVERGED:
         return _EXIT_OK

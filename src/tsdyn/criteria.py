@@ -35,7 +35,7 @@ from .errors import (
 )
 from .expressions import ExpressionTree
 from .green import envelope_weight, green_apply, kernel_lower_weight
-from .model import DirichletProblem, Nonlinearity, rhs_matrix
+from .model import DirichletProblem, Nonlinearity, drop_note, rhs_matrix
 from .timescale import (QUANTUM_FAMILY_DEPTHS, UNIFORM_FAMILY_SIZES, Kind, TimeScale,
                         quantum_family, uniform_family)
 
@@ -254,13 +254,6 @@ def _quadrature(ts: TimeScale, vals: np.ndarray, weight=1.0) -> list[float]:
     return [float(np.sum(mu * weight * vals[:, i])) for i in range(vals.shape[1])]
 
 
-def _drop_note(skipped: tuple[int, ...], prefix: str = "") -> tuple[str, ...]:
-    """The record of the improper first cells ``rhs_matrix`` dropped, if any."""
-    if not skipped:
-        return ()
-    return (f"{prefix}dropped improper first cell for component(s) {list(skipped)}",)
-
-
 def _trail_report(f, family, states_fn, weight_fn) -> CriterionReport:
     f = tuple(f)
     n = len(f)
@@ -271,7 +264,7 @@ def _trail_report(f, family, states_fn, weight_fn) -> CriterionReport:
     for ts in family:
         problem = DirichletProblem(ts, f, zeros, zeros)
         vals, skipped = rhs_matrix(problem, states_fn(ts, n))
-        notes.extend(_drop_note(skipped, f"{ts.npoints} points: "))
+        notes.extend(drop_note(skipped, f"{ts.npoints} points: "))
         partials.append(_quadrature(ts, vals, weight_fn(ts)))
         lows.append(np.min(vals, axis=0))
     trails = tuple(zip(*partials))
@@ -457,7 +450,7 @@ def construct_bounds(problem: DirichletProblem) -> BoundsPair:
             "k1": tuple(k1),
             "k2": tuple(k2),
         },
-        notes=_drop_note(skipped),
+        notes=drop_note(skipped),
     )
 
 
@@ -527,7 +520,7 @@ def construct_lower(
         alpha=alpha,
         beta=None,
         constants={"L1": tuple(L1), "C2": C2, "k1": tuple(k1), "eta": tuple(etas)},
-        notes=_drop_note(skipped),
+        notes=drop_note(skipped),
     )
 
 

@@ -320,3 +320,11 @@ def rhs_matrix(
             else:
                 raise type(exc)(f"row {k}, component {i + 1}: {exc}") from exc
     return out, tuple(skipped)
+
+
+def drop_note(skipped, prefix: str = "") -> tuple[str, ...]:
+    """The record of the improper first cells ``rhs_matrix`` dropped, if any;
+    ``skipped`` holds 1-based component indices."""
+    if not skipped:
+        return ()
+    return (f"{prefix}dropped improper first cell for component(s) {sorted(skipped)}",)

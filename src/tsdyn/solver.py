@@ -3,21 +3,22 @@
 Every strategy works on the fixed-point form ``u = phi + G f(., u^sigma)``
 where ``phi`` is the affine interpolant of the boundary values and ``G`` the
 kernel solve.  When a lower/upper pair is supplied, the state fed to ``f``
-can be clamped into the band (``TRUNCATED``) or clamped plus a bounded
-correction term that pushes escaped iterates back (``MODIFIED``); ``RAW``
-evaluates as-is.
+is clamped into the band (``TRUNCATED``); ``RAW`` evaluates as-is.  The
+paper's bounded correction, a device of its existence proof, is not used:
+it vanishes on every in-band iterate, the only kind a solve accepts.
 
 A solve builds one fixed-point map, :class:`_FixedPointMap`, which forms
 ``phi``, the kernel factors and the band once and is the one place where
-``f*`` and ``T u = phi + G f*(., u^sigma)`` are evaluated.  Every strategy
+``f*`` and ``T u = phi + G f*(., u^sigma)`` are evaluated; the pass that
+clamps an iterate also counts the entries it moved.  Every strategy
 runs one loop, :func:`_iterate`, on plain ``(N+1, n)`` arrays, and stops on
 its one test: the fixed-point defect ``|T u - u|_inf`` of an in-band
 iterate, whose roundoff floor, unlike that of the differential residual,
 does not grow as the mesh is refined (see :func:`solve`).  :func:`solve`
-picks the start iterate, the right-hand-side mode and the step: damped
-Picard with Anderson mixing of depth 3 on every step from the band's
-geometric centre, the monotone step ``u <- T u``, or a Newton-Krylov
-step whose only operator is the kernel solve.  A solve builds a
+picks the start iterate and the step: damped Picard with Anderson mixing
+of depth 3 on every step from the band's geometric centre, the monotone
+step ``u <- T u``, or a Newton-Krylov step whose only operator is the
+kernel solve.  A solve builds a
 ``GridFunction`` only at entry (``phi``) and exit (the solution); support
 checks happen at the public edges only.
 """
@@ -40,7 +41,7 @@ from .errors import (
     SupportMismatch,
 )
 from .green import affine_interpolant, green_solve, kernel_factors
-from .model import DirichletProblem, rhs_matrix
+from .model import DirichletProblem, drop_note, rhs_matrix
 
 #: Iterates or fixed-point defects beyond this magnitude are declared divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -77,7 +78,6 @@ class Status(Enum):
 
 
 class RhsMode(Enum):
-    MODIFIED = "modified"
     TRUNCATED = "truncated"
     RAW = "raw"
 
@@ -86,9 +86,9 @@ class RhsMode(Enum):
 class SolveConfig:
     """The stopping rule of :func:`solve`: ``tol_residual`` bounds the
     fixed-point defect relative to ``max(1, |u|_inf)``, and ``max_iters``
-    caps the iterations.  The right-hand-side mode follows from the strategy
-    and the brackets, and Picard's damping from the measured defects (see
-    :func:`solve`)."""
+    caps the iterations.  The right-hand side is clamped into the band when
+    brackets are given, and Picard's damping follows from the measured
+    defects (see :func:`solve`)."""
 
     tol_residual: float = 1e-12
     max_iters: int = 10_000
@@ -156,42 +156,42 @@ def _check_brackets(problem: DirichletProblem, brackets) -> tuple:
 class _FixedPointMap:
     """``T u = phi + G f*(., u^sigma)`` of one solve on plain ``(N+1, n)``
     arrays, ``f*`` in ``mode``.  ``brackets`` are checked value arrays or
-    ``None``; ``band``, their rows ``1..N-1``, is what ``mode`` clamps the
-    shifted states into (``None`` for ``RAW``)."""
+    ``None``; ``band``, their rows ``1..N-1``, is what ``TRUNCATED`` clamps
+    the shifted states into (``None`` for ``RAW``).  ``dropped`` collects
+    the components whose improper first cell ``rhs_matrix`` dropped in any
+    evaluation."""
 
     def __init__(self, problem: DirichletProblem, brackets, mode: RhsMode):
         ts = problem.scale
-        self.problem, self.brackets, self.mode = problem, brackets, mode
+        self.problem, self.brackets = problem, brackets
         self.N = N = ts.last_index
         if mode is not RhsMode.RAW and brackets is None:
             raise BracketViolation(-1, f"{mode.value} evaluation needs brackets")
         self.band = None if mode is RhsMode.RAW else (brackets[0][1:N], brackets[1][1:N])
         self.phi = affine_interpolant(ts, problem.boundary_left, problem.boundary_right).values
         self.factors = kernel_factors(ts)
+        self.dropped: set[int] = set()
 
-    def moved(self, u: np.ndarray) -> int:
-        """How many entries of ``u``'s rows ``1..N-1`` the band clamp moves."""
-        if self.band is None:
-            return 0
-        inner, (lo, hi) = u[1 : self.N], self.band
-        return inner.size - int(np.count_nonzero((lo <= inner) & (inner <= hi)))
-
-    def rhs(self, u: np.ndarray, inside: bool = False) -> np.ndarray:
-        """``f*`` at the equation points, one row each.  ``inside`` tells
-        that ``u`` lies in the band, so every gap the clamp leaves is a
-        signed zero, which the bounded correction returns as is."""
+    def clamp(self, u: np.ndarray) -> tuple:
+        """The states ``f*`` reads, ``u``'s rows ``1..N-1`` clipped into the
+        band, and how many entries the clip moved (a NaN counts as moved)."""
         shifted = u[1 : self.N]
-        states = shifted if self.band is None else shifted.clip(*self.band)
-        vals = rhs_matrix(self.problem, states)[0]
-        if self.mode is RhsMode.MODIFIED:
-            gap = states - shifted
-            vals = vals + (gap if inside else gap / (1.0 + np.abs(gap)))
-        return vals
+        if self.band is None:
+            return shifted, 0
+        states = shifted.clip(*self.band)
+        return states, int(np.count_nonzero(states != shifted))
 
-    def __call__(self, u: np.ndarray, inside: bool = False) -> tuple:
-        """``(f*, T u)``."""
-        rhs = self.rhs(u, inside)
-        return rhs, self.phi + green_solve(self.factors, rhs)
+    def rhs(self, u: np.ndarray) -> tuple:
+        """``f*`` at the equation points, one row each, and the clamp's count."""
+        states, moved = self.clamp(u)
+        vals, skipped = rhs_matrix(self.problem, states)
+        self.dropped.update(skipped)
+        return vals, moved
+
+    def __call__(self, u: np.ndarray) -> tuple:
+        """``(f*, T u, moved)``."""
+        rhs, moved = self.rhs(u)
+        return rhs, self.phi + green_solve(self.factors, rhs), moved
 
 
 def _edge_map(problem, u, brackets, mode) -> tuple:
@@ -222,12 +222,11 @@ def regularized_rhs(
 ) -> GridFunction:
     """Right-hand-side grid ``f*(t_k, u^sigma)`` on the equation points.
 
-    With a band, states are clamped into it; ``MODIFIED`` adds the bounded
-    correction ``(d - x) / (1 + |d - x|)`` per component, which vanishes
-    exactly on in-band iterates.
+    ``TRUNCATED`` clamps the states into the band of ``brackets`` first;
+    ``RAW`` evaluates them as they are.
     """
     T, full = _edge_map(problem, u, brackets, mode)
-    return GridFunction.from_values(problem.scale, T.rhs(full), lo=0)
+    return GridFunction.from_values(problem.scale, T.rhs(full)[0], lo=0)
 
 
 def apply_green_operator(
@@ -271,8 +270,8 @@ def solve(
     ``brackets`` is an optional ``(alpha, beta)`` pair of grid functions on
     the full realization; monotone strategies require it.  It is
     checked here once; every strategy below works on its value arrays.
-    ``f*`` is evaluated in ``MODIFIED`` mode with brackets and ``RAW``
-    without, except in monotone runs, which truncate.
+    ``f*`` is clamped into the band (``TRUNCATED``) with brackets and
+    evaluated ``RAW`` without.
 
     Every strategy stops on one test, applied to each iterate ``u``:
     ``CONVERGED`` when ``u`` lies in the band, so the clamp moves no entry
@@ -284,28 +283,26 @@ def solve(
     the band, which shows the band is not invariant, when it has not
     decreased for ``_STALL_STREAK`` iterations at the smallest damping (1/64,
     or 1 for monotone runs and Newton), or when Newton's line search fails;
-    ``MAX_ITERS`` otherwise.
+    ``MAX_ITERS`` otherwise.  Components whose improper first cell
+    ``rhs_matrix`` dropped during the run are named in the last note.
     """
     config = config or SolveConfig()
     if brackets is not None:
         brackets = _check_brackets(problem, brackets)
-    mode = RhsMode.RAW if brackets is None else RhsMode.MODIFIED
+    T = _FixedPointMap(problem, brackets,
+                       RhsMode.RAW if brackets is None else RhsMode.TRUNCATED)
     if strategy is Strategy.PICARD:
-        T = _FixedPointMap(problem, brackets, mode)
-        return _iterate(T, config, strategy, _picard(), min_theta=_MIN_DAMPING)
+        return _iterate(T, config, strategy, _picard(T), min_theta=_MIN_DAMPING)
     if strategy in (Strategy.MONOTONE_UP, Strategy.MONOTONE_DOWN):
         if brackets is None:
             raise BracketViolation(
                 -1, "monotone iteration needs a lower and an upper solution"
             )
         up = strategy is Strategy.MONOTONE_UP
-        # bracket preservation of the iteration map is only exact without
-        # the correction term, so monotone runs truncate
-        T = _FixedPointMap(problem, brackets, RhsMode.TRUNCATED)
         return _iterate(T, config, strategy, _monotone(1 if up else -1),
                         start=brackets[0 if up else 1])
     if strategy is Strategy.NEWTON_ORACLE:
-        return _newton(_FixedPointMap(problem, brackets, mode), config)
+        return _newton(T, config)
     raise ConfigError(f"unknown strategy {strategy!r}", key="strategy")
 
 
@@ -317,12 +314,12 @@ def _iterate(
     elsewhere), ``u_1``, ... by :func:`solve`'s stopping test until it
     decides; every stop and every note is recorded here.
 
-    The test reads ``g = T u_k - u_k``.  ``step(u, rhs, image, g, defect,
-    theta)`` turns ``f*``, ``T u_k``, ``g`` and ``|g|_inf`` into
-    ``(u_{k+1}, T(u_{k+1}) or None)``, or into ``(status, note)`` to end the
-    run.  ``theta`` starts at 1, and each ``_STALL_STREAK`` iterates without
-    a smaller defect halve it, down to ``min_theta``, where they stall the
-    run.  Each iterate costs at most one ``rhs_matrix`` call and one kernel
+    The test reads ``g = T u_k - u_k`` and the clamp's count.  ``step(u,
+    rhs, image, g, defect, theta)`` turns ``f*``, ``T u_k``, ``g`` and
+    ``|g|_inf`` into ``(u_{k+1}, T(u_{k+1}) or None)``, or into ``(status,
+    note)`` to end the run.  ``theta`` starts at 1, and each
+    ``_STALL_STREAK`` iterates without a smaller defect halve it, down to
+    ``min_theta``, where they stall the run.  Each iterate costs at most one ``rhs_matrix`` call and one kernel
     solve, both in ``T``; the differential residual is computed once at the
     end, from the last ``f*`` when that was the raw ``f``.
     """
@@ -337,15 +334,13 @@ def _iterate(
     evaluated = None
     best, streak, theta = math.inf, 0, 1.0
     for it in range(config.max_iters + 1):
-        moved = T.moved(u)
-        inside = not moved
         try:
-            rhs, image = evaluated or T(u, inside)
+            rhs, image, moved = evaluated or T(u)
             if not np.isfinite(image).all():
                 raise NonFiniteResult("image is not finite")
         except (DomainViolation, NonFiniteResult) as exc:
             notes.append(f"iteration {it}: {exc}")
-            status, defect, inside = Status.DIVERGED, math.inf, False
+            status, defect, moved = Status.DIVERGED, math.inf, None
             break
         g = image - u
         defect = float(np.abs(g).max())
@@ -355,8 +350,8 @@ def _iterate(
             status = Status.DIVERGED
             break
         if defect <= config.tol_residual * max(1.0, size):
-            status = Status.CONVERGED if inside else Status.STALLED
-            if not inside:
+            status = Status.CONVERGED if moved == 0 else Status.STALLED
+            if moved:
                 notes.append(f"iteration {it}: band not invariant: defect "
                              f"{defect:.3e} meets the tolerance where the clamp "
                              f"moves {moved} entries")
@@ -379,19 +374,20 @@ def _iterate(
             status = following
             break
         u, evaluated = following, extra
+    notes.extend(drop_note(T.dropped))
     return SolveReport(
         solution=GridFunction(problem.scale, u, 0, N),
         strategy=strategy,
         status=status,
         iterations=it,
-        final_residual=_residual(problem, u, rhs if inside else None),
+        final_residual=_residual(problem, u, rhs if moved == 0 else None),
         defect=defect,
         bracket_respected=_bracket_respected(u, T.brackets),
         notes=tuple(notes),
     )
 
 
-def _picard():
+def _picard(T):
     """Picard's step ``u <- (1 - theta) u + theta T u``, ``theta`` starting
     at 1 and halved by :func:`_iterate` on stagnation, with Anderson mixing
     of depth ``_ANDERSON_DEPTH`` on every step (Walker and Ni, 2011).
@@ -401,7 +397,9 @@ def _picard():
     ``dg = g_k - g_{k-1}``; any other step clears the stored pairs.  The step
     subtracts ``sum c_i (du_i + theta dg_i)`` over them, ``c`` the
     least-squares fit of ``g_k`` on the ``dg_i`` (:func:`_mixing`), and is
-    plain when none is left or the result is not finite.  No step calls the
+    plain when none is left or the result is not finite or leaves the band
+    of ``T``: the fit extrapolates, and a mixed iterate the clamp moves can
+    land a band width away from the solution.  No step calls the
     right-hand side."""
     last, history = None, []  # (u, g, |g|_inf, theta) of the last step; pairs
 
@@ -417,7 +415,8 @@ def _picard():
         last = (u, g, g_max, theta)
         coefficients = _mixing(history, g)  # may drop pairs from history
         mixed = plain - sum(c * move for c, (_, move, _) in zip(coefficients, history))
-        return (mixed if np.isfinite(mixed).all() else plain), None
+        keep = np.isfinite(mixed).all() and not T.clamp(mixed)[1]
+        return (mixed if keep else plain), None
 
     return step
 
@@ -475,7 +474,7 @@ def _newton_operator(T: _FixedPointMap, u, rhs):
         shifted = u.copy()
         shifted[1:N, j] += _JACOBIAN_STEP * np.maximum(1.0, np.abs(u[1:N, j]))
         step = (shifted - u)[1:N, j, None]
-        jac[:, :, j] = (T.rhs(shifted) - rhs) / step
+        jac[:, :, j] = (T.rhs(shifted)[0] - rhs) / step
     return lambda v: v - green_solve(T.factors, np.einsum("kij,kj->ki", jac, v[1:N]))
 
 
@@ -523,7 +522,7 @@ def _newton(T: _FixedPointMap, config: SolveConfig) -> SolveReport:
             if np.abs(trial[1] - z).max() < g_max:
                 return z, trial
         return Status.STALLED, (f"line search failed at defect {g_max:.3e}; the "
-                                f"clamp moves {T.moved(u + delta)} entries of the "
-                                "full step")
+                                f"clamp moves {T.clamp(u + delta)[1]} entries of "
+                                "the full step")
 
     return _iterate(T, config, Strategy.NEWTON_ORACLE, step)

@@ -525,6 +525,36 @@ class TestRunFailures:
                 else "the clamp moves 63 entries of the full step")
         assert note in text
 
+    @pytest.mark.parametrize(
+        "body,reason,code",
+        [
+            ("f.1.expr = -1\n",
+             "construction integrals must be positive", 0),
+            ("f.1.expr = 100*(1 + x1^2)\nf.1.lambda = 0\nf.1.mu = 2\n",
+             "component 1: diagonal upper degree must stay below one, got 2", 2),
+        ],
+        ids=["criterion", "shape"],
+    )
+    def test_refused_bounds_are_the_first_note(self, tmp_path, body, reason, code):
+        cfg = write_cfg(tmp_path, "scale.kind = uniform\nscale.points = 17\n"
+                        "f.count = 1\n" + body)
+        out = tmp_path / "run.csv"
+        assert main(["solve", str(cfg), "--out", str(out)]) == code
+        text = out.read_text()
+        notes = re.findall(r"^# note = (.*)$", text, re.M)
+        assert notes[0].startswith(f"solved without bounds: {reason}")
+        assert len(notes) == (1 if code == 0 else 2)
+        assert "\nt,u1\n" in text
+
+    def test_improper_first_cell_is_noted(self, tmp_path):
+        cfg = write_cfg(tmp_path, "scale.kind = uniform\nscale.points = 17\n"
+                        "f.count = 1\nf.1.expr = t^(-0.5) * x1^(-0.5)\n"
+                        "f.1.lambda = -0.5\nf.1.mu = 0.5\n")
+        out = tmp_path / "run.csv"
+        assert main(["solve", str(cfg), "--out", str(out)]) == 0
+        notes = re.findall(r"^# note = (.*)$", out.read_text(), re.M)
+        assert notes == ["dropped improper first cell for component(s) [1]"]
+
     def test_unresolvable_bounds_exit_two(self, tmp_path):
         # negative boundary data puts the problem outside the positive class
         cfg = write_cfg(
