@@ -73,7 +73,6 @@ from .green import (
 )
 from .model import DirichletProblem, Nonlinearity, emden_fowler, rhs_matrix
 from .solver import (
-    RhsMode,
     SolveConfig,
     SolveReport,
     Status,
@@ -121,7 +120,7 @@ __all__ = [
     "affine_interpolant", "envelope_weight", "green_apply", "green_value",
     "kernel_lower_weight",
     "DirichletProblem", "Nonlinearity", "emden_fowler", "rhs_matrix",
-    "RhsMode", "SolveConfig", "SolveReport", "Status", "Strategy",
+    "SolveConfig", "SolveReport", "Status", "Strategy",
     "apply_green_operator", "clamp_to_band", "regularized_rhs",
     "residual_norm", "solve",
     "QUANTUM_FAMILY_DEPTHS", "UNIFORM_FAMILY_SIZES", "Kind", "TimeScale",

@@ -43,7 +43,13 @@ from .criteria import (
     verify_upper,
 )
 from .criteria import DEFAULT_SEED, _refinement_family
-from .errors import ConfigError, CriterionNotSatisfied, ShapeViolation, TsdynError
+from .errors import (
+    BracketViolation,
+    ConfigError,
+    CriterionNotSatisfied,
+    ShapeViolation,
+    TsdynError,
+)
 from .model import DirichletProblem, Nonlinearity
 from .solver import SolveConfig, Status, Strategy, solve
 from .timescale import TimeScale, from_points, quantum, uniform
@@ -323,13 +329,11 @@ def _cmd_check(cfg: Config, args) -> int:
     if criterion in ("sufficient", "necessary"):
         family = _family(cfg, scale, args.family)
         if criterion == "sufficient":
-            report = criterion_sufficient(f, family, reference=scale)
+            report = criterion_sufficient(f, family)
         else:
             override = (cfg.get_float("check.eval_point")
                         if "check.eval_point" in cfg else None)
-            report = criterion_necessary(
-                f, family, reference=scale, eval_point_override=override
-            )
+            report = criterion_necessary(f, family, eval_point_override=override)
         _emit(_json_lines(_criterion_records(report)), args.out)
         return _verdict_exit(report.verdict)
     component = cfg.get_int("check.component", 1)
@@ -397,15 +401,20 @@ def _cmd_solve(cfg: Config, args) -> int:
         strategy = _flag("--strategy", args.strategy).get_enum("--strategy", Strategy)
     else:
         strategy = cfg.get_enum("solve.strategy", Strategy, Strategy.PICARD)
-    brackets = None
-    notes: tuple[str, ...] = ()
+    brackets = refused = None
     if cfg.get_bool("solve.use_bounds", True) and problem.is_positive_system:
         try:
             brackets = construct_bounds(problem).pair
         except (ShapeViolation, CriterionNotSatisfied) as exc:
-            notes = (f"solved without bounds: {exc}",)
-    report = solve(problem, strategy=strategy, brackets=brackets,
-                   config=_solve_config(cfg))
+            refused = exc
+    try:
+        report = solve(problem, strategy=strategy, brackets=brackets,
+                       config=_solve_config(cfg))
+    except BracketViolation as exc:  # a monotone run needs the refused bounds
+        if refused is None:
+            raise
+        raise BracketViolation(exc.index, f"{exc}; bounds refused: {refused}") from exc
+    notes = () if refused is None else (f"solved without bounds: {refused}",)
     ts = problem.scale
     header = ["t"] + [f"u{i}" for i in range(1, problem.n_components + 1)]
     columns = [ts.points] + [report.solution.component(i)
@@ -482,7 +491,7 @@ def _cmd_quadrature(cfg: Config, args) -> int:
                 if "check.eval_point" in cfg else None)
     family = _family(cfg, scale, args.family)
     try:
-        report = family_quadrature(f, family, reference=scale, weight=weight,
+        report = family_quadrature(f, family, weight=weight,
                                    eval_point_override=override)
     except ConfigError as exc:
         raise cfg.library_error(exc, "quadrature") from exc

@@ -3,18 +3,19 @@
 Every strategy works on the fixed-point form ``u = phi + G f(., u^sigma)``
 where ``phi`` is the affine interpolant of the boundary values and ``G`` the
 kernel solve.  When a lower/upper pair is supplied, the state fed to ``f``
-is clamped into the band (``TRUNCATED``); ``RAW`` evaluates as-is.  The
+is clamped into the band; without one ``f`` is evaluated as it is.  The
 paper's bounded correction, a device of its existence proof, is not used:
 it vanishes on every in-band iterate, the only kind a solve accepts.
 
-A solve builds one fixed-point map, :class:`_FixedPointMap`, which forms
-``phi``, the kernel factors and the band once and is the one place where
-``f*`` and ``T u = phi + G f*(., u^sigma)`` are evaluated; the pass that
-clamps an iterate also counts the entries it moved.  Every strategy
-runs one loop, :func:`_iterate`, on plain ``(N+1, n)`` arrays, and stops on
-its one test: the fixed-point defect ``|T u - u|_inf`` of an in-band
-iterate, whose roundoff floor, unlike that of the differential residual,
-does not grow as the mesh is refined (see :func:`solve`).  :func:`solve`
+A solve builds one fixed-point map, :class:`_FixedPointMap`, which checks
+the band and forms ``phi`` and the kernel factors once and is the one
+place where a state is clamped and ``f*`` and ``T u = phi + G f*(.,
+u^sigma)`` are evaluated; the pass that clamps an iterate also counts the
+entries it moved.  Every strategy runs one loop, :func:`_iterate`, on
+plain ``(N+1, n)`` arrays, and stops on its one test: the fixed-point
+defect ``|T u - u|_inf`` of an in-band iterate, whose roundoff floor,
+unlike that of the differential residual, does not grow as the mesh is
+refined (see :func:`solve`).  :func:`solve`
 picks the start iterate and the step: damped Picard with Anderson mixing
 of depth 3 on every step from the band's geometric centre, the monotone
 step ``u <- T u``, or a Newton-Krylov step whose only operator is the
@@ -77,11 +78,6 @@ class Status(Enum):
     DIVERGED = "diverged"
 
 
-class RhsMode(Enum):
-    TRUNCATED = "truncated"
-    RAW = "raw"
-
-
 @dataclass(frozen=True)
 class SolveConfig:
     """The stopping rule of :func:`solve`: ``tol_residual`` bounds the
@@ -139,35 +135,29 @@ def clamp_to_band(
     return GridFunction(u.scale, np.clip(u.values, lo, hi), u.lo, u.hi)
 
 
-def _check_brackets(problem: DirichletProblem, brackets) -> tuple:
-    """The ``(alpha, beta)`` value arrays of a checked bracket pair."""
-    alpha, beta = brackets
-    for g in (alpha, beta):
-        full_support_values(g, problem.scale, "brackets")
-        if g.n_components != problem.n_components:
-            raise SupportMismatch("bracket component count differs from the system")
-    alpha, beta = alpha.values, beta.values
-    if np.any(alpha > beta):
-        bad = int(np.argwhere(alpha > beta)[0][0])
-        raise BracketViolation(bad)
-    return alpha, beta
-
-
 class _FixedPointMap:
     """``T u = phi + G f*(., u^sigma)`` of one solve on plain ``(N+1, n)``
-    arrays, ``f*`` in ``mode``.  ``brackets`` are checked value arrays or
-    ``None``; ``band``, their rows ``1..N-1``, is what ``TRUNCATED`` clamps
-    the shifted states into (``None`` for ``RAW``).  ``dropped`` collects
-    the components whose improper first cell ``rhs_matrix`` dropped in any
+    arrays.  ``brackets``, an ``(alpha, beta)`` pair of grid functions or
+    ``None``, is checked here (full support, component count, ``alpha <=
+    beta``) and kept as value arrays; a map clamps exactly when it holds
+    them, into ``band``, their rows ``1..N-1``.  ``dropped`` collects the
+    components whose improper first cell ``rhs_matrix`` dropped in any
     evaluation."""
 
-    def __init__(self, problem: DirichletProblem, brackets, mode: RhsMode):
+    def __init__(self, problem: DirichletProblem, brackets):
         ts = problem.scale
-        self.problem, self.brackets = problem, brackets
+        self.problem = problem
         self.N = N = ts.last_index
-        if mode is not RhsMode.RAW and brackets is None:
-            raise BracketViolation(-1, f"{mode.value} evaluation needs brackets")
-        self.band = None if mode is RhsMode.RAW else (brackets[0][1:N], brackets[1][1:N])
+        self.brackets = self.band = None
+        if brackets is not None:
+            for g in brackets:
+                full_support_values(g, ts, "brackets")
+                if g.n_components != problem.n_components:
+                    raise SupportMismatch("bracket component count differs from the system")
+            alpha, beta = (g.values for g in brackets)
+            if np.any(alpha > beta):
+                raise BracketViolation(int(np.argwhere(alpha > beta)[0][0]))
+            self.brackets, self.band = (alpha, beta), (alpha[1:N], beta[1:N])
         self.phi = affine_interpolant(ts, problem.boundary_left, problem.boundary_right).values
         self.factors = kernel_factors(ts)
         self.dropped: set[int] = set()
@@ -194,14 +184,6 @@ class _FixedPointMap:
         return rhs, self.phi + green_solve(self.factors, rhs), moved
 
 
-def _edge_map(problem, u, brackets, mode) -> tuple:
-    """The fixed-point map of a public edge call and ``u``'s full values."""
-    if brackets is not None:
-        brackets = _check_brackets(problem, brackets)
-    full = full_support_values(u, problem.scale, "iterate")
-    return _FixedPointMap(problem, brackets, mode), full
-
-
 def _residual(problem: DirichletProblem, u: np.ndarray, rhs=None) -> float:
     """Max-norm ``-u^DD - f(., u^sigma)`` with the raw ``f`` (``rhs`` if
     already evaluated); infinite outside ``f``'s domain."""
@@ -215,28 +197,23 @@ def _residual(problem: DirichletProblem, u: np.ndarray, rhs=None) -> float:
 
 
 def regularized_rhs(
-    problem: DirichletProblem,
-    u: GridFunction,
-    brackets=None,
-    mode: RhsMode = RhsMode.RAW,
+    problem: DirichletProblem, u: GridFunction, brackets=None
 ) -> GridFunction:
-    """Right-hand-side grid ``f*(t_k, u^sigma)`` on the equation points.
-
-    ``TRUNCATED`` clamps the states into the band of ``brackets`` first;
-    ``RAW`` evaluates them as they are.
-    """
-    T, full = _edge_map(problem, u, brackets, mode)
+    """Right-hand-side grid ``f*(t_k, u^sigma)`` on the equation points:
+    the states clamped into the band of ``brackets`` when given, else as
+    they are."""
+    T = _FixedPointMap(problem, brackets)
+    full = full_support_values(u, problem.scale, "iterate")
     return GridFunction.from_values(problem.scale, T.rhs(full)[0], lo=0)
 
 
 def apply_green_operator(
-    problem: DirichletProblem,
-    u: GridFunction,
-    brackets=None,
-    mode: RhsMode = RhsMode.RAW,
+    problem: DirichletProblem, u: GridFunction, brackets=None
 ) -> GridFunction:
-    """One application of ``u -> phi + G f*(., u^sigma)``."""
-    T, full = _edge_map(problem, u, brackets, mode)
+    """One application of ``u -> phi + G f*(., u^sigma)``, ``f*`` as in
+    :func:`regularized_rhs`."""
+    T = _FixedPointMap(problem, brackets)
+    full = full_support_values(u, problem.scale, "iterate")
     return GridFunction(problem.scale, T(full)[1], 0, T.N)
 
 
@@ -268,10 +245,10 @@ def solve(
     """Solve the Dirichlet problem with the chosen strategy.
 
     ``brackets`` is an optional ``(alpha, beta)`` pair of grid functions on
-    the full realization; monotone strategies require it.  It is
-    checked here once; every strategy below works on its value arrays.
-    ``f*`` is clamped into the band (``TRUNCATED``) with brackets and
-    evaluated ``RAW`` without.
+    the full realization; monotone strategies require it.  The solve's
+    fixed-point map checks it once, and every strategy below works on its
+    value arrays.  ``f*`` reads the states clamped into the band with
+    brackets and as they are without.
 
     Every strategy stops on one test, applied to each iterate ``u``:
     ``CONVERGED`` when ``u`` lies in the band, so the clamp moves no entry
@@ -287,20 +264,17 @@ def solve(
     ``rhs_matrix`` dropped during the run are named in the last note.
     """
     config = config or SolveConfig()
-    if brackets is not None:
-        brackets = _check_brackets(problem, brackets)
-    T = _FixedPointMap(problem, brackets,
-                       RhsMode.RAW if brackets is None else RhsMode.TRUNCATED)
+    T = _FixedPointMap(problem, brackets)
     if strategy is Strategy.PICARD:
         return _iterate(T, config, strategy, _picard(T), min_theta=_MIN_DAMPING)
     if strategy in (Strategy.MONOTONE_UP, Strategy.MONOTONE_DOWN):
-        if brackets is None:
+        if T.brackets is None:
             raise BracketViolation(
                 -1, "monotone iteration needs a lower and an upper solution"
             )
         up = strategy is Strategy.MONOTONE_UP
         return _iterate(T, config, strategy, _monotone(1 if up else -1),
-                        start=brackets[0 if up else 1])
+                        start=T.brackets[0 if up else 1])
     if strategy is Strategy.NEWTON_ORACLE:
         return _newton(T, config)
     raise ConfigError(f"unknown strategy {strategy!r}", key="strategy")
@@ -501,10 +475,9 @@ def _newton(T: _FixedPointMap, config: SolveConfig) -> SolveReport:
     """Newton-Krylov steps on ``g = T u - u = 0``, judged by :func:`_iterate`.
     GMRES solves ``(I - G J) delta = g`` (:func:`_newton_operator`) to the
     relative tolerance ``min(1e-2, |g|_inf)``, which keeps the tail quadratic.
-    The step is halved until the trial, clipped into the band with its
-    boundary values pinned, has a smaller defect, or the run stalls; the
-    accepted trial goes back to the loop with ``T`` of it."""
-    low, high = T.brackets or (-np.inf, np.inf)
+    The step is halved until the trial, its rows ``1..N-1`` clamped by ``T``
+    and its boundary values pinned, has a smaller defect, or the run stalls;
+    the accepted trial goes back to the loop with ``T`` of it."""
 
     def step(u, rhs, image, g, g_max, theta):
         try:
@@ -513,7 +486,8 @@ def _newton(T: _FixedPointMap, config: SolveConfig) -> SolveReport:
             return Status.DIVERGED, str(exc)
         delta = _gmres(operator, g, min(1e-2, g_max))
         for halvings in range(_LINE_SEARCH_HALVINGS + 1):
-            z = np.clip(u + 0.5**halvings * delta, low, high)
+            z = u + 0.5**halvings * delta
+            z[1 : T.N] = T.clamp(z)[0]
             z[0], z[-1] = T.problem.boundary_left, T.problem.boundary_right
             try:
                 trial = T(z)

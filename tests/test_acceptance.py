@@ -14,7 +14,6 @@ from tsdyn import (
     DirichletProblem,
     GridFunction,
     Nonlinearity,
-    RhsMode,
     Status,
     Strategy,
     Verdict,
@@ -203,7 +202,7 @@ def test_criterion_09_monotone_iteration_ordering():
         for start, ascending in ((pair.alpha, True), (pair.beta, False)):
             u = start
             for _ in range(200):
-                v = apply_green_operator(problem, u, pair.pair, RhsMode.TRUNCATED)
+                v = apply_green_operator(problem, u, pair.pair)
                 drift = v.values - u.values
                 if ascending:
                     assert np.min(drift) >= -slack

@@ -546,6 +546,19 @@ class TestRunFailures:
         assert len(notes) == (1 if code == 0 else 2)
         assert "\nt,u1\n" in text
 
+    @pytest.mark.parametrize("strategy", ["monotone_up", "monotone_down"])
+    def test_monotone_run_names_the_refusal(self, tmp_path, capsys, strategy):
+        # a monotone run needs the bounds construct_bounds refused: it exits 2,
+        # writes no CSV, and stderr says why there are none
+        cfg = write_cfg(tmp_path, "scale.kind = uniform\nscale.points = 17\n"
+                        "f.count = 1\nf.1.expr = -1\n")
+        out = tmp_path / "run.csv"
+        assert main(["solve", str(cfg), "--strategy", strategy, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "monotone iteration needs a lower and an upper solution" in err
+        assert "bounds refused: construction integrals must be positive" in err
+        assert not out.exists()
+
     def test_improper_first_cell_is_noted(self, tmp_path):
         cfg = write_cfg(tmp_path, "scale.kind = uniform\nscale.points = 17\n"
                         "f.count = 1\nf.1.expr = t^(-0.5) * x1^(-0.5)\n"

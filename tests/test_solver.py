@@ -17,7 +17,6 @@ from tsdyn import (
     DirichletProblem,
     GridFunction,
     Nonlinearity,
-    RhsMode,
     SolveConfig,
     Status,
     ScaleMismatch,
@@ -27,7 +26,6 @@ from tsdyn import (
     clamp_to_band,
     compute_envelope,
     construct_bounds,
-    envelope_weight,
     from_points,
     green_apply,
     quantum,
@@ -529,7 +527,7 @@ class TestAndersonStep:
         assert report.iterations >= 1
         u = pair[0 if strategy is Strategy.MONOTONE_UP else 1]
         for _ in range(report.iterations):
-            u = apply_green_operator(p, u, pair, RhsMode.TRUNCATED)
+            u = apply_green_operator(p, u, pair)
         assert report.solution.values.tobytes() == u.values.tobytes()
 
     @PLAIN_STEP_PROBLEMS
@@ -594,9 +592,7 @@ class TestNewton:
             assert (np.abs(inner - edge) > steps).all()
 
         def defect_map(values):
-            image = apply_green_operator(
-                p, GridFunction(ts, values, 0, N), (alpha, beta), RhsMode.TRUNCATED
-            )
+            image = apply_green_operator(p, GridFunction(ts, values, 0, N), (alpha, beta))
             return (image.values - values)[1:N].ravel()
 
         dense = np.empty(((N - 1) * n, (N - 1) * n))
@@ -607,9 +603,7 @@ class TestNewton:
             step[k + 1, i] = h
             dense[:, col] = (defect_map(u + step) - defect_map(u - step)) / (2.0 * h)
 
-        T = tsdyn.solver._FixedPointMap(
-            p, (alpha.values, beta.values), RhsMode.TRUNCATED
-        )
+        T = tsdyn.solver._FixedPointMap(p, (alpha, beta))
         operator = tsdyn.solver._newton_operator(T, u, T.rhs(u)[0])
         structured = np.empty_like(dense)
         for col in range((N - 1) * n):
@@ -773,6 +767,39 @@ class TestMonotone:
 
 
 class TestRhsModes:
+    """``f*`` reads the states clamped into the band when brackets are
+    given and as they are otherwise, at the public edges as in ``solve``."""
+
+    @pytest.mark.parametrize("edge", [regularized_rhs, apply_green_operator])
+    def test_brackets_decide_the_clamp(self, singular65, edge):
+        alpha, beta = construct_bounds(singular65).pair
+        ts = singular65.scale
+        wild = GridFunction.from_values(ts, np.linspace(-5.0, 5.0, ts.npoints))
+        assert (clamp_to_band(wild, alpha, beta).values != wild.values).any()
+        clamped = edge(singular65, wild, (alpha, beta))
+        direct = edge(singular65, clamp_to_band(wild, alpha, beta))
+        assert clamped.values.tobytes() == direct.values.tobytes()
+        inside = 0.5 * (alpha + beta)
+        assert (edge(singular65, inside, (alpha, beta)).values.tobytes()
+                == edge(singular65, inside).values.tobytes())
+
+    @pytest.mark.parametrize("edge", [regularized_rhs, apply_green_operator])
+    def test_bracket_errors_come_from_the_edges(self, singular65, edge):
+        alpha, beta = construct_bounds(singular65).pair
+        ts = singular65.scale
+        u = 0.5 * (alpha + beta)
+        with pytest.raises(BracketViolation):
+            edge(singular65, u, (beta, alpha))
+        with pytest.raises(SupportMismatch):
+            edge(singular65, u, (alpha.restrict(1, ts.last_index), beta))
+        with pytest.raises(SupportMismatch):
+            pair = (GridFunction.from_values(ts, np.repeat(g.values, 2, axis=1))
+                    for g in (alpha, beta))
+            edge(singular65, u, tuple(pair))
+        other = quantum(2.0, 63)
+        with pytest.raises(ScaleMismatch):
+            edge(singular65, u, (GridFunction(other, alpha.values, 0, 64), beta))
+
     def test_truncated_stays_in_band(self, singular65):
         pair = construct_bounds(singular65)
         alpha, beta = pair.pair
@@ -780,18 +807,9 @@ class TestRhsModes:
         wild = GridFunction.from_values(
             ts, np.linspace(-5.0, 5.0, ts.npoints)
         )
-        rhs = regularized_rhs(singular65, wild, pair.pair, RhsMode.TRUNCATED)
+        rhs = regularized_rhs(singular65, wild, pair.pair)
         direct = regularized_rhs(singular65, clamp_to_band(wild, alpha, beta))
         assert np.allclose(rhs.values, direct.values, rtol=0, atol=1e-15)
-
-    def test_truncated_mode_needs_brackets(self, singular65):
-        u = envelope_weight(singular65.scale) + 0.1
-        with pytest.raises(BracketViolation):
-            regularized_rhs(singular65, u, None, RhsMode.TRUNCATED)
-
-    def test_modes_are_truncated_and_raw(self):
-        # the paper's bounded correction only serves its existence proof
-        assert [mode.value for mode in RhsMode] == ["truncated", "raw"]
 
     def test_partial_brackets_rejected(self, singular65):
         alpha, beta = construct_bounds(singular65).pair
@@ -801,7 +819,6 @@ class TestRhsModes:
                 singular65,
                 alpha,
                 (alpha.restrict(1, N), beta.restrict(1, N)),
-                RhsMode.TRUNCATED,
             )
 
     def test_clamp_to_band(self, unit65):
@@ -851,8 +868,10 @@ class TestClampCount:
         zeros = (0.0,) * n
         f = tuple(Nonlinearity(n, i, body if i == 1 else (lambda t, x: 0.0), zeros, zeros)
                   for i in range(1, n + 1))
-        problem = DirichletProblem(uniform(0.0, 1.0, points), f, zeros, zeros)
-        T = tsdyn.solver._FixedPointMap(problem, (alpha, beta), RhsMode.TRUNCATED)
+        scale = uniform(0.0, 1.0, points)
+        problem = DirichletProblem(scale, f, zeros, zeros)
+        T = tsdyn.solver._FixedPointMap(problem, (GridFunction.from_values(scale, alpha),
+                                                  GridFunction.from_values(scale, beta)))
         _, _, moved = T(u)
         N = points - 1
         assert moved == np.count_nonzero(np.isin(kind[1:N], [BELOW, ABOVE, NAN]))
@@ -948,7 +967,7 @@ class TestResidual:
         pair = construct_bounds(singular65)
         report = solve(singular65, brackets=pair.pair)
         u = report.solution
-        image = apply_green_operator(singular65, u, pair.pair, RhsMode.TRUNCATED)
+        image = apply_green_operator(singular65, u, pair.pair)
         assert np.max(np.abs(image.values - u.values)) < 1e-8
 
 
@@ -956,8 +975,7 @@ class TestResidual:
 #: beta)`` and an iterate ``u``, all for the problem ``p``.
 ENTRY_POINTS = {
     "solve": lambda p, alpha, beta, u: solve(p, brackets=(alpha, beta)),
-    "regularized_rhs": lambda p, alpha, beta, u: regularized_rhs(
-        p, u, (alpha, beta), RhsMode.TRUNCATED),
+    "regularized_rhs": lambda p, alpha, beta, u: regularized_rhs(p, u, (alpha, beta)),
     "apply_green_operator": lambda p, alpha, beta, u: apply_green_operator(p, u),
     "residual_norm": lambda p, alpha, beta, u: residual_norm(p, u),
     "verify_lower": lambda p, alpha, beta, u: verify_lower(p, alpha),
