@@ -86,7 +86,6 @@ from .solver import (
 from .timescale import (
     QUANTUM_FAMILY_DEPTHS,
     UNIFORM_FAMILY_SIZES,
-    Kind,
     TimeScale,
     from_points,
     quantum,
@@ -123,7 +122,7 @@ __all__ = [
     "SolveConfig", "SolveReport", "Status", "Strategy",
     "apply_green_operator", "clamp_to_band", "regularized_rhs",
     "residual_norm", "solve",
-    "QUANTUM_FAMILY_DEPTHS", "UNIFORM_FAMILY_SIZES", "Kind", "TimeScale",
+    "QUANTUM_FAMILY_DEPTHS", "UNIFORM_FAMILY_SIZES", "TimeScale",
     "from_points", "quantum", "quantum_family", "same_realization", "uniform",
     "uniform_family",
 ]

@@ -20,8 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
-import os
 import re
 import sys
 from typing import Sequence
@@ -53,8 +51,6 @@ from .errors import (
 from .model import DirichletProblem, Nonlinearity
 from .solver import SolveConfig, Status, Strategy, solve
 from .timescale import TimeScale, from_points, quantum, uniform
-
-log = logging.getLogger("tsdyn")
 
 _EXIT_OK = 0
 _EXIT_FAIL = 2
@@ -255,7 +251,6 @@ def _emit(text: str, out_path: str | None) -> None:
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        log.info("wrote %s", out_path)
 
 
 def _config_block(cfg: Config, args) -> list[str]:
@@ -542,18 +537,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    name = os.environ.get("TSDYN_LOG", "error").strip().lower()
-    logging.basicConfig(
-        level=level.get(name, logging.ERROR),
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    _setup_logging()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

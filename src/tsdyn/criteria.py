@@ -36,7 +36,7 @@ from .errors import (
 from .expressions import ExpressionTree
 from .green import envelope_weight, green_apply, kernel_lower_weight
 from .model import DirichletProblem, Nonlinearity, drop_note, rhs_matrix
-from .timescale import (QUANTUM_FAMILY_DEPTHS, UNIFORM_FAMILY_SIZES, Kind, TimeScale,
+from .timescale import (QUANTUM_FAMILY_DEPTHS, UNIFORM_FAMILY_SIZES, TimeScale,
                         quantum_family, uniform_family)
 
 #: Seed for every sampling-based hypothesis check.
@@ -158,24 +158,18 @@ class LipschitzReport:
 # --- trail classification -----------------------------------------------------
 
 
-def _classify(
-    trail: Sequence[float], positive: bool, notes: tuple[str, ...] = ()
-) -> ConvergenceVerdict:
+def _classify(trail: Sequence[float], positive: bool) -> ConvergenceVerdict:
     vals = [float(v) for v in trail]
-    if len(vals) < _MIN_FAMILY:
-        raise FamilyTooShort(
-            f"classification needs at least {_MIN_FAMILY} family members, got {len(vals)}"
-        )
     last = vals[-1]
     if not all(math.isfinite(v) for v in vals):
         return ConvergenceVerdict(
             Verdict.DIVERGENT, None, last, (), math.inf, positive,
-            notes + ("non-finite partial value",),
+            ("non-finite partial value",),
         )
     if abs(last) > _MAGNITUDE_LIMIT:
         return ConvergenceVerdict(
             Verdict.DIVERGENT, None, last, (), math.inf, positive,
-            notes + (f"partial values reach {last:.3e}",),
+            (f"partial values reach {last:.3e}",),
         )
     incs = [vals[m + 1] - vals[m] for m in range(len(vals) - 1)]
     ratios: list[float] = []
@@ -191,16 +185,16 @@ def _classify(
         r = ratios[-1]
         limit = last + incs[-1] * r / (1.0 - r) if 0.0 < r < 1.0 else last
         return ConvergenceVerdict(
-            Verdict.CONVERGENT, limit, last, tuple(ratios), stability, positive, notes
+            Verdict.CONVERGENT, limit, last, tuple(ratios), stability, positive
         )
     growing = all(incs[m] < incs[m + 1] for m in range(len(incs) - 4, len(incs) - 1))
     if growing and vals[-4] > 0.0 and last / vals[-4] > _GROWTH_FLOOR:
         return ConvergenceVerdict(
             Verdict.DIVERGENT, None, last, tuple(ratios), stability, positive,
-            notes + (f"partials grew by {last / vals[-4]:.3f}x over the last three refinements",),
+            (f"partials grew by {last / vals[-4]:.3f}x over the last three refinements",),
         )
     return ConvergenceVerdict(
-        Verdict.INCONCLUSIVE, None, last, tuple(ratios), stability, positive, notes
+        Verdict.INCONCLUSIVE, None, last, tuple(ratios), stability, positive
     )
 
 
@@ -215,7 +209,7 @@ def _refinement_family(
     (of ``[0, 1]`` without a reference) at ``sizes`` points otherwise."""
     if reference is None:
         return uniform_family(0.0, 1.0, sizes)
-    if reference.kind is Kind.QUANTUM and reference.q is not None:
+    if reference.q is not None:
         return quantum_family(reference.q, depths)
     return uniform_family(reference.a, reference.sigma2_b, sizes)
 
@@ -343,9 +337,12 @@ def classify_weighted_bound(
     a known time-only profile.  Errors and non-finite values of ``g`` are
     handled as for a nonlinearity: dropped in the first cell, raised inside.
     """
-    g_eval = (lambda s: g.evaluate(s, ())) if isinstance(g, ExpressionTree) else g
-    weight_f = Nonlinearity(1, 1, lambda t, x: g_eval(t), (0.0,), (0.0,))
     family = _resolve_family(scales, reference)
+    if isinstance(g, ExpressionTree):
+        # given no state values, a weight that names a state raises UnknownVariable
+        g.evaluate_array(np.zeros(1), np.zeros((1, 0)))
+    body = g if isinstance(g, ExpressionTree) else (lambda t, x: g(t))
+    weight_f = Nonlinearity(1, 1, body, (0.0,), (0.0,))
 
     def states(ts: TimeScale, n: int) -> np.ndarray:
         # g ignores the state; any value in the row shape will do
@@ -389,9 +386,16 @@ def family_quadrature(
 # --- bound construction ---------------------------------------------------------
 
 
-def _require_positive_system(problem: DirichletProblem, what: str) -> None:
+def _require_constructible(problem: DirichletProblem, what: str) -> None:
+    """Both constructions raise their constants to the power ``1 / (1 - mu_ii)``."""
     if not problem.is_positive_system:
         raise ShapeViolation(f"{what} requires zero boundary values")
+    for fi in problem.f:
+        if not fi.diagonal_high < 1.0:
+            raise ShapeViolation(
+                f"component {fi.component_index}: diagonal upper degree must "
+                f"stay below one, got {fi.diagonal_high:g}"
+            )
 
 
 def construct_bounds(problem: DirichletProblem) -> BoundsPair:
@@ -402,17 +406,11 @@ def construct_bounds(problem: DirichletProblem) -> BoundsPair:
     under the kernel's lower weight and ``I2`` plain.  Requires zero
     boundary values and diagonal upper degrees below one.
     """
-    _require_positive_system(problem, "bound construction")
+    _require_constructible(problem, "bound construction")
     ts = problem.scale
     N = ts.last_index
     n = problem.n_components
     D = ts.span
-    for fi in problem.f:
-        if not fi.diagonal_high < 1.0:
-            raise ShapeViolation(
-                f"component {fi.component_index}: diagonal upper degree must "
-                f"stay below one, got {fi.diagonal_high:g}"
-            )
     vals, skipped = rhs_matrix(problem, _envelope_states(ts, n))
     s = ts.points[: N - 1]
     sig = ts.points[1:N]
@@ -463,8 +461,9 @@ def construct_lower(
     ``g_i`` is the kernel image of ``w(s)^eta f_i(s, [endpoint])`` where
     ``w`` is the kernel's lower weight and ``eta`` is the diagonal upper
     degree (or one, with ``LowerWeight.UNIT``).  No upper bound is produced.
+    Requires zero boundary values and diagonal upper degrees below one.
     """
-    _require_positive_system(problem, "lower construction")
+    _require_constructible(problem, "lower construction")
     ts = problem.scale
     N = ts.last_index
     n = problem.n_components
@@ -580,7 +579,8 @@ def compute_envelope(problem: DirichletProblem, solution: GridFunction) -> dict:
     ``_ENVELOPE_SLACK`` absorbs the residual of an approximate solution.
     Raises :class:`EnvelopeViolation` at the first escape.
     """
-    _require_positive_system(problem, "the envelope display")
+    if not problem.is_positive_system:
+        raise ShapeViolation("the envelope display requires zero boundary values")
     ts = problem.scale
     N = ts.last_index
     u = full_support_values(solution, ts, "solution")
@@ -614,10 +614,6 @@ def endpoint_slope_limits(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
 # --- sampled hypothesis checks ---------------------------------------------------
 
 
-def _interior_times(ts: TimeScale) -> np.ndarray:
-    return ts.points[1:-1]
-
-
 def check_scaling_exponents(
     f: Nonlinearity,
     ts: TimeScale,
@@ -634,7 +630,7 @@ def check_scaling_exponents(
     declared bracket meets the strict shape constraints.
     """
     rng = np.random.default_rng(seed)
-    times = _interior_times(ts)
+    times = ts.points[1:-1]
     lo_x = math.log10(_STATE_FLOOR * 10.0)
     try:
         f.validate_shape()
@@ -702,7 +698,7 @@ def check_monotone_in_state(
 ) -> SampleReport:
     """Sample coordinatewise monotonicity of the state dependence."""
     rng = np.random.default_rng(seed)
-    times = _interior_times(ts)
+    times = ts.points[1:-1]
     lo_x = math.log10(_STATE_FLOOR * 10.0)
     checked = 0
     witness = None
@@ -752,7 +748,7 @@ def check_lipschitz_bound(
     if not 0.0 < lo < hi:
         raise DomainViolation(f"band must satisfy 0 < lo < hi, got {band!r}")
     rng = np.random.default_rng(seed)
-    times = _interior_times(ts)
+    times = ts.points[1:-1]
     best = 0.0
     at = None
     checked = 0

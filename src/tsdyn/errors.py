@@ -109,7 +109,7 @@ class ShapeViolation(TsdynError):
 
 
 class BoundOrderViolation(TsdynError):
-    """Constant bounds are out of order (some m_i > M_i)."""
+    """A bounds pair is crossed (lower above upper) or has no upper bound."""
 
 
 class EnvelopeViolation(TsdynError):

@@ -101,13 +101,20 @@ class Nonlinearity:
             return self.body.evaluate(t, x)
         x = tuple(map(float, x))
         try:
-            v = float(self.body(t, x))
+            v = self.body(t, x)
         except ZeroDivisionError as exc:
             raise DomainViolation(str(exc) or "division by zero") from exc
         except ValueError as exc:
             raise DomainViolation(str(exc) or "math domain error") from exc
         except OverflowError as exc:
             raise NonFiniteResult(str(exc) or "overflow") from exc
+        try:
+            v = float(v)
+        except OverflowError as exc:
+            raise NonFiniteResult(str(exc)) from exc
+        except (TypeError, ValueError) as exc:
+            # e.g. the complex power of a negative base
+            raise DomainViolation(f"nonlinearity evaluated to {v!r}") from exc
         if not math.isfinite(v):
             raise NonFiniteResult(f"nonlinearity evaluated to {v!r}")
         return v

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -44,15 +43,6 @@ UNIFORM_FAMILY_SIZES = (17, 33, 65, 129, 257, 513)
 QUANTUM_FAMILY_DEPTHS = (5, 10, 20, 40, 80)
 
 
-class Kind(Enum):
-    """How a realization was generated; only the criteria's default
-    refinement family branches on it (quantum truncations or uniform meshes)."""
-
-    UNIFORM = "uniform"
-    QUANTUM = "quantum"
-    EXPLICIT = "explicit"
-
-
 @dataclass(frozen=True, eq=False)
 class TimeScale:
     """Immutable finite realization ``p_0 < ... < p_N``.
@@ -64,7 +54,6 @@ class TimeScale:
     """
 
     points: np.ndarray
-    kind: Kind = Kind.EXPLICIT
     q: float | None = None
 
     def __post_init__(self) -> None:
@@ -169,7 +158,7 @@ class TimeScale:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"TimeScale({self.kind.value}, n={self.npoints}, "
+            f"TimeScale(n={self.npoints}, "
             f"[{self.a:g}, {self.sigma2_b:g}])"
         )
 
@@ -183,7 +172,7 @@ def same_realization(u: TimeScale, v: TimeScale) -> bool:
 
 def from_points(points: Sequence[float]) -> TimeScale:
     """Wrap an explicit strictly increasing point list."""
-    return TimeScale(np.asarray(points, dtype=float), Kind.EXPLICIT)
+    return TimeScale(np.asarray(points, dtype=float))
 
 
 def uniform(a: float, end: float, n: int) -> TimeScale:
@@ -192,7 +181,7 @@ def uniform(a: float, end: float, n: int) -> TimeScale:
         raise TooFewPoints(f"uniform realization needs n >= 4, got {n}")
     if not end > a:
         raise DegenerateInterval(f"need end > a, got [{a}, {end}]")
-    return TimeScale(np.linspace(float(a), float(end), int(n)), Kind.UNIFORM)
+    return TimeScale(np.linspace(float(a), float(end), int(n)))
 
 def quantum(q: float, depth: int) -> TimeScale:
     """Truncated quantum realization {0} | {q^-k : k = depth..0}.
@@ -210,7 +199,7 @@ def quantum(q: float, depth: int) -> TimeScale:
         raise TooFewPoints(f"quantum realization needs depth >= 3, got {depth}")
     q = float(q)
     pts = np.array([0.0] + [q ** (-k) for k in range(int(depth), -1, -1)])
-    return TimeScale(pts, Kind.QUANTUM, q=q)
+    return TimeScale(pts, q=q)
 
 
 def uniform_family(

@@ -1,6 +1,7 @@
 """Command-line front end: configs, outputs, and exit codes."""
 
 import json
+import logging
 import re
 from types import SimpleNamespace
 
@@ -306,6 +307,17 @@ class TestBoundsCommand:
         assert "# L1.1 = " in out
         assert "beta1" not in out
 
+    def test_diagonal_degree_of_one_is_refused(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "scale.kind = uniform\nscale.points = 65\nf.count = 1\n"
+            "f.1.expr = 1 + x1\nf.1.mu = 1\nbounds.kind = lower\n",
+        )
+        assert main(["bounds", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "tsdyn: component 1: diagonal upper degree must stay below one, got 1\n"
+        )
+
 
 class TestQuadratureCommand:
     def test_envelope_weight_records(self, tmp_path, capsys):
@@ -482,6 +494,19 @@ class TestParserReuse:
         assert '"points":[17,33,65,129,257]' in shared[1][1]
         assert '"points":[17,33,65,129,257]' not in shared[4][1]
         assert tsdyn.cli._parser() is tsdyn.cli._parser()
+
+
+class TestLogging:
+    def test_main_leaves_the_root_logger_alone(self, solve_cfg, tmp_path, capsys,
+                                               monkeypatch):
+        # a calling program that has configured no logging of its own
+        root = logging.getLogger()
+        monkeypatch.setattr(root, "handlers", [])
+        monkeypatch.setattr(root, "level", logging.WARNING)
+        assert main(["solve", str(solve_cfg), "--out", str(tmp_path / "run.csv")]) == 0
+        assert (root.handlers, root.level) == ([], logging.WARNING)
+        logging.getLogger("caller").warning("still heard")
+        assert capsys.readouterr().err == "still heard\n"
 
 
 class TestRunFailures:

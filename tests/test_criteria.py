@@ -20,6 +20,7 @@ from tsdyn import (
     DirichletProblem,
     DomainViolation,
     EnvelopeViolation,
+    ExpressionTree,
     FamilyTooShort,
     GridFunction,
     LowerWeight,
@@ -28,6 +29,7 @@ from tsdyn import (
     Nonlinearity,
     ShapeViolation,
     SupportMismatch,
+    UnknownVariable,
     Verdict,
     check_lipschitz_bound,
     check_monotone_in_state,
@@ -43,6 +45,7 @@ from tsdyn import (
     family_quadrature,
     from_points,
     parse_expression,
+    quantum,
     quantum_family,
     solve,
     uniform,
@@ -273,6 +276,50 @@ class TestWeightedBound:
         with pytest.raises(NonFiniteResult):
             criterion_necessary([f])
 
+    def test_expression_weight_is_evaluated_over_whole_rows(self, monkeypatch):
+        calls = []
+        original = ExpressionTree.evaluate
+        monkeypatch.setattr(
+            ExpressionTree, "evaluate",
+            lambda self, t, x: calls.append(t) or original(self, t, x),
+        )
+        fam = uniform_family(0.0, 1.0, (513, 1025, 2049, 4097, 8193))
+        rep = classify_weighted_bound(parse_expression("t^(-0.5)"), fam)
+        # only each member's improper first cell goes through the scalar path
+        assert calls == [0.0] * len(fam)
+        assert rep.verdict is Verdict.CONVERGENT
+
+    @pytest.mark.parametrize("text, name", [("x1", "x1"), ("t + x2 * x1", "x2")])
+    def test_weight_that_names_a_state_is_refused(self, text, name):
+        with pytest.raises(
+            UnknownVariable, match=f"^{name} referenced but only 0 state values given$"
+        ):
+            classify_weighted_bound(parse_expression(text))
+
+
+class TestReferenceFamily:
+    """Without ``scales``, a criterion classifies over the default family of
+    ``reference``: quantum truncations of its base, else uniform meshes of its
+    span."""
+
+    @pytest.mark.parametrize(
+        "reference, family",
+        [
+            (quantum(2, 7), quantum_family(2.0)),
+            (uniform(0.5, 3.0, 9), uniform_family(0.5, 3.0)),
+            (from_points([0.5, 0.7, 1.5, 2.0, 3.0]), uniform_family(0.5, 3.0)),
+        ],
+        ids=["quantum", "uniform", "explicit"],
+    )
+    def test_reference_picks_the_family(self, reference, family):
+        f = [power_law(0.5)]
+        got = criterion_sufficient(f, reference=reference)
+        assert got.scale_sizes == tuple(ts.npoints for ts in family)
+        assert got == criterion_sufficient(f, family)
+        g = parse_expression("t^(-0.5)")
+        want = classify_weighted_bound(g, family)
+        assert classify_weighted_bound(g, reference=reference) == want
+
 
 class TestFamilyQuadrature:
     def test_plain_aliases_sufficient(self):
@@ -484,14 +531,20 @@ class TestConstructLower:
         with pytest.raises(SupportMismatch, match="share a support"):
             BoundsPair(alpha=alpha, beta=beta.restrict(1, N), constants={})
 
+    @pytest.mark.parametrize("mu", [1.0, 1.5])
+    @pytest.mark.parametrize("construct", [construct_bounds, construct_lower])
+    def test_diagonal_degree_of_one_or_more_is_refused(self, unit65, construct, mu):
+        # both constructions raise their constants to the power 1 / (1 - mu)
+        f = Nonlinearity.from_expression("1 + x1", arity=1, degree_high=(mu,))
+        with pytest.raises(ShapeViolation, match=f"must stay below one, got {mu:g}$"):
+            construct(DirichletProblem(unit65, (f,)))
+
     def test_no_upper_half(self, problem):
         pair = construct_lower(problem)
         with pytest.raises(BoundOrderViolation):
             pair.pair
 
     def test_quantum_scale_with_improper_head(self):
-        from tsdyn import quantum
-
         ts = quantum(2.0, 10)
         f = Nonlinearity.from_expression(
             "t^(-0.5) * x1^(-0.5)",

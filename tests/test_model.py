@@ -13,6 +13,7 @@ from tsdyn import (
     DirichletProblem,
     DomainViolation,
     ExpressionTree,
+    GridFunction,
     NonFiniteResult,
     Nonlinearity,
     ShapeViolation,
@@ -22,6 +23,8 @@ from tsdyn import (
     check_scaling_exponents,
     emden_fowler,
     parse_expression,
+    regularized_rhs,
+    residual_norm,
     rhs_matrix,
     uniform,
 )
@@ -42,6 +45,7 @@ FAULTS = {
     "int-overflow": 10**400,  # float() itself raises OverflowError
     "bool": True,
     "float64": np.float64(-2.5),
+    "complex": 1j,  # float() raises TypeError
 }
 
 
@@ -177,6 +181,23 @@ class TestNonlinearity:
         )
         with pytest.raises(NonFiniteResult):
             g.evaluate(0.0, (1.0,))
+
+    def test_complex_result_is_a_domain_violation(self, unit65):
+        # a negative base under a fractional power gives a complex number
+        f = Nonlinearity(1, 1, lambda t, x: x[0] ** -0.5, (-0.5,), (0.5,))
+        with pytest.raises(DomainViolation, match=r"^nonlinearity evaluated to \(.*j\)$"):
+            f.evaluate(0.5, (-1.0,))
+        problem = DirichletProblem(unit65, (f,))
+        u = GridFunction.from_values(unit65, np.linspace(-5.0, 5.0, unit65.npoints))
+        assert residual_norm(problem, u) == math.inf
+        # row 0 is the improper first cell, dropped; row 1 is the first raise
+        with pytest.raises(DomainViolation, match=r"^row 1, component 1: nonlinearity "):
+            regularized_rhs(problem, u)
+
+    def test_type_error_inside_the_body_propagates(self):
+        f = Nonlinearity(1, 1, lambda t, x: x[0] + "1", (0.0,), (0.0,))
+        with pytest.raises(TypeError):
+            f.evaluate(0.5, (1.0,))
 
     def test_diagonal_degrees(self):
         f = power_law(0.5)

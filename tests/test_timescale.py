@@ -6,7 +6,6 @@ import pytest
 from tsdyn import (
     InvalidBase,
     IndexOutOfRange,
-    Kind,
     NonMonotonePoints,
     TooFewPoints,
     DegenerateInterval,
@@ -44,9 +43,6 @@ class TestFromPoints:
         ts = from_points([0.0, 1.0, 2.0, 4.0])
         assert ts.npoints == 4
         assert ts.b == 1.0 and ts.sigma2_b == 4.0
-
-    def test_kind_defaults_to_explicit(self):
-        assert from_points([0, 1, 2, 3]).kind is Kind.EXPLICIT
 
 
 class TestJumpOperators:
@@ -131,7 +127,6 @@ class TestQuantum:
     def test_depth_three_points(self):
         ts = quantum(2.0, 3)
         assert np.allclose(ts.points, [0.0, 0.125, 0.25, 0.5, 1.0])
-        assert ts.kind is Kind.QUANTUM
         assert ts.q == 2.0
 
     def test_head_cell_is_the_gap_to_zero(self):
