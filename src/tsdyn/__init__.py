@@ -19,7 +19,6 @@ from .criteria import (
     ConvergenceVerdict,
     CriterionReport,
     LipschitzReport,
-    LowerWeight,
     SampleReport,
     ScalingReport,
     Verdict,
@@ -101,7 +100,7 @@ __all__ = [
     "GridFunction", "delta_derivative", "delta_integral", "delta_second",
     "sigma_shift",
     "DEFAULT_SEED", "BoundsPair", "ConvergenceVerdict", "CriterionReport",
-    "LipschitzReport", "LowerWeight", "SampleReport", "ScalingReport",
+    "LipschitzReport", "SampleReport", "ScalingReport",
     "Verdict", "VerificationReport", "check_lipschitz_bound",
     "check_monotone_in_state", "check_scaling_exponents",
     "classify_weighted_bound", "compute_envelope", "construct_bounds",

@@ -27,7 +27,6 @@ from typing import Sequence
 from . import __version__
 from .criteria import (
     CriterionReport,
-    LowerWeight,
     Verdict,
     check_lipschitz_bound,
     check_monotone_in_state,
@@ -67,7 +66,7 @@ _EXACT_KEYS = {
     "scale.q", "scale.depth", "scale.values",
     "f.count", "bc.left", "bc.right",
     "solve.strategy", "solve.tol_residual", "solve.max_iters", "solve.use_bounds",
-    "bounds.kind", "bounds.weight",
+    "bounds.kind",
     "check.criterion", "check.eval_point", "check.samples",
     "check.band", "check.component",
     "family.sizes", "family.depths",
@@ -99,8 +98,7 @@ class Config:
         try:
             return convert(raw)
         except (KeyError, ValueError):
-            raise ConfigError(f"expected {expected}, got {raw!r}",
-                              key=key, line=self.line(key))
+            raise self.error(key, f"expected {expected}, got {raw!r}")
 
     def get_str(self, key: str, default: str | None = None) -> str:
         return self._read(key, default, str, "text")
@@ -127,11 +125,14 @@ class Config:
         return self._read(key, default, lambda raw: enum_cls(raw.strip().lower()),
                           f"one of {options}")
 
+    def error(self, key: str, reason: str) -> ConfigError:
+        """A configuration error naming the entry ``key`` and its line."""
+        return ConfigError(reason, key=key, line=self.line(key))
+
     def library_error(self, exc: ConfigError, section: str) -> ConfigError:
         """``exc``, raised by the library for its parameter ``exc.key``, as an
         error of the entry ``section.<key>`` and its line."""
-        key = f"{section}.{exc.key}"
-        return ConfigError(exc.reason, key=key, line=self.line(key))
+        return self.error(f"{section}.{exc.key}", exc.reason)
 
 
 def _flag(name: str, value: str) -> Config:
@@ -181,17 +182,14 @@ def build_scale(cfg: Config) -> TimeScale:
         return quantum(cfg.get_float("scale.q"), cfg.get_int("scale.depth"))
     if kind == "explicit":
         return from_points(cfg.get_floats("scale.values"))
-    raise ConfigError(
-        f"expected uniform, quantum, or explicit, got {kind!r}",
-        key="scale.kind", line=cfg.line("scale.kind"),
-    )
+    raise cfg.error("scale.kind",
+                    f"expected uniform, quantum, or explicit, got {kind!r}")
 
 
 def build_nonlinearities(cfg: Config) -> tuple[Nonlinearity, ...]:
     count = cfg.get_int("f.count", 1)
     if count < 1:
-        raise ConfigError("need at least one component", key="f.count",
-                          line=cfg.line("f.count"))
+        raise cfg.error("f.count", "need at least one component")
     out = []
     for i in range(1, count + 1):
         expr_key = f"f.{i}.expr"
@@ -205,7 +203,7 @@ def build_nonlinearities(cfg: Config) -> tuple[Nonlinearity, ...]:
                 degree_high=cfg.get_floats(f"f.{i}.mu", (0.0,) * count),
             )
         except TsdynError as exc:
-            raise ConfigError(str(exc), key=expr_key, line=cfg.line(expr_key))
+            raise cfg.error(expr_key, str(exc))
         out.append(fi)
     return tuple(out)
 
@@ -219,8 +217,7 @@ def build_problem(cfg: Config, scale: TimeScale) -> DirichletProblem:
         if len(vec) == 1 and n > 1:
             vec = vec * n
         if len(vec) != n:
-            raise ConfigError(f"expected {n} boundary values, got {len(vec)}",
-                              key=key, line=cfg.line(key))
+            raise cfg.error(key, f"expected {n} boundary values, got {len(vec)}")
         return vec
 
     return DirichletProblem(scale, f, bc("bc.left"), bc("bc.right"))
@@ -316,6 +313,16 @@ def _criterion_records(report: CriterionReport) -> list[dict]:
 # --- command handlers ----------------------------------------------------------
 
 
+def _eval_point(cfg: Config) -> float | None:
+    """``check.eval_point``, where the state is pinned, or ``None`` if unset."""
+    if "check.eval_point" not in cfg:
+        return None
+    point = cfg.get_float("check.eval_point")
+    if not point > 0.0:
+        raise cfg.error("check.eval_point", f"must be positive, got {point!r}")
+    return point
+
+
 def _cmd_check(cfg: Config, args) -> int:
     scale = build_scale(cfg)
     criterion = cfg.get_str("check.criterion", "sufficient").strip().lower()
@@ -326,20 +333,17 @@ def _cmd_check(cfg: Config, args) -> int:
         if criterion == "sufficient":
             report = criterion_sufficient(f, family)
         else:
-            override = (cfg.get_float("check.eval_point")
-                        if "check.eval_point" in cfg else None)
-            report = criterion_necessary(f, family, eval_point_override=override)
+            report = criterion_necessary(f, family,
+                                         eval_point_override=_eval_point(cfg))
         _emit(_json_lines(_criterion_records(report)), args.out)
         return _verdict_exit(report.verdict)
     component = cfg.get_int("check.component", 1)
     if not 1 <= component <= len(f):
-        raise ConfigError(f"component {component} outside 1..{len(f)}",
-                          key="check.component", line=cfg.line("check.component"))
+        raise cfg.error("check.component", f"component {component} outside 1..{len(f)}")
     fi = f[component - 1]
     samples = cfg.get_int("check.samples", 0)
     if samples < 0:
-        raise ConfigError(f"must be >= 0, got {samples}", key="check.samples",
-                          line=cfg.line("check.samples"))
+        raise cfg.error("check.samples", f"must be >= 0, got {samples}")
     # absent or 0 leaves each check its own default sample count
     sampling = {"samples": samples} if samples else {}
     if criterion == "scaling":
@@ -359,9 +363,8 @@ def _cmd_check(cfg: Config, args) -> int:
         return _EXIT_OK if report.ok else _EXIT_FAIL
     if criterion == "lipschitz":
         band = cfg.get_floats("check.band", (0.1, 1.0))
-        if len(band) != 2:
-            raise ConfigError("expected 'lo,hi'", key="check.band",
-                              line=cfg.line("check.band"))
+        if len(band) != 2 or not 0.0 < band[0] < band[1]:
+            raise cfg.error("check.band", "expected 'lo,hi' with 0 < lo < hi")
         report = check_lipschitz_bound(
             fi, scale, (band[0], band[1]), seed=seed, **sampling
         )
@@ -369,11 +372,8 @@ def _cmd_check(cfg: Config, args) -> int:
             "bound": report.bound, "checked": report.checked, "at": report.at,
         }]), args.out)
         return _EXIT_OK
-    raise ConfigError(
-        f"expected sufficient, necessary, scaling, monotone, or lipschitz, "
-        f"got {criterion!r}",
-        key="check.criterion", line=cfg.line("check.criterion"),
-    )
+    raise cfg.error("check.criterion", "expected sufficient, necessary, scaling, "
+                    f"monotone, or lipschitz, got {criterion!r}")
 
 
 def _solve_config(cfg: Config) -> SolveConfig:
@@ -442,13 +442,9 @@ def _cmd_bounds(cfg: Config, args) -> int:
     if kind == "pair":
         pair = construct_bounds(problem)
     elif kind == "lower":
-        pair = construct_lower(
-            problem, cfg.get_enum("bounds.weight", LowerWeight,
-                                  LowerWeight.DIAGONAL_DEGREE)
-        )
+        pair = construct_lower(problem)
     else:
-        raise ConfigError(f"expected pair or lower, got {kind!r}",
-                          key="bounds.kind", line=cfg.line("bounds.kind"))
+        raise cfg.error("bounds.kind", f"expected pair or lower, got {kind!r}")
     ts = problem.scale
     n = problem.n_components
     header = ["t"] + [f"alpha{i}" for i in range(1, n + 1)]
@@ -482,8 +478,7 @@ def _cmd_quadrature(cfg: Config, args) -> int:
     scale = build_scale(cfg)
     f = build_nonlinearities(cfg)
     weight = cfg.get_str("quadrature.weight", "plain").strip().lower()
-    override = (cfg.get_float("check.eval_point")
-                if "check.eval_point" in cfg else None)
+    override = _eval_point(cfg)
     family = _family(cfg, scale, args.family)
     try:
         report = family_quadrature(f, family, weight=weight,

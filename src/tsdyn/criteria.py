@@ -66,13 +66,6 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-class LowerWeight(Enum):
-    """Exponent put on the kernel weight inside the lower construction."""
-
-    DIAGONAL_DEGREE = "diagonal_degree"
-    UNIT = "unit"
-
-
 @dataclass(frozen=True)
 class ConvergenceVerdict:
     """Classification of one partial-integral trail."""
@@ -452,16 +445,12 @@ def construct_bounds(problem: DirichletProblem) -> BoundsPair:
     )
 
 
-def construct_lower(
-    problem: DirichletProblem,
-    mode: LowerWeight = LowerWeight.DIAGONAL_DEGREE,
-) -> BoundsPair:
+def construct_lower(problem: DirichletProblem) -> BoundsPair:
     """Build a lower bound ``k1 g`` from the endpoint-pinned right hand side.
 
-    ``g_i`` is the kernel image of ``w(s)^eta f_i(s, [endpoint])`` where
-    ``w`` is the kernel's lower weight and ``eta`` is the diagonal upper
-    degree (or one, with ``LowerWeight.UNIT``).  No upper bound is produced.
-    Requires zero boundary values and diagonal upper degrees below one.
+    ``g_i`` is the kernel image of ``w(s) f_i(s, [endpoint])`` where ``w``
+    is the kernel's lower weight.  No upper bound is produced.  Requires
+    zero boundary values and diagonal upper degrees below one.
     """
     _require_constructible(problem, "lower construction")
     ts = problem.scale
@@ -475,29 +464,10 @@ def construct_lower(
         )
     states = np.full((N - 1, n), float(endpoint))
     vals, skipped = rhs_matrix(problem, states)
-    mu = ts.mu[: N - 1]
     sig = ts.points[1:N]
-    w = kernel_lower_weight(ts)
-    etas = [
-        fi.diagonal_high if mode is LowerWeight.DIAGONAL_DEGREE else 1.0
-        for fi in problem.f
-    ]
-    rhs = np.empty_like(vals)
-    L1 = []
-    for i, eta in enumerate(etas):
-        rhs[:, i] = w**eta * vals[:, i]
-        L1.append(
-            float(
-                np.sum(
-                    mu
-                    * (sig - ts.a)
-                    * (ts.sigma2_b - sig) ** (1.0 + eta)
-                    / D ** (2.0 * eta)
-                    * vals[:, i]
-                )
-            )
-            / D
-        )
+    rhs = kernel_lower_weight(ts)[:, None] * vals
+    cell = ts.mu[: N - 1] * (sig - ts.a) * (ts.sigma2_b - sig) ** 2.0 / D**2.0
+    L1 = [float(np.sum(cell * vals[:, i])) / D for i in range(n)]
     if min(L1) <= 0.0:
         raise CriterionNotSatisfied(
             "lower-construction integrals must be positive"
@@ -518,7 +488,7 @@ def construct_lower(
     return BoundsPair(
         alpha=alpha,
         beta=None,
-        constants={"L1": tuple(L1), "C2": C2, "k1": tuple(k1), "eta": tuple(etas)},
+        constants={"L1": tuple(L1), "C2": C2, "k1": tuple(k1)},
         notes=drop_note(skipped),
     )
 

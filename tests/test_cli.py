@@ -278,6 +278,32 @@ class TestCheckCommand:
         assert record["checked"] == expected.checked
         assert record["at"] == {**expected.at, "x": list(expected.at["x"])}
 
+    @pytest.mark.parametrize("band", ["0,1", "2,1"])
+    def test_band_outside_the_positive_half_line_is_a_config_error(
+        self, tmp_path, capsys, band
+    ):
+        cfg = write_cfg(tmp_path, SAMPLED_CFG.format(criterion="lipschitz")
+                        + f"check.band = {band}\n")
+        assert main(["check", str(cfg)]) == 4
+        assert capsys.readouterr().err == (
+            "tsdyn: configuration error: expected 'lo,hi' with 0 < lo < hi "
+            "(key 'check.band', line 8)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["check", "quadrature"])
+    def test_nonpositive_eval_point_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = write_cfg(
+            tmp_path,
+            "scale.kind = uniform\nscale.points = 17\nf.count = 1\n"
+            "f.1.expr = x1^(-0.5)\ncheck.criterion = necessary\n"
+            "quadrature.weight = necessary\ncheck.eval_point = -1\n",
+        )
+        assert main([command, str(cfg)]) == 4
+        assert capsys.readouterr().err == (
+            "tsdyn: configuration error: must be positive, got -1.0 "
+            "(key 'check.eval_point', line 7)\n"
+        )
+
     def test_scaling_criterion_failure_exits_two(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -306,6 +332,25 @@ class TestBoundsCommand:
         out = capsys.readouterr().out
         assert "# L1.1 = " in out
         assert "beta1" not in out
+
+    def test_lower_bound_with_negative_diagonal_degree_verifies(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "scale.kind = uniform\nscale.points = 17\nf.count = 1\n"
+            "f.1.expr = x1^(-0.5)\nf.1.lambda = -0.5\nf.1.mu = -0.5\n"
+            "bounds.kind = lower\n",
+        )
+        assert main(["bounds", str(cfg)]) == 0
+        assert "# verify_lower.ok = true\n" in capsys.readouterr().out
+
+    def test_weight_is_not_an_entry(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "scale.kind = uniform\nscale.points = 17\nf.count = 1\n"
+            "f.1.expr = x1^(-0.5)\nbounds.kind = lower\nbounds.weight = unit\n",
+        )
+        assert main(["bounds", str(cfg)]) == 4
+        assert "unknown entry (key 'bounds.weight', line 6)" in capsys.readouterr().err
 
     def test_diagonal_degree_of_one_is_refused(self, tmp_path, capsys):
         cfg = write_cfg(

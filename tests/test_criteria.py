@@ -23,7 +23,6 @@ from tsdyn import (
     ExpressionTree,
     FamilyTooShort,
     GridFunction,
-    LowerWeight,
     NonFiniteResult,
     NonpositiveEndpoint,
     Nonlinearity,
@@ -485,7 +484,6 @@ class TestConstructLower:
     def test_diagonal_degree_constants(self, problem):
         ts = problem.scale
         f = problem.f[0]
-        eta = 0.5
         D = ts.span
         L1 = 0.0
         for k in range(ts.last_index - 1):
@@ -494,28 +492,42 @@ class TestConstructLower:
             L1 += (
                 float(ts.mu[k])
                 * (sig - ts.a)
-                * (ts.sigma2_b - sig) ** (1.0 + eta)
-                / D ** (2.0 * eta)
+                * (ts.sigma2_b - sig) ** 2
+                / D**2
                 * v
             ) / D
         pair = construct_lower(problem)
         assert pair.beta is None
-        assert pair.constants["eta"] == (0.5,)
+        assert set(pair.constants) == {"L1", "C2", "k1"}
         assert pair.constants["L1"][0] == pytest.approx(L1, rel=1e-13)
-        # lambda = -0.5, mu = 0.5, endpoint 1: k1 = L1
+        # lambda = -0.5, mu = 0.5, endpoint 1, L1 < 1: C2 = 1 and the
+        # exponent 1 / (1 - mu) = 2 squares sqrt(L1), so k1 = L1
+        assert pair.constants["C2"] == 1.0
         assert pair.constants["k1"][0] == pytest.approx(L1, rel=1e-12)
 
-    def test_unit_mode_changes_the_weight(self, problem):
-        diag = construct_lower(problem)
-        unit = construct_lower(problem, mode=LowerWeight.UNIT)
-        assert unit.constants["eta"] == (1.0,)
-        assert unit.constants["L1"] != diag.constants["L1"]
-
-    @pytest.mark.parametrize("mode", list(LowerWeight))
-    def test_lower_bound_verifies(self, problem, mode):
-        pair = construct_lower(problem, mode=mode)
+    def test_lower_bound_verifies(self, problem):
+        pair = construct_lower(problem)
         report = verify_lower(problem, pair.alpha)
         assert report.ok, report.violations
+
+    @pytest.mark.parametrize(
+        "ts",
+        [uniform(0.0, 1.0, 65), quantum(3.0, 20),
+         from_points([0.0, 0.1, 0.25, 0.3, 0.5, 0.55, 0.8, 1.0])],
+        ids=["uniform65", "quantum3_20", "explicit8"],
+    )
+    def test_lower_bound_verifies_on_emden_fowler_grid(self, ts):
+        # diagonal degrees below one of both signs, and a coupled system
+        systems = [(emden_fowler((g,), t_power=p),)
+                   for g in (-0.7, -0.3, 0.0, 0.3, 0.7) for p in (-0.5, 0.0, 1.0)]
+        failed = []
+        for f in systems + [coupled_system()]:
+            zero = (0.0,) * len(f)
+            problem = DirichletProblem(ts, f, boundary_left=zero, boundary_right=zero)
+            report = verify_lower(problem, construct_lower(problem).alpha)
+            if not report.ok:
+                failed.append((f, report.worst))
+        assert failed == []
 
     def test_crossed_pair_is_refused(self, problem):
         alpha, beta = construct_bounds(problem).pair
