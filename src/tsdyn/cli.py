@@ -18,6 +18,7 @@ Exit codes: 0 success or convergent, 2 failure/divergent/domain error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -33,8 +34,6 @@ from .criteria import (
     check_scaling_exponents,
     construct_bounds,
     construct_lower,
-    criterion_necessary,
-    criterion_sufficient,
     family_quadrature,
     verify_lower,
     verify_upper,
@@ -69,7 +68,6 @@ _EXACT_KEYS = {
     "bounds.kind",
     "check.criterion", "check.eval_point", "check.samples",
     "check.band", "check.component",
-    "family.sizes", "family.depths",
     "quadrature.weight",
 }
 _F_KEY = re.compile(r"f\.[1-9]\d*\.(expr|lambda|mu)$")
@@ -223,16 +221,13 @@ def build_problem(cfg: Config, scale: TimeScale) -> DirichletProblem:
     return DirichletProblem(scale, f, bc("bc.left"), bc("bc.right"))
 
 
-def _family(cfg: Config, scale: TimeScale, override: str | None) -> list[TimeScale]:
+def _family(scale: TimeScale, override: str | None) -> list[TimeScale]:
     """The refinement family of ``scale``: the ``--family`` ladder, else the
-    file's ``family.sizes`` (uniform meshes) or ``family.depths`` (quantum
-    truncations), else the library default for the scale's kind."""
-    if override is not None:
-        ladder = _flag("--family", override).get_ints("--family")
-        return _refinement_family(scale, ladder, ladder)
-    ladders = {name: cfg.get_ints(f"family.{name}")
-               for name in ("sizes", "depths") if f"family.{name}" in cfg}
-    return _refinement_family(scale, **ladders)
+    library default for the scale's kind."""
+    if override is None:
+        return _refinement_family(scale)
+    ladder = _flag("--family", override).get_ints("--family")
+    return _refinement_family(scale, ladder, ladder)
 
 
 # --- output helpers ----------------------------------------------------------
@@ -260,6 +255,18 @@ def _config_block(cfg: Config, args) -> list[str]:
         if value is not None:
             lines.append(f"# override.{name} = {value}")
     return lines
+
+
+def _table(ts: TimeScale, grids) -> tuple[list[str], list]:
+    """The CSV header and columns: ``t``, then each component ``i`` of every
+    ``(name, grid)`` in ``grids``, headed ``<name><i>``."""
+    header, columns = ["t"], [ts.points]
+    for name, grid in grids:
+        for i in range(1, grid.n_components + 1):
+            header.append(f"{name}{i}")
+            columns.append(grid.component(i))
+    return header, columns
+
 
 def _csv(cfg, args, header: list[str], columns: list,
          summary: list[tuple[str, str]]) -> str:
@@ -313,14 +320,25 @@ def _criterion_records(report: CriterionReport) -> list[dict]:
 # --- command handlers ----------------------------------------------------------
 
 
-def _eval_point(cfg: Config) -> float | None:
-    """``check.eval_point``, where the state is pinned, or ``None`` if unset."""
+def _eval_point(cfg: Config, necessary: bool) -> float | None:
+    """``check.eval_point``, where the necessary criterion pins the state, or
+    ``None`` if unset; a run of any other criterion refuses the entry."""
     if "check.eval_point" not in cfg:
         return None
+    if not necessary:
+        raise cfg.error("check.eval_point", "applies only to the necessary criterion")
     point = cfg.get_float("check.eval_point")
     if not point > 0.0:
         raise cfg.error("check.eval_point", f"must be positive, got {point!r}")
     return point
+
+
+#: The sampled hypothesis check of each ``check.criterion``.
+_SAMPLED_CHECKS = {
+    "scaling": check_scaling_exponents,
+    "monotone": check_monotone_in_state,
+    "lipschitz": check_lipschitz_bound,
+}
 
 
 def _cmd_check(cfg: Config, args) -> int:
@@ -328,52 +346,35 @@ def _cmd_check(cfg: Config, args) -> int:
     criterion = cfg.get_str("check.criterion", "sufficient").strip().lower()
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     f = build_nonlinearities(cfg)
+    override = _eval_point(cfg, criterion == "necessary")
     if criterion in ("sufficient", "necessary"):
-        family = _family(cfg, scale, args.family)
-        if criterion == "sufficient":
-            report = criterion_sufficient(f, family)
-        else:
-            report = criterion_necessary(f, family,
-                                         eval_point_override=_eval_point(cfg))
+        # the plain quadrature is the sufficient criterion's
+        weight = "necessary" if criterion == "necessary" else "plain"
+        report = family_quadrature(f, _family(scale, args.family), weight=weight,
+                                   eval_point_override=override)
         _emit(_json_lines(_criterion_records(report)), args.out)
         return _verdict_exit(report.verdict)
     component = cfg.get_int("check.component", 1)
     if not 1 <= component <= len(f):
         raise cfg.error("check.component", f"component {component} outside 1..{len(f)}")
-    fi = f[component - 1]
     samples = cfg.get_int("check.samples", 0)
-    if samples < 0:
-        raise cfg.error("check.samples", f"must be >= 0, got {samples}")
     # absent or 0 leaves each check its own default sample count
-    sampling = {"samples": samples} if samples else {}
-    if criterion == "scaling":
-        report = check_scaling_exponents(fi, scale, seed=seed, **sampling)
-        _emit(_json_lines([{
-            "ok": report.ok, "shape_ok": report.shape_ok,
-            "checked": report.checked, "witness": report.witness,
-            "notes": list(report.notes),
-        }]), args.out)
-        return _EXIT_OK if report.ok else _EXIT_FAIL
-    if criterion == "monotone":
-        report = check_monotone_in_state(fi, scale, seed=seed, **sampling)
-        _emit(_json_lines([{
-            "ok": report.ok, "checked": report.checked,
-            "witness": report.witness,
-        }]), args.out)
-        return _EXIT_OK if report.ok else _EXIT_FAIL
+    options = {"samples": samples} if samples else {}
+    if criterion not in _SAMPLED_CHECKS:
+        raise cfg.error("check.criterion", "expected sufficient, necessary, scaling, "
+                        f"monotone, or lipschitz, got {criterion!r}")
     if criterion == "lipschitz":
         band = cfg.get_floats("check.band", (0.1, 1.0))
         if len(band) != 2 or not 0.0 < band[0] < band[1]:
             raise cfg.error("check.band", "expected 'lo,hi' with 0 < lo < hi")
-        report = check_lipschitz_bound(
-            fi, scale, (band[0], band[1]), seed=seed, **sampling
-        )
-        _emit(_json_lines([{
-            "bound": report.bound, "checked": report.checked, "at": report.at,
-        }]), args.out)
-        return _EXIT_OK
-    raise cfg.error("check.criterion", "expected sufficient, necessary, scaling, "
-                    f"monotone, or lipschitz, got {criterion!r}")
+        options["band"] = band
+    try:
+        report = _SAMPLED_CHECKS[criterion](f[component - 1], scale, seed=seed, **options)
+    except ConfigError as exc:
+        raise cfg.library_error(exc, "check") from exc
+    _emit(_json_lines([dataclasses.asdict(report)]), args.out)
+    # a Lipschitz estimate has no verdict to fail
+    return _EXIT_OK if getattr(report, "ok", True) else _EXIT_FAIL
 
 
 def _solve_config(cfg: Config) -> SolveConfig:
@@ -410,15 +411,10 @@ def _cmd_solve(cfg: Config, args) -> int:
             raise
         raise BracketViolation(exc.index, f"{exc}; bounds refused: {refused}") from exc
     notes = () if refused is None else (f"solved without bounds: {refused}",)
-    ts = problem.scale
-    header = ["t"] + [f"u{i}" for i in range(1, problem.n_components + 1)]
-    columns = [ts.points] + [report.solution.component(i)
-                             for i in range(1, problem.n_components + 1)]
+    grids = [("u", report.solution)]
     if brackets is not None:
-        for name, grid in (("alpha", brackets[0]), ("beta", brackets[1])):
-            for i in range(1, problem.n_components + 1):
-                header.append(f"{name}{i}")
-                columns.append(grid.component(i))
+        grids += [("alpha", brackets[0]), ("beta", brackets[1])]
+    header, columns = _table(problem.scale, grids)
     summary = [
         ("status", report.status.value),
         ("strategy", report.strategy.value),
@@ -445,13 +441,10 @@ def _cmd_bounds(cfg: Config, args) -> int:
         pair = construct_lower(problem)
     else:
         raise cfg.error("bounds.kind", f"expected pair or lower, got {kind!r}")
-    ts = problem.scale
-    n = problem.n_components
-    header = ["t"] + [f"alpha{i}" for i in range(1, n + 1)]
-    columns = [ts.points] + [pair.alpha.component(i) for i in range(1, n + 1)]
+    grids = [("alpha", pair.alpha)]
     if pair.beta is not None:
-        header += [f"beta{i}" for i in range(1, n + 1)]
-        columns += [pair.beta.component(i) for i in range(1, n + 1)]
+        grids.append(("beta", pair.beta))
+    header, columns = _table(problem.scale, grids)
     summary = []
     for name, value in sorted(pair.constants.items()):
         if isinstance(value, tuple):
@@ -460,15 +453,13 @@ def _cmd_bounds(cfg: Config, args) -> int:
         else:
             summary.append((name, _fmt(value)))
     ok = True
-    lower_report = verify_lower(problem, pair.alpha)
-    summary.append(("verify_lower.ok", str(lower_report.ok).lower()))
-    summary.append(("verify_lower.worst", _fmt(lower_report.worst)))
-    ok &= lower_report.ok
-    if pair.beta is not None:
-        upper_report = verify_upper(problem, pair.beta)
-        summary.append(("verify_upper.ok", str(upper_report.ok).lower()))
-        summary.append(("verify_upper.worst", _fmt(upper_report.worst)))
-        ok &= upper_report.ok
+    for name, verify, grid in (("verify_lower", verify_lower, pair.alpha),
+                               ("verify_upper", verify_upper, pair.beta)):
+        if grid is not None:
+            verdict = verify(problem, grid)
+            summary.append((f"{name}.ok", str(verdict.ok).lower()))
+            summary.append((f"{name}.worst", _fmt(verdict.worst)))
+            ok &= verdict.ok
     summary.extend(("note", note) for note in pair.notes)
     _emit(_csv(cfg, args, header, columns, summary), args.out)
     return _EXIT_OK if ok else _EXIT_FAIL
@@ -478,8 +469,8 @@ def _cmd_quadrature(cfg: Config, args) -> int:
     scale = build_scale(cfg)
     f = build_nonlinearities(cfg)
     weight = cfg.get_str("quadrature.weight", "plain").strip().lower()
-    override = _eval_point(cfg)
-    family = _family(cfg, scale, args.family)
+    override = _eval_point(cfg, weight == "necessary")
+    family = _family(scale, args.family)
     try:
         report = family_quadrature(f, family, weight=weight,
                                    eval_point_override=override)

@@ -52,7 +52,7 @@ _MAGNITUDE_LIMIT = 1e12
 _TINY = 1e-300
 _ABS_FLOOR = 1e-12
 _MIN_FAMILY = 5
-#: The sampled hypothesis checks draw states log-uniformly in [10 * this, 1e3].
+#: The scaling and monotonicity checks draw states log-uniformly in [10 * this, 1e3].
 _STATE_FLOOR = 1e-12
 #: Relative pad of the sampled scaling and monotonicity comparisons.
 _SAMPLE_REL_TOL = 1e-9
@@ -133,11 +133,11 @@ class SampleReport:
     ok: bool
     checked: int
     witness: dict | None
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class ScalingReport(SampleReport):
+    notes: tuple[str, ...] = ()
     shape_ok: bool = True
 
 
@@ -208,6 +208,8 @@ def _refinement_family(
 
 
 def _resolve_family(scales, reference) -> list[TimeScale]:
+    if scales is not None and reference is not None:
+        raise ConfigError("give scales or a reference, not both", key="reference")
     family = list(scales) if scales is not None else _refinement_family(reference)
     if len(family) < _MIN_FAMILY:
         raise FamilyTooShort(
@@ -584,6 +586,33 @@ def endpoint_slope_limits(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
 # --- sampled hypothesis checks ---------------------------------------------------
 
 
+def _draws(rng, ts: TimeScale, arity: int, lo: float, hi: float, samples: int):
+    """Yield ``samples`` draws from ``rng``, each one time inside ``ts`` and
+    one state of ``arity`` entries, log-uniform in ``[lo, hi]``; a check
+    draws what else it needs from ``rng`` between two of them.  A count that
+    is not an integer >= 0 raises :class:`ConfigError` keyed ``samples``."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ConfigError(f"expected an integer, got {samples!r}", key="samples")
+    if samples < 0:
+        raise ConfigError(f"must be >= 0, got {samples}", key="samples")
+    for _ in range(samples):
+        t = float(rng.choice(ts.points[1:-1]))
+        yield t, 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size=arity)
+
+
+def _value(f: Nonlinearity, t: float, x: np.ndarray) -> float | None:
+    """``f(t, x)``, or ``None`` where it is undefined or not finite."""
+    try:
+        return f.evaluate(t, x)
+    except (DomainViolation, NonFiniteResult):
+        return None
+
+
+def _point(t: float, x: np.ndarray, j: int, **values) -> dict:
+    """The record of a sample at ``(t, x)`` that moves coordinate ``j``."""
+    return {"t": t, "x": tuple(float(v) for v in x), "coordinate": j + 1, **values}
+
+
 def check_scaling_exponents(
     f: Nonlinearity,
     ts: TimeScale,
@@ -600,8 +629,6 @@ def check_scaling_exponents(
     declared bracket meets the strict shape constraints.
     """
     rng = np.random.default_rng(seed)
-    times = ts.points[1:-1]
-    lo_x = math.log10(_STATE_FLOOR * 10.0)
     try:
         f.validate_shape()
         shape_ok = True
@@ -609,13 +636,9 @@ def check_scaling_exponents(
         shape_ok = False
     checked = 0
     witness = None
-    notes: list[str] = []
-    for _ in range(samples):
-        t = float(rng.choice(times))
-        x = 10.0 ** rng.uniform(lo_x, 3.0, size=f.arity)
-        try:
-            base = f.evaluate(t, x)
-        except (DomainViolation, NonFiniteResult):
+    for t, x in _draws(rng, ts, f.arity, _STATE_FLOOR * 10.0, 1e3, samples):
+        base = _value(f, t, x)
+        if base is None:
             continue
         for j in range(f.arity):
             for c in (
@@ -624,9 +647,8 @@ def check_scaling_exponents(
             ):
                 scaled = np.array(x)
                 scaled[j] *= c
-                try:
-                    value = f.evaluate(t, scaled)
-                except (DomainViolation, NonFiniteResult):
+                value = _value(f, t, scaled)
+                if value is None:
                     continue
                 lo_edge, hi_edge = f.degree_low[j], f.degree_high[j]
                 if c <= 1.0:
@@ -635,25 +657,16 @@ def check_scaling_exponents(
                     lower, upper = c**lo_edge * base, c**hi_edge * base
                 pad = _SAMPLE_REL_TOL * (abs(lower) + abs(upper)) + _TINY
                 if witness is None and (value < lower - pad or value > upper + pad):
-                    witness = {
-                        "t": t,
-                        "x": tuple(float(v) for v in x),
-                        "c": c,
-                        "coordinate": j + 1,
-                        "value": value,
-                        "lower": lower,
-                        "upper": upper,
-                    }
+                    witness = _point(t, x, j, c=c, value=value, lower=lower, upper=upper)
                 checked += 1
-    if witness is not None:
-        notes.append(
-            f"bracket fails at x{witness['coordinate']} with c = {witness['c']:.3e}"
-        )
+    notes = () if witness is None else (
+        f"bracket fails at x{witness['coordinate']} with c = {witness['c']:.3e}",
+    )
     return ScalingReport(
         ok=witness is None,
         checked=checked,
         witness=witness,
-        notes=tuple(notes),
+        notes=notes,
         shape_ok=shape_ok,
     )
 
@@ -668,33 +681,21 @@ def check_monotone_in_state(
 ) -> SampleReport:
     """Sample coordinatewise monotonicity of the state dependence."""
     rng = np.random.default_rng(seed)
-    times = ts.points[1:-1]
-    lo_x = math.log10(_STATE_FLOOR * 10.0)
     checked = 0
     witness = None
-    for _ in range(samples):
-        t = float(rng.choice(times))
-        x = 10.0 ** rng.uniform(lo_x, 3.0, size=f.arity)
+    for t, x in _draws(rng, ts, f.arity, _STATE_FLOOR * 10.0, 1e3, samples):
         j = int(rng.integers(0, f.arity))
         factor = 1.0 + float(10.0 ** rng.uniform(-3.0, 1.0))
         bumped = np.array(x)
         bumped[j] *= factor
-        try:
-            before = f.evaluate(t, x)
-            after = f.evaluate(t, bumped)
-        except (DomainViolation, NonFiniteResult):
+        before = _value(f, t, x)
+        after = None if before is None else _value(f, t, bumped)
+        if after is None:
             continue
         drift = after - before if nonincreasing else before - after
         pad = _SAMPLE_REL_TOL * (abs(before) + abs(after)) + _TINY
         if witness is None and drift > pad:
-            witness = {
-                "t": t,
-                "x": tuple(float(v) for v in x),
-                "coordinate": j + 1,
-                "factor": factor,
-                "before": before,
-                "after": after,
-            }
+            witness = _point(t, x, j, factor=factor, before=before, after=after)
         checked += 1
     return SampleReport(ok=witness is None, checked=checked, witness=witness)
 
@@ -718,34 +719,26 @@ def check_lipschitz_bound(
     if not 0.0 < lo < hi:
         raise DomainViolation(f"band must satisfy 0 < lo < hi, got {band!r}")
     rng = np.random.default_rng(seed)
-    times = ts.points[1:-1]
+    anchor = np.full(f.arity, lo)
+    probes = [(float(t), anchor, j, 1e-6 * lo)
+              for t in ts.points[1:-1] for j in range(f.arity)]
+    for t, x in _draws(rng, ts, f.arity, lo, hi, samples):
+        j = int(rng.integers(0, f.arity))
+        probes.append((t, x, j, 1e-6 * float(x[j])))
     best = 0.0
     at = None
     checked = 0
-
-    def quotient(t: float, x: np.ndarray, j: int, h: float):
-        nonlocal best, at, checked
+    for t, x, j, h in probes:
         bumped = np.array(x)
         bumped[j] = min(bumped[j] + h, hi)
         h_eff = bumped[j] - x[j]
-        if h_eff <= 0.0:
-            return
-        try:
-            ratio = abs(f.evaluate(t, bumped) - f.evaluate(t, x)) / h_eff
-        except (DomainViolation, NonFiniteResult):
-            return
+        top = _value(f, t, bumped) if h_eff > 0.0 else None
+        bottom = None if top is None else _value(f, t, x)
+        if bottom is None:
+            continue
+        ratio = abs(top - bottom) / h_eff
         checked += 1
         if ratio > best:
             best = ratio
-            at = {"t": t, "x": tuple(float(v) for v in x), "coordinate": j + 1}
-
-    anchor = np.full(f.arity, lo)
-    for t in times:
-        for j in range(f.arity):
-            quotient(float(t), anchor, j, 1e-6 * lo)
-    for _ in range(samples):
-        t = float(rng.choice(times))
-        x = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size=f.arity)
-        j = int(rng.integers(0, f.arity))
-        quotient(t, x, j, 1e-6 * float(x[j]))
+            at = _point(t, x, j)
     return LipschitzReport(bound=best, checked=checked, at=at)

@@ -1,5 +1,6 @@
 """Command-line front end: configs, outputs, and exit codes."""
 
+import dataclasses
 import json
 import logging
 import re
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import tsdyn.cli
-from tsdyn import SolveConfig, check_lipschitz_bound, check_monotone_in_state
+from tsdyn import (SolveConfig, check_lipschitz_bound, check_monotone_in_state,
+                   check_scaling_exponents)
 from tsdyn.cli import _csv, build_nonlinearities, build_scale, main, read_config
 
 SOLVE_CFG = """\
@@ -69,6 +71,11 @@ check.criterion = {criterion}
 
 def _single(path):
     return build_nonlinearities(read_config(path))[0]
+
+
+def _as_record(report):
+    """A sampled check's report as its JSON line reads back."""
+    return json.loads(json.dumps(dataclasses.asdict(report)))
 
 
 @pytest.fixture
@@ -255,8 +262,8 @@ class TestCheckCommand:
         assert main(["check", str(cfg)]) == 0
         record, = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l]
         expected = check_monotone_in_state(_single(cfg), build_scale(read_config(cfg)))
-        assert record == {"ok": True, "checked": expected.checked, "witness": None}
-        assert record["checked"] > 0
+        assert record == _as_record(expected)
+        assert record["ok"] is True and record["checked"] > 0
 
     def test_monotone_criterion_failure_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -274,9 +281,8 @@ class TestCheckCommand:
         expected = check_lipschitz_bound(
             _single(cfg), build_scale(read_config(cfg)), (0.25, 2.0)
         )
-        assert record["bound"] == expected.bound > 0.0
-        assert record["checked"] == expected.checked
-        assert record["at"] == {**expected.at, "x": list(expected.at["x"])}
+        assert record == _as_record(expected)
+        assert record["bound"] > 0.0
 
     @pytest.mark.parametrize("band", ["0,1", "2,1"])
     def test_band_outside_the_positive_half_line_is_a_config_error(
@@ -304,7 +310,7 @@ class TestCheckCommand:
             "(key 'check.eval_point', line 7)\n"
         )
 
-    def test_scaling_criterion_failure_exits_two(self, tmp_path):
+    def test_scaling_criterion_failure_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
             "scale.kind = uniform\nscale.start = 0\nscale.end = 1\n"
@@ -312,6 +318,30 @@ class TestCheckCommand:
             "f.1.lambda = -0.5\nf.1.mu = 0.5\ncheck.criterion = scaling\n",
         )
         assert main(["check", str(cfg)]) == 2
+        record = json.loads(capsys.readouterr().out)
+        expected = check_scaling_exponents(_single(cfg), build_scale(read_config(cfg)))
+        assert record == _as_record(expected)
+        assert record["ok"] is False and record["notes"]
+
+    @pytest.mark.parametrize(
+        "command,entry",
+        [("quadrature", "quadrature.weight = plain"),
+         ("quadrature", "quadrature.weight = envelope"),
+         ("check", "check.criterion = sufficient")],
+    )
+    def test_eval_point_outside_the_necessary_criterion_is_a_config_error(
+        self, tmp_path, capsys, command, entry
+    ):
+        cfg = write_cfg(
+            tmp_path,
+            "scale.kind = uniform\nscale.points = 17\nf.count = 1\n"
+            f"f.1.expr = x1^(-0.5)\n{entry}\ncheck.eval_point = 2\n",
+        )
+        assert main([command, str(cfg)]) == 4
+        assert capsys.readouterr().err == (
+            "tsdyn: configuration error: applies only to the necessary criterion "
+            "(key 'check.eval_point', line 6)\n"
+        )
 
 
 class TestBoundsCommand:
@@ -398,6 +428,15 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, SOLVE_CFG + "bogus.key = 1\n")
         assert main(["solve", str(cfg)]) == 4
         assert "unknown entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["family.sizes = 5,6,7,8,9",
+                                       "family.depths = 5,6,7,8,9"])
+    def test_family_ladder_is_not_an_entry(self, tmp_path, capsys, entry):
+        # --family sets the ladder for every kind of scale
+        cfg = write_cfg(tmp_path, CHECK_CFG.format(gamma="0.5") + entry + "\n")
+        assert main(["check", str(cfg)]) == 4
+        key = entry.split(" = ")[0]
+        assert f"unknown entry (key '{key}', line 10)" in capsys.readouterr().err
 
     def test_duplicate_key(self, tmp_path):
         cfg = write_cfg(tmp_path, SOLVE_CFG + "scale.points = 17\n")

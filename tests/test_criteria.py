@@ -319,6 +319,14 @@ class TestReferenceFamily:
         want = classify_weighted_bound(g, family)
         assert classify_weighted_bound(g, reference=reference) == want
 
+    def test_reference_with_scales_is_refused(self):
+        # the scales decide the family, so a reference beside them is an error
+        with pytest.raises(ConfigError) as err:
+            criterion_necessary(
+                [power_law(0.5)], quantum_family(2.0), reference=uniform(0, 1, 17)
+            )
+        assert err.value.key == "reference"
+
 
 class TestFamilyQuadrature:
     def test_plain_aliases_sufficient(self):
@@ -705,6 +713,17 @@ class TestScalingCheck:
         b = check_scaling_exponents(f, unit65, seed=7)
         assert a == b
 
+    @pytest.mark.parametrize("samples", [-5, 2.5])
+    def test_sample_count_must_be_a_nonnegative_integer(self, samples):
+        f = Nonlinearity.from_expression(
+            "x1^2", arity=1, degree_low=(0.5,), degree_high=(0.5,)
+        )
+        ts = uniform(0, 1, 17)
+        assert not check_scaling_exponents(f, ts).ok
+        with pytest.raises(ConfigError) as err:
+            check_scaling_exponents(f, ts, samples=samples)
+        assert err.value.key == "samples"
+
 
 class TestMonotoneCheck:
     def test_decreasing_rhs_passes(self, unit65):
@@ -726,6 +745,15 @@ class TestMonotoneCheck:
         assert rep.witness["after"] > rep.witness["before"]
         assert rep.witness["factor"] > 1.0
 
+    def test_negative_sample_count_is_refused(self, unit65):
+        f = Nonlinearity.from_expression(
+            "x1^2", arity=1, degree_low=(0.5,), degree_high=(0.5,)
+        )
+        assert not check_monotone_in_state(f, unit65).ok
+        with pytest.raises(ConfigError) as err:
+            check_monotone_in_state(f, unit65, samples=-5)
+        assert err.value.key == "samples"
+
 
 class TestLipschitzCheck:
     def test_band_floor_slope_recovered(self, unit65):
@@ -741,6 +769,11 @@ class TestLipschitzCheck:
         )
         rep = check_lipschitz_bound(f, unit65, (0.5, 1.5))
         assert rep.bound == pytest.approx(1.0, rel=1e-3)
+
+    def test_negative_sample_count_is_refused(self, unit65):
+        with pytest.raises(ConfigError) as err:
+            check_lipschitz_bound(power_law(0.5), unit65, (0.1, 2.0), samples=-5)
+        assert err.value.key == "samples"
 
     def test_band_validation(self, unit65):
         with pytest.raises(DomainViolation):
