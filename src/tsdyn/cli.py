@@ -60,87 +60,133 @@ _BOOL = {
     "false": False, "no": False, "0": False,
 }
 
-_EXACT_KEYS = {
-    "scale.kind", "scale.start", "scale.end", "scale.points",
-    "scale.q", "scale.depth", "scale.values",
-    "f.count", "bc.left", "bc.right",
-    "solve.strategy", "solve.tol_residual", "solve.max_iters", "solve.use_bounds",
-    "bounds.kind",
-    "check.criterion", "check.eval_point", "check.samples",
-    "check.band", "check.component",
-    "quadrature.weight",
-}
-_F_KEY = re.compile(r"f\.[1-9]\d*\.(expr|lambda|mu)$")
 
-
-class Config:
-    """Flat dotted-key configuration with typed, error-reporting access."""
-
-    def __init__(self, entries: dict[str, tuple[str, int | None]]):
-        self.entries = entries
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.entries
-
-    def line(self, key: str) -> int | None:
-        return self.entries[key][1] if key in self.entries else None
-
-    def _read(self, key: str, default, convert, expected: str):
-        """``convert`` applied to the entry ``key``, or ``default`` when the
-        entry is absent; an absent entry without a default is missing."""
-        if key not in self.entries:
-            if default is None:
-                raise ConfigError("missing required entry", key=key)
-            return default
-        raw = self.entries[key][0]
+def _typed(convert, expected: str):
+    """A reader: ``convert`` of the raw text, which it refuses by raising
+    ``KeyError`` or ``ValueError``."""
+    def read(raw: str):
         try:
             return convert(raw)
         except (KeyError, ValueError):
-            raise self.error(key, f"expected {expected}, got {raw!r}")
+            raise ValueError(f"expected {expected}, got {raw!r}") from None
+    return read
 
-    def get_str(self, key: str, default: str | None = None) -> str:
-        return self._read(key, default, str, "text")
 
-    def get_float(self, key: str, default: float | None = None) -> float:
-        return self._read(key, default, float, "a number")
+def _checked(read, ok, reason: str):
+    """``read``, refusing a value ``v`` with ``not ok(v)`` for
+    ``reason.format(v)``."""
+    def check(raw: str):
+        value = read(raw)
+        if not ok(value):
+            raise ValueError(reason.format(value))
+        return value
+    return check
 
-    def get_int(self, key: str, default: int | None = None) -> int:
-        return self._read(key, default, int, "an integer")
 
-    def get_bool(self, key: str, default: bool | None = None) -> bool:
-        return self._read(key, default, lambda raw: _BOOL[raw.lower()], "a boolean")
+def _one_of(*options: str):
+    """A reader of one of ``options``, in any letter case."""
+    listed = ", ".join(options[:-1]) + ("," if len(options) > 2 else "")
+    return _checked(str.lower, options.__contains__,
+                    f"expected {listed} or {options[-1]}, got {{!r}}")
 
-    def get_floats(self, key: str, default: Sequence[float] | None = None) -> tuple[float, ...]:
-        return self._read(key, default, lambda raw: tuple(map(float, raw.split(","))),
-                          "comma-separated numbers")
 
-    def get_ints(self, key: str, default: Sequence[int] | None = None) -> tuple[int, ...]:
-        return self._read(key, default, lambda raw: tuple(map(int, raw.split(","))),
-                          "comma-separated integers")
+_float = _typed(float, "a number")
+_int = _typed(int, "an integer")
+_floats = _typed(lambda raw: tuple(map(float, raw.split(","))), "comma-separated numbers")
+_ints = _typed(lambda raw: tuple(map(int, raw.split(","))), "comma-separated integers")
 
-    def get_enum(self, key: str, enum_cls, default=None):
-        options = ", ".join(m.value for m in enum_cls)
-        return self._read(key, default, lambda raw: enum_cls(raw.strip().lower()),
-                          f"one of {options}")
+#: The bound construction of each ``bounds.kind``.
+_BOUNDS = {"pair": construct_bounds, "lower": construct_lower}
+
+#: The sampled hypothesis check of each ``check.criterion``.
+_SAMPLED_CHECKS = {
+    "scaling": check_scaling_exponents,
+    "monotone": check_monotone_in_state,
+    "lipschitz": check_lipschitz_bound,
+}
+
+#: Every configuration entry: its reader and its default, ``...`` where the
+#: runs that read the entry need it.  ``f.<i>.*`` is the row of every
+#: component ``i``.
+_ENTRIES = {
+    "scale.kind": (_one_of("uniform", "quantum", "explicit"), ...),
+    "scale.start": (_float, 0.0),
+    "scale.end": (_float, 1.0),
+    "scale.points": (_int, ...),
+    "scale.q": (_float, ...),
+    "scale.depth": (_int, ...),
+    "scale.values": (_floats, ...),
+    "f.count": (_checked(_int, lambda n: n >= 1, "need at least one component"), 1),
+    "f.<i>.expr": (str, ...),
+    "f.<i>.lambda": (_floats, None),
+    "f.<i>.mu": (_floats, None),
+    "bc.left": (_floats, (0.0,)),
+    "bc.right": (_floats, (0.0,)),
+    "solve.strategy": (_typed(lambda raw: Strategy(raw.strip().lower()),
+                              "one of " + ", ".join(m.value for m in Strategy)),
+                       Strategy.PICARD),
+    "solve.tol_residual": (_checked(_float, lambda v: v >= 0.0, "must be >= 0, got {!r}"),
+                           SolveConfig.tol_residual),
+    "solve.max_iters": (_checked(_int, lambda n: n >= 0, "must be an integer >= 0, got {!r}"),
+                        SolveConfig.max_iters),
+    "solve.use_bounds": (_typed(lambda raw: _BOOL[raw.lower()], "a boolean"), True),
+    "bounds.kind": (_one_of(*_BOUNDS), "pair"),
+    "check.criterion": (_one_of("sufficient", "necessary", *_SAMPLED_CHECKS), "sufficient"),
+    "check.eval_point": (_checked(_float, lambda v: v > 0.0, "must be positive, got {!r}"),
+                         None),
+    "check.samples": (_checked(_int, lambda n: n >= 0, "must be >= 0, got {!r}"), 0),
+    "check.band": (_checked(_floats, lambda b: len(b) == 2 and 0.0 < b[0] < b[1],
+                            "expected 'lo,hi' with 0 < lo < hi"), (0.1, 1.0)),
+    "check.component": (_int, 1),
+    "quadrature.weight": (_one_of("plain", "necessary", "envelope"), "plain"),
+}
+_F_KEY = re.compile(r"f\.([1-9]\d*)\.(expr|lambda|mu)")
+
+
+def _row(key: str):
+    """The row of the entry ``key`` in ``_ENTRIES``, ``None`` if unknown;
+    ``f.<i>.*`` itself names no entry."""
+    match = _F_KEY.fullmatch(key)
+    if match:
+        return _ENTRIES[f"f.<i>.{match[2]}"]
+    return None if "<" in key else _ENTRIES.get(key)
+
+
+def _parse(key: str, raw: str, line: int | None, read):
+    """``raw`` as ``read`` parses it; a refusal is a configuration error
+    naming ``key`` and ``line``.  A flag is keyed by its name."""
+    try:
+        return read(raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key=key, line=line) from None
+
+
+class Config:
+    """Flat dotted-key configuration: each entry's raw text, its line, and
+    its value as the entry's reader parsed it."""
+
+    def __init__(self, entries: dict[str, tuple[str, int, object]]):
+        self.entries = entries
+
+    def __getitem__(self, key: str):
+        """The value of the entry ``key``, else its default in the table; an
+        absent entry without a default is missing."""
+        if key in self.entries:
+            return self.entries[key][2]
+        default = _row(key)[1]
+        if default is ...:
+            raise ConfigError("missing required entry", key=key)
+        return default
 
     def error(self, key: str, reason: str) -> ConfigError:
         """A configuration error naming the entry ``key`` and its line."""
-        return ConfigError(reason, key=key, line=self.line(key))
-
-    def library_error(self, exc: ConfigError, section: str) -> ConfigError:
-        """``exc``, raised by the library for its parameter ``exc.key``, as an
-        error of the entry ``section.<key>`` and its line."""
-        return self.error(f"{section}.{exc.key}", exc.reason)
-
-
-def _flag(name: str, value: str) -> Config:
-    """A command-line flag as a one-entry configuration, so its value goes
-    through the same typed reader as the file's entries."""
-    return Config({name: (value, None)})
+        return ConfigError(reason, key=key, line=self.entries[key][1])
 
 
 def read_config(path: str) -> Config:
-    entries: dict[str, tuple[str, int]] = {}
+    """The configuration in the file ``path``, every entry parsed and checked
+    by its reader, whichever entries the command reads."""
+    entries: dict[str, tuple[str, int, object]] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -159,46 +205,43 @@ def read_config(path: str) -> Config:
             raise ConfigError("empty key", line=lineno)
         if key in entries:
             raise ConfigError("duplicate entry", key=key, line=lineno)
-        if key not in _EXACT_KEYS and not _F_KEY.fullmatch(key):
+        row = _row(key)
+        if row is None:
             raise ConfigError("unknown entry", key=key, line=lineno)
-        entries[key] = (value, lineno)
-    return Config(entries)
+        entries[key] = (value, lineno, _parse(key, value, lineno, row[0]))
+    cfg = Config(entries)
+    for key in entries:
+        match = _F_KEY.fullmatch(key)
+        if match and int(match[1]) > cfg["f.count"]:
+            raise cfg.error(key, f"component {match[1]} beyond f.count = {cfg['f.count']}")
+    return cfg
 
 
 # --- model building ---------------------------------------------------------
 
 
 def build_scale(cfg: Config) -> TimeScale:
-    kind = cfg.get_str("scale.kind").strip().lower()
+    kind = cfg["scale.kind"]
     if kind == "uniform":
-        return uniform(
-            cfg.get_float("scale.start", 0.0),
-            cfg.get_float("scale.end", 1.0),
-            cfg.get_int("scale.points"),
-        )
+        return uniform(cfg["scale.start"], cfg["scale.end"], cfg["scale.points"])
     if kind == "quantum":
-        return quantum(cfg.get_float("scale.q"), cfg.get_int("scale.depth"))
-    if kind == "explicit":
-        return from_points(cfg.get_floats("scale.values"))
-    raise cfg.error("scale.kind",
-                    f"expected uniform, quantum, or explicit, got {kind!r}")
+        return quantum(cfg["scale.q"], cfg["scale.depth"])
+    return from_points(cfg["scale.values"])
 
 
 def build_nonlinearities(cfg: Config) -> tuple[Nonlinearity, ...]:
-    count = cfg.get_int("f.count", 1)
-    if count < 1:
-        raise cfg.error("f.count", "need at least one component")
+    count = cfg["f.count"]
     out = []
     for i in range(1, count + 1):
         expr_key = f"f.{i}.expr"
-        text = cfg.get_str(expr_key)
+        text = cfg[expr_key]
         try:
             fi = Nonlinearity.from_expression(
                 text,
                 arity=count,
                 component_index=i,
-                degree_low=cfg.get_floats(f"f.{i}.lambda", (0.0,) * count),
-                degree_high=cfg.get_floats(f"f.{i}.mu", (0.0,) * count),
+                degree_low=cfg[f"f.{i}.lambda"],
+                degree_high=cfg[f"f.{i}.mu"],
             )
         except TsdynError as exc:
             raise cfg.error(expr_key, str(exc))
@@ -211,7 +254,7 @@ def build_problem(cfg: Config, scale: TimeScale) -> DirichletProblem:
     n = len(f)
 
     def bc(key: str) -> tuple[float, ...]:
-        vec = cfg.get_floats(key, (0.0,))
+        vec = cfg[key]
         if len(vec) == 1 and n > 1:
             vec = vec * n
         if len(vec) != n:
@@ -226,7 +269,7 @@ def _family(scale: TimeScale, override: str | None) -> list[TimeScale]:
     library default for the scale's kind."""
     if override is None:
         return _refinement_family(scale)
-    ladder = _flag("--family", override).get_ints("--family")
+    ladder = _parse("--family", override, None, _ints)
     return _refinement_family(scale, ladder, ladder)
 
 
@@ -323,27 +366,15 @@ def _criterion_records(report: CriterionReport) -> list[dict]:
 def _eval_point(cfg: Config, necessary: bool) -> float | None:
     """``check.eval_point``, where the necessary criterion pins the state, or
     ``None`` if unset; a run of any other criterion refuses the entry."""
-    if "check.eval_point" not in cfg:
-        return None
-    if not necessary:
+    point = cfg["check.eval_point"]
+    if point is not None and not necessary:
         raise cfg.error("check.eval_point", "applies only to the necessary criterion")
-    point = cfg.get_float("check.eval_point")
-    if not point > 0.0:
-        raise cfg.error("check.eval_point", f"must be positive, got {point!r}")
     return point
-
-
-#: The sampled hypothesis check of each ``check.criterion``.
-_SAMPLED_CHECKS = {
-    "scaling": check_scaling_exponents,
-    "monotone": check_monotone_in_state,
-    "lipschitz": check_lipschitz_bound,
-}
 
 
 def _cmd_check(cfg: Config, args) -> int:
     scale = build_scale(cfg)
-    criterion = cfg.get_str("check.criterion", "sufficient").strip().lower()
+    criterion = cfg["check.criterion"]
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     f = build_nonlinearities(cfg)
     override = _eval_point(cfg, criterion == "necessary")
@@ -354,58 +385,35 @@ def _cmd_check(cfg: Config, args) -> int:
                                    eval_point_override=override)
         _emit(_json_lines(_criterion_records(report)), args.out)
         return _verdict_exit(report.verdict)
-    component = cfg.get_int("check.component", 1)
+    component = cfg["check.component"]
     if not 1 <= component <= len(f):
         raise cfg.error("check.component", f"component {component} outside 1..{len(f)}")
-    samples = cfg.get_int("check.samples", 0)
     # absent or 0 leaves each check its own default sample count
-    options = {"samples": samples} if samples else {}
-    if criterion not in _SAMPLED_CHECKS:
-        raise cfg.error("check.criterion", "expected sufficient, necessary, scaling, "
-                        f"monotone, or lipschitz, got {criterion!r}")
+    options = {"samples": cfg["check.samples"]} if cfg["check.samples"] else {}
     if criterion == "lipschitz":
-        band = cfg.get_floats("check.band", (0.1, 1.0))
-        if len(band) != 2 or not 0.0 < band[0] < band[1]:
-            raise cfg.error("check.band", "expected 'lo,hi' with 0 < lo < hi")
-        options["band"] = band
-    try:
-        report = _SAMPLED_CHECKS[criterion](f[component - 1], scale, seed=seed, **options)
-    except ConfigError as exc:
-        raise cfg.library_error(exc, "check") from exc
+        options["band"] = cfg["check.band"]
+    report = _SAMPLED_CHECKS[criterion](f[component - 1], scale, seed=seed, **options)
     _emit(_json_lines([dataclasses.asdict(report)]), args.out)
     # a Lipschitz estimate has no verdict to fail
     return _EXIT_OK if getattr(report, "ok", True) else _EXIT_FAIL
 
 
-def _solve_config(cfg: Config) -> SolveConfig:
-    """``SolveConfig`` from the ``solve.*`` entries the file sets; every
-    absent entry keeps the library default."""
-    getters = {"tol_residual": cfg.get_float, "max_iters": cfg.get_int}
-    settings = {
-        name: get(f"solve.{name}") for name, get in getters.items()
-        if f"solve.{name}" in cfg
-    }
-    try:
-        return SolveConfig(**settings)
-    except ConfigError as exc:
-        raise cfg.library_error(exc, "solve") from exc
-
-
 def _cmd_solve(cfg: Config, args) -> int:
     problem = build_problem(cfg, build_scale(cfg))
     if args.strategy is not None:
-        strategy = _flag("--strategy", args.strategy).get_enum("--strategy", Strategy)
+        strategy = _parse("--strategy", args.strategy, None, _ENTRIES["solve.strategy"][0])
     else:
-        strategy = cfg.get_enum("solve.strategy", Strategy, Strategy.PICARD)
+        strategy = cfg["solve.strategy"]
     brackets = refused = None
-    if cfg.get_bool("solve.use_bounds", True) and problem.is_positive_system:
+    if cfg["solve.use_bounds"] and problem.is_positive_system:
         try:
             brackets = construct_bounds(problem).pair
         except (ShapeViolation, CriterionNotSatisfied) as exc:
             refused = exc
+    config = SolveConfig(tol_residual=cfg["solve.tol_residual"],
+                         max_iters=cfg["solve.max_iters"])
     try:
-        report = solve(problem, strategy=strategy, brackets=brackets,
-                       config=_solve_config(cfg))
+        report = solve(problem, strategy=strategy, brackets=brackets, config=config)
     except BracketViolation as exc:  # a monotone run needs the refused bounds
         if refused is None:
             raise
@@ -434,13 +442,7 @@ def _cmd_solve(cfg: Config, args) -> int:
 
 def _cmd_bounds(cfg: Config, args) -> int:
     problem = build_problem(cfg, build_scale(cfg))
-    kind = cfg.get_str("bounds.kind", "pair").strip().lower()
-    if kind == "pair":
-        pair = construct_bounds(problem)
-    elif kind == "lower":
-        pair = construct_lower(problem)
-    else:
-        raise cfg.error("bounds.kind", f"expected pair or lower, got {kind!r}")
+    pair = _BOUNDS[cfg["bounds.kind"]](problem)
     grids = [("alpha", pair.alpha)]
     if pair.beta is not None:
         grids.append(("beta", pair.beta))
@@ -468,14 +470,10 @@ def _cmd_bounds(cfg: Config, args) -> int:
 def _cmd_quadrature(cfg: Config, args) -> int:
     scale = build_scale(cfg)
     f = build_nonlinearities(cfg)
-    weight = cfg.get_str("quadrature.weight", "plain").strip().lower()
+    weight = cfg["quadrature.weight"]
     override = _eval_point(cfg, weight == "necessary")
-    family = _family(scale, args.family)
-    try:
-        report = family_quadrature(f, family, weight=weight,
-                                   eval_point_override=override)
-    except ConfigError as exc:
-        raise cfg.library_error(exc, "quadrature") from exc
+    report = family_quadrature(f, _family(scale, args.family), weight=weight,
+                               eval_point_override=override)
     records = [
         {"points": size, "integrals": [trail[m] for trail in report.trails]}
         for m, size in enumerate(report.scale_sizes)

@@ -343,6 +343,30 @@ class TestCheckCommand:
             "(key 'check.eval_point', line 6)\n"
         )
 
+    @pytest.mark.parametrize("component", [0, 2])
+    def test_component_outside_the_system_is_a_config_error(
+        self, tmp_path, capsys, component
+    ):
+        cfg = write_cfg(tmp_path, SAMPLED_CFG.format(criterion="monotone")
+                        + f"check.component = {component}\n")
+        assert main(["check", str(cfg)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"tsdyn: configuration error: component {component} outside 1..1 "
+            "(key 'check.component', line 8)\n"
+        )
+
+    def test_component_picks_the_checked_nonlinearity(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TWO_COMPONENT_CFG.replace(
+            "check.criterion = sufficient", "check.criterion = lipschitz\ncheck.component = 2"))
+        assert main(["check", str(cfg)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        config = read_config(cfg)
+        f, scale = build_nonlinearities(config), build_scale(config)
+        assert record == _as_record(check_lipschitz_bound(f[1], scale, (0.1, 1.0)))
+        assert record != _as_record(check_lipschitz_bound(f[0], scale, (0.1, 1.0)))
+
 
 class TestBoundsCommand:
     def test_pair_constants_in_summary(self, solve_cfg, capsys):
@@ -475,6 +499,29 @@ class TestConfigErrors:
         assert f"key '{key}', line 14" in err
         if key in ("solve.damping", "solve.rhs_mode", "solve.tol_step"):
             assert "unknown entry" in err
+
+    @pytest.mark.parametrize("command", ["check", "solve", "bounds", "quadrature"])
+    @pytest.mark.parametrize(
+        "entry,reason",
+        [("check.samples = -5", "must be >= 0, got -5"),
+         ("check.band = 0,1", "expected 'lo,hi' with 0 < lo < hi"),
+         ("quadrature.weight = bogus",
+          "expected plain, necessary, or envelope, got 'bogus'"),
+         ("solve.strategy = bogus", "expected one of picard, monotone_up, "
+          "monotone_down, newton_oracle, got 'bogus'"),
+         ("bounds.kind = bogus", "expected pair or lower, got 'bogus'"),
+         ("f.2.expr = x1 +", "component 2 beyond f.count = 1")],
+    )
+    def test_every_entry_is_checked_whatever_the_command(
+        self, tmp_path, capsys, command, entry, reason
+    ):
+        cfg = write_cfg(tmp_path, "scale.kind = uniform\nscale.points = 17\n"
+                        f"f.count = 1\nf.1.expr = x1^(-0.5)\n{entry}\n")
+        assert main([command, str(cfg)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        key = entry.split(" = ")[0]
+        assert err == f"tsdyn: configuration error: {reason} (key '{key}', line 5)\n"
 
     @pytest.mark.parametrize("command", ["check", "solve", "bounds", "quadrature"])
     @pytest.mark.parametrize(
