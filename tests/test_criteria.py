@@ -214,6 +214,14 @@ class TestNecessary:
                 [power_law(0.5)], quantum_family(2.0), eval_point_override=0.0
             )
 
+    def test_every_pin_is_checked_before_any_member_is_evaluated(self):
+        calls = []
+        f = Nonlinearity(1, 1, lambda t, x: calls.append(t) or 1.0, (0.0,), (0.0,))
+        family = uniform_family(0.0, 1.0, (17, 33, 65, 129)) + [uniform(-2.0, -1.0, 17)]
+        with pytest.raises(NonpositiveEndpoint, match=r"got -1\.0$"):
+            criterion_necessary([f], family)
+        assert calls == []
+
 
 def time_power(p):
     return Nonlinearity.from_expression(
@@ -564,6 +572,29 @@ class TestConstructLower:
         with pytest.raises(BoundOrderViolation):
             pair.pair
 
+    def test_nonpositive_endpoint_is_refused(self):
+        # the state is pinned at sigma^2(b) = -1
+        f = Nonlinearity.from_expression("1 + x1", arity=1)
+        with pytest.raises(NonpositiveEndpoint, match=r"-1\.0$"):
+            construct_lower(DirichletProblem(uniform(-2.0, -1.0, 17), (f,)))
+
+    @pytest.mark.parametrize("construct", [construct_bounds, construct_lower])
+    def test_precondition_comes_before_the_pinned_state(self, construct):
+        # a diagonal degree of one is refused before the state is pinned at
+        # the nonpositive sigma^2(b) = -1
+        f = Nonlinearity.from_expression("1 + x1", arity=1, degree_high=(1.0,))
+        with pytest.raises(ShapeViolation, match="must stay below one, got 1$"):
+            construct(DirichletProblem(uniform(-2.0, -1.0, 17), (f,)))
+        with pytest.raises(ShapeViolation, match="requires zero boundary values$"):
+            construct(DirichletProblem(uniform(-2.0, -1.0, 17), (power_law(0.5),),
+                                       boundary_left=(0.5,)))
+
+    def test_nonpositive_integral_is_refused(self, unit65):
+        f = Nonlinearity.from_expression("-1", arity=1)
+        with pytest.raises(CriterionNotSatisfied,
+                           match="^lower-construction integrals must be positive$"):
+            construct_lower(DirichletProblem(unit65, (f,)))
+
     def test_quantum_scale_with_improper_head(self):
         ts = quantum(2.0, 10)
         f = Nonlinearity.from_expression(
@@ -654,6 +685,12 @@ class TestEnvelopeDisplay:
         col = u.component(1)
         assert np.all(col >= box["lower"][0] * e - 1e-6)
         assert np.all(col <= box["upper"][0] * e + 1e-6)
+
+    def test_nonzero_boundary_values_are_refused(self, solved):
+        problem, u = solved
+        shifted = DirichletProblem(problem.scale, problem.f, boundary_right=(0.25,))
+        with pytest.raises(ShapeViolation, match="requires zero boundary values$"):
+            compute_envelope(shifted, u)
 
     def test_escape_raises_with_location(self, solved):
         problem, u = solved
