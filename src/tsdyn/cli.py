@@ -43,7 +43,11 @@ from .errors import (
     BracketViolation,
     ConfigError,
     CriterionNotSatisfied,
+    DegenerateInterval,
+    InvalidBase,
+    NonMonotonePoints,
     ShapeViolation,
+    TooFewPoints,
     TsdynError,
 )
 from .model import DirichletProblem, Nonlinearity
@@ -210,10 +214,16 @@ def read_config(path: str) -> Config:
             raise ConfigError("unknown entry", key=key, line=lineno)
         entries[key] = (value, lineno, _parse(key, value, lineno, row[0]))
     cfg = Config(entries)
+    count = cfg["f.count"]
     for key in entries:
         match = _F_KEY.fullmatch(key)
-        if match and int(match[1]) > cfg["f.count"]:
-            raise cfg.error(key, f"component {match[1]} beyond f.count = {cfg['f.count']}")
+        if match and int(match[1]) > count:
+            raise cfg.error(key, f"component {match[1]} beyond f.count = {count}")
+        if match and match[2] != "expr" and len(cfg[key]) != count:
+            raise cfg.error(key, f"expected {count} degrees, got {len(cfg[key])}")
+    component = cfg["check.component"]
+    if not 1 <= component <= count:
+        raise cfg.error("check.component", f"component {component} outside 1..{count}")
     return cfg
 
 
@@ -221,12 +231,28 @@ def read_config(path: str) -> Config:
 
 
 def build_scale(cfg: Config) -> TimeScale:
+    """The realization of the ``scale.*`` entries.  A refusal of the
+    time-scale constructor is a configuration error naming the entry it
+    refused; a bad interval names the end the file sets."""
     kind = cfg["scale.kind"]
-    if kind == "uniform":
-        return uniform(cfg["scale.start"], cfg["scale.end"], cfg["scale.points"])
-    if kind == "quantum":
-        return quantum(cfg["scale.q"], cfg["scale.depth"])
-    return from_points(cfg["scale.values"])
+    try:
+        if kind == "uniform":
+            return uniform(cfg["scale.start"], cfg["scale.end"], cfg["scale.points"])
+        if kind == "quantum":
+            return quantum(cfg["scale.q"], cfg["scale.depth"])
+        return from_points(cfg["scale.values"])
+    except (TooFewPoints, InvalidBase, DegenerateInterval, NonMonotonePoints) as exc:
+        if kind == "explicit":
+            key = "scale.values"
+        elif isinstance(exc, InvalidBase):
+            key = "scale.q"
+        elif kind == "quantum":
+            key = "scale.depth"  # too shallow, or deep enough to underflow
+        elif isinstance(exc, TooFewPoints):
+            key = "scale.points"
+        else:
+            key = "scale.start" if "scale.start" in cfg.entries else "scale.end"
+        raise cfg.error(key, str(exc)) from None
 
 
 def build_nonlinearities(cfg: Config) -> tuple[Nonlinearity, ...]:
@@ -386,8 +412,6 @@ def _cmd_check(cfg: Config, args) -> int:
         _emit(_json_lines(_criterion_records(report)), args.out)
         return _verdict_exit(report.verdict)
     component = cfg["check.component"]
-    if not 1 <= component <= len(f):
-        raise cfg.error("check.component", f"component {component} outside 1..{len(f)}")
     # absent or 0 leaves each check its own default sample count
     options = {"samples": cfg["check.samples"]} if cfg["check.samples"] else {}
     if criterion == "lipschitz":

@@ -34,7 +34,7 @@ from .errors import (
     SupportMismatch,
 )
 from .expressions import ExpressionTree
-from .green import envelope_weight, green_apply, kernel_lower_weight
+from .green import envelope_weight, green_solve, kernel_factors, kernel_lower_weight
 from .model import DirichletProblem, Nonlinearity, drop_note, rhs_matrix
 from .timescale import (QUANTUM_FAMILY_DEPTHS, UNIFORM_FAMILY_SIZES, TimeScale,
                         quantum_family, uniform_family)
@@ -223,6 +223,14 @@ def _envelope_states(ts: TimeScale, n: int) -> np.ndarray:
     return np.repeat(e[1 : ts.last_index, None], n, axis=1)
 
 
+def _pinned_states(ts: TimeScale, n: int, pin: float) -> np.ndarray:
+    """Every state slot of every equation point pinned at ``pin``, which must
+    be positive."""
+    if not pin > 0.0:
+        raise NonpositiveEndpoint(f"evaluation point must be positive, got {pin!r}")
+    return np.full((ts.last_index - 1, n), float(pin))
+
+
 def _necessary_weight(ts: TimeScale) -> np.ndarray:
     """(sigma(s) - a)(sigma(b) - sigma(s)) with the realized sigma(b)."""
     sig = ts.points[1 : ts.last_index]
@@ -304,18 +312,11 @@ def criterion_necessary(
     A ``DIVERGENT`` report refutes solvability for the positive class.
     """
     family = _resolve_family(scales, reference)
-    for ts in family:
-        pin = ts.sigma2_b if eval_point_override is None else eval_point_override
-        if not pin > 0.0:
-            raise NonpositiveEndpoint(
-                f"evaluation point must be positive, got {pin!r}"
-            )
-
-    def states(ts: TimeScale, n: int) -> np.ndarray:
-        pin = ts.sigma2_b if eval_point_override is None else eval_point_override
-        return np.full((ts.last_index - 1, n), float(pin))
-
-    return _trail_report(f, family, states, _necessary_weight)
+    f = tuple(f)
+    # every member's pin is checked before any member is evaluated
+    pinned = iter([_pinned_states(ts, len(f), ts.sigma2_b if eval_point_override is None
+                                  else eval_point_override) for ts in family])
+    return _trail_report(f, family, lambda ts, n: next(pinned), _necessary_weight)
 
 
 def classify_weighted_bound(
@@ -381,8 +382,10 @@ def family_quadrature(
 # --- bound construction ---------------------------------------------------------
 
 
-def _require_constructible(problem: DirichletProblem, what: str) -> None:
-    """Both constructions raise their constants to the power ``1 / (1 - mu_ii)``."""
+def _construction_rhs(problem: DirichletProblem, what: str, states) -> tuple:
+    """``rhs_matrix`` at ``states(ts, n)``, once the problem has zero boundary
+    values and diagonal upper degrees below one: both constructions raise
+    their constants to the power ``1 / (1 - mu_ii)``."""
     if not problem.is_positive_system:
         raise ShapeViolation(f"{what} requires zero boundary values")
     for fi in problem.f:
@@ -391,6 +394,7 @@ def _require_constructible(problem: DirichletProblem, what: str) -> None:
                 f"component {fi.component_index}: diagonal upper degree must "
                 f"stay below one, got {fi.diagonal_high:g}"
             )
+    return rhs_matrix(problem, states(problem.scale, problem.n_components))
 
 
 def construct_bounds(problem: DirichletProblem) -> BoundsPair:
@@ -401,16 +405,14 @@ def construct_bounds(problem: DirichletProblem) -> BoundsPair:
     under the kernel's lower weight and ``I2`` plain.  Requires zero
     boundary values and diagonal upper degrees below one.
     """
-    _require_constructible(problem, "bound construction")
+    vals, skipped = _construction_rhs(problem, "bound construction", _envelope_states)
     ts = problem.scale
     N = ts.last_index
     n = problem.n_components
-    D = ts.span
-    vals, skipped = rhs_matrix(problem, _envelope_states(ts, n))
     s = ts.points[: N - 1]
     sig = ts.points[1:N]
     # (s - a) <= (sigma(s) - a), so this is also a valid lower kernel weight
-    w_low = (s - ts.a) * (ts.sigma2_b - sig) / D**2
+    w_low = (s - ts.a) * (ts.sigma2_b - sig) / ts.span**2
     I1 = _quadrature(ts, vals, w_low)
     I2 = _quadrature(ts, vals)
     if min(I1) <= 0.0 or min(I2) <= 0.0:
@@ -419,30 +421,21 @@ def construct_bounds(problem: DirichletProblem) -> BoundsPair:
             "vanishes or changes sign against the envelope"
         )
     C = max(max(1.0 / I1[i], I2[i], 1.0) for i in range(n))
-    k1 = []
-    k2 = []
+    k1, k2 = [], []
     for fi in problem.f:
-        lam = fi.degree_low
-        muv = fi.degree_high
+        lam, muv = fi.degree_low, fi.degree_high
         gap = sum(lam) - sum(muv)
         expo = 1.0 / (1.0 - fi.diagonal_high)
         low_base = C**gap * math.prod(I2[j] ** lam[j] for j in range(n))
         high_base = C**-gap * math.prod(I1[j] ** lam[j] for j in range(n))
         k1.append(min(1.0, low_base**expo))
         k2.append(max(1.0, high_base**expo))
-    y = green_apply(ts, GridFunction.from_values(ts, vals))
-    alpha = GridFunction(ts, y.values * np.asarray(k1)[None, :], 0, N)
-    beta = GridFunction(ts, y.values * np.asarray(k2)[None, :], 0, N)
+    y = green_solve(kernel_factors(ts), vals)
     return BoundsPair(
-        alpha=alpha,
-        beta=beta,
-        constants={
-            "I1": tuple(I1),
-            "I2": tuple(I2),
-            "C": C,
-            "k1": tuple(k1),
-            "k2": tuple(k2),
-        },
+        alpha=GridFunction(ts, y * np.asarray(k1), 0, N),
+        beta=GridFunction(ts, y * np.asarray(k2), 0, N),
+        constants={"I1": tuple(I1), "I2": tuple(I2), "C": C,
+                   "k1": tuple(k1), "k2": tuple(k2)},
         notes=drop_note(skipped),
     )
 
@@ -452,43 +445,33 @@ def construct_lower(problem: DirichletProblem) -> BoundsPair:
 
     ``g_i`` is the kernel image of ``w(s) f_i(s, [endpoint])`` where ``w``
     is the kernel's lower weight.  No upper bound is produced.  Requires
-    zero boundary values and diagonal upper degrees below one.
+    zero boundary values, diagonal upper degrees below one and sigma^2(b) > 0.
     """
-    _require_constructible(problem, "lower construction")
+    vals, skipped = _construction_rhs(problem, "lower construction",
+                                      lambda ts, n: _pinned_states(ts, n, ts.sigma2_b))
     ts = problem.scale
     N = ts.last_index
     n = problem.n_components
     D = ts.span
     endpoint = ts.sigma2_b
-    if not endpoint > 0.0:
-        raise NonpositiveEndpoint(
-            f"lower construction pins the state at sigma^2(b) = {endpoint!r}"
-        )
-    states = np.full((N - 1, n), float(endpoint))
-    vals, skipped = rhs_matrix(problem, states)
     sig = ts.points[1:N]
-    rhs = kernel_lower_weight(ts)[:, None] * vals
-    cell = ts.mu[: N - 1] * (sig - ts.a) * (ts.sigma2_b - sig) ** 2.0 / D**2.0
+    cell = ts.mu[: N - 1] * (sig - ts.a) * (endpoint - sig) ** 2.0 / D**2.0
     L1 = [float(np.sum(cell * vals[:, i])) / D for i in range(n)]
     if min(L1) <= 0.0:
-        raise CriterionNotSatisfied(
-            "lower-construction integrals must be positive"
-        )
+        raise CriterionNotSatisfied("lower-construction integrals must be positive")
     C2 = min(1.0 / (endpoint * max(L1[i], 1.0)) for i in range(n))
     k1 = []
     for fi in problem.f:
-        lam = fi.degree_low
-        muv = fi.degree_high
+        lam, muv = fi.degree_low, fi.degree_high
         expo = 1.0 / (1.0 - fi.diagonal_high)
         base = math.prod(
             L1[j] ** muv[j] * (1.0 / endpoint) ** lam[j] * C2 ** (muv[j] - lam[j])
             for j in range(n)
         )
         k1.append(min(1.0, base**expo))
-    g = green_apply(ts, GridFunction.from_values(ts, rhs))
-    alpha = GridFunction(ts, g.values * np.asarray(k1)[None, :], 0, N)
+    g = green_solve(kernel_factors(ts), kernel_lower_weight(ts)[:, None] * vals)
     return BoundsPair(
-        alpha=alpha,
+        alpha=GridFunction(ts, g * np.asarray(k1), 0, N),
         beta=None,
         constants={"L1": tuple(L1), "C2": C2, "k1": tuple(k1)},
         notes=drop_note(skipped),

@@ -88,8 +88,8 @@ def _tokenize(src: str) -> list[Token]:
             out.append(Token("NUM", m.group(0), pos))
             i = m.end()
             continue
-        if c.isalpha() or c == "_":
-            m = _NAME.match(src, i)
+        m = _NAME.match(src, i)
+        if m is not None:
             name = m.group(0)
             if name == "t":
                 out.append(Token("T", name, pos))

@@ -343,13 +343,14 @@ class TestCheckCommand:
             "(key 'check.eval_point', line 6)\n"
         )
 
+    @pytest.mark.parametrize("command", ["check", "solve", "bounds", "quadrature"])
     @pytest.mark.parametrize("component", [0, 2])
     def test_component_outside_the_system_is_a_config_error(
-        self, tmp_path, capsys, component
+        self, tmp_path, capsys, component, command
     ):
         cfg = write_cfg(tmp_path, SAMPLED_CFG.format(criterion="monotone")
                         + f"check.component = {component}\n")
-        assert main(["check", str(cfg)]) == 4
+        assert main([command, str(cfg)]) == 4
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
@@ -477,6 +478,57 @@ class TestConfigErrors:
     def test_missing_required_key(self, tmp_path):
         cfg = write_cfg(tmp_path, "scale.kind = uniform\n")
         assert main(["solve", str(cfg)]) == 4
+
+    @pytest.mark.parametrize("command", ["check", "solve", "bounds", "quadrature"])
+    @pytest.mark.parametrize(
+        "entries,key,reason",
+        [("scale.kind = uniform\nscale.points = 2", "scale.points",
+          "uniform realization needs n >= 4, got 2"),
+         ("scale.kind = uniform\nscale.points = -3", "scale.points",
+          "uniform realization needs n >= 4, got -3"),
+         ("scale.kind = uniform\nscale.start = 2\nscale.points = 17", "scale.start",
+          "need end > a, got [2.0, 1.0]"),
+         ("scale.kind = uniform\nscale.end = -1\nscale.points = 17", "scale.end",
+          "need end > a, got [0.0, -1.0]"),
+         ("scale.kind = quantum\nscale.q = 0.5\nscale.depth = 10", "scale.q",
+          "quantum base must satisfy q > 1, got 0.5"),
+         ("scale.kind = quantum\nscale.q = 2\nscale.depth = 2", "scale.depth",
+          "quantum realization needs depth >= 3, got 2"),
+         ("scale.kind = quantum\nscale.q = 2\nscale.depth = 1100", "scale.depth",
+          "points not strictly increasing at index 1"),
+         ("scale.kind = explicit\nscale.values = 0,0.5,0.2,1", "scale.values",
+          "points not strictly increasing at index 2"),
+         ("scale.kind = explicit\nscale.values = 0,1", "scale.values",
+          "need at least 4 points for boundary identification, got 2")],
+    )
+    def test_refused_scale_names_its_entry(self, tmp_path, capsys, command,
+                                           entries, key, reason):
+        cfg = write_cfg(tmp_path, f"{entries}\nf.count = 1\nf.1.expr = x1^(-0.5)\n")
+        line = next(n for n, e in enumerate(entries.split("\n"), 1) if e.startswith(key))
+        assert main([command, str(cfg)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"tsdyn: configuration error: {reason} "
+                       f"(key '{key}', line {line})\n")
+
+    @pytest.mark.parametrize("command", ["check", "solve", "bounds", "quadrature"])
+    @pytest.mark.parametrize("key", ["f.1.lambda", "f.1.mu"])
+    def test_degree_row_of_the_wrong_length_names_its_entry(self, tmp_path, capsys,
+                                                            command, key):
+        cfg = write_cfg(tmp_path, "scale.kind = uniform\nscale.points = 17\n"
+                        f"f.count = 1\nf.1.expr = x1^(-0.5)\n{key} = 1,2\n")
+        assert main([command, str(cfg)]) == 4
+        assert capsys.readouterr().err == (
+            f"tsdyn: configuration error: expected 1 degrees, got 2 (key '{key}', line 5)\n"
+        )
+
+    def test_letter_outside_the_names_is_reported_with_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SOLVE_CFG.replace("x1^(-0.5)", "π*x1"))
+        assert main(["solve", str(cfg)]) == 4
+        assert capsys.readouterr().err == (
+            "tsdyn: configuration error: unexpected character 'π' (position 1) "
+            "(key 'f.1.expr', line 7)\n"
+        )
 
     def test_bad_expression_reported_with_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SOLVE_CFG.replace("x1^(-0.5)", "x1 +"))

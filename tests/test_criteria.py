@@ -575,7 +575,8 @@ class TestConstructLower:
     def test_nonpositive_endpoint_is_refused(self):
         # the state is pinned at sigma^2(b) = -1
         f = Nonlinearity.from_expression("1 + x1", arity=1)
-        with pytest.raises(NonpositiveEndpoint, match=r"-1\.0$"):
+        with pytest.raises(NonpositiveEndpoint,
+                           match=r"^evaluation point must be positive, got -1\.0$"):
             construct_lower(DirichletProblem(uniform(-2.0, -1.0, 17), (f,)))
 
     @pytest.mark.parametrize("construct", [construct_bounds, construct_lower])

@@ -14,6 +14,7 @@ from tsdyn import (
     ExpressionTree,
     NonFiniteResult,
     Nonlinearity,
+    TsdynError,
     UnknownVariable,
     parse_expression,
     rhs_matrix,
@@ -116,6 +117,12 @@ class TestErrors:
         with pytest.raises(DomainViolation):
             ev("(-2)^(1e300*1e300)")
         assert ev("0.5^(1e300*1e300)") == 0.0
+
+    @pytest.mark.parametrize("src,position", [("π*x1", 1), ("x1π", 3), ("2 * é", 5)])
+    def test_letter_outside_the_names_is_a_syntax_error(self, src, position):
+        with pytest.raises(ExpressionSyntaxError, match="unexpected character") as err:
+            parse_expression(src)
+        assert err.value.position == position
 
     def test_syntax_error_message_carries_position(self):
         with pytest.raises(ExpressionSyntaxError) as err:
@@ -371,6 +378,16 @@ class TestProperties:
         vals, skipped = rhs_matrix(problem, states)
         assert skipped == where
         assert vals.tobytes() == expected.tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(src=st.text())
+    def test_any_text_parses_or_raises_a_tsdyn_error(self, src):
+        # nesting deep enough to exhaust Python's recursion limit, about
+        # 3 000 parentheses, is not drawn here and still raises RecursionError
+        try:
+            parse_expression(src)
+        except TsdynError:
+            pass
 
     @settings(max_examples=200, deadline=None)
     @given(tree=TREES, t=st.floats(-2.0, 2.0), x=st.tuples(STATES, STATES))
