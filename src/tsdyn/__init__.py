@@ -39,7 +39,6 @@ from .criteria import (
 )
 from .errors import (
     BadRange,
-    BoundOrderViolation,
     BracketViolation,
     ConfigError,
     CriterionNotSatisfied,
@@ -107,7 +106,7 @@ __all__ = [
     "construct_lower", "criterion_necessary", "criterion_sufficient",
     "endpoint_slope_limits", "family_quadrature", "verify_lower",
     "verify_upper",
-    "BadRange", "BoundOrderViolation", "BracketViolation", "ConfigError",
+    "BadRange", "BracketViolation", "ConfigError",
     "CriterionNotSatisfied", "DegenerateInterval", "DimensionMismatch",
     "DomainViolation", "EmptySupport", "EnvelopeViolation",
     "ExpressionSyntaxError", "FamilyTooShort", "IndexOutOfRange",

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     BadRange,
+    BracketViolation,
     DimensionMismatch,
     EmptySupport,
     IndexOutOfRange,
@@ -187,6 +188,19 @@ def full_support_values(u: GridFunction, scale: TimeScale, what: str) -> np.ndar
     if u.lo > 0 or u.hi < scale.last_index:
         raise SupportMismatch(f"{what} must cover the whole realization")
     return u.values
+
+
+def band_values(alpha: GridFunction, beta: GridFunction, scale: TimeScale, n: int) -> tuple:
+    """The value arrays of the band ``[alpha, beta]``, which must both cover
+    ``scale``'s whole realization with ``n`` components and satisfy ``alpha
+    <= beta``; a crossing raises :class:`BracketViolation` at its first row."""
+    for g in (alpha, beta):
+        full_support_values(g, scale, "brackets")
+        if g.n_components != n:
+            raise SupportMismatch(f"bracket component count must be {n}, got {g.n_components}")
+    if np.any(alpha.values > beta.values):
+        raise BracketViolation(int(np.argwhere(alpha.values > beta.values)[0][0]))
+    return alpha.values, beta.values
 
 
 def difference_quotient(values: np.ndarray, mu: np.ndarray) -> np.ndarray:

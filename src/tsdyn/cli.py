@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import re
 import sys
 from typing import Sequence
@@ -38,12 +39,13 @@ from .criteria import (
     verify_lower,
     verify_upper,
 )
-from .criteria import DEFAULT_SEED, _refinement_family
+from .criteria import DEFAULT_SEED, _refinement_family, _resolve_family
 from .errors import (
     BracketViolation,
     ConfigError,
     CriterionNotSatisfied,
     DegenerateInterval,
+    FamilyTooShort,
     InvalidBase,
     NonMonotonePoints,
     ShapeViolation,
@@ -94,9 +96,11 @@ def _one_of(*options: str):
                     f"expected {listed} or {options[-1]}, got {{!r}}")
 
 
-_float = _typed(float, "a number")
+_float = _checked(_typed(float, "a number"), math.isfinite, "must be finite, got {!r}")
 _int = _typed(int, "an integer")
-_floats = _typed(lambda raw: tuple(map(float, raw.split(","))), "comma-separated numbers")
+_floats = _checked(_typed(lambda raw: tuple(map(float, raw.split(","))),
+                          "comma-separated numbers"),
+                   lambda row: all(map(math.isfinite, row)), "must be finite, got {!r}")
 _ints = _typed(lambda raw: tuple(map(int, raw.split(","))), "comma-separated integers")
 
 #: The bound construction of each ``bounds.kind``.
@@ -292,11 +296,16 @@ def build_problem(cfg: Config, scale: TimeScale) -> DirichletProblem:
 
 def _family(scale: TimeScale, override: str | None) -> list[TimeScale]:
     """The refinement family of ``scale``: the ``--family`` ladder, else the
-    library default for the scale's kind."""
+    library default for the scale's kind.  A ladder whose realizations the
+    time-scale constructor refuses, or too short for the classifier, is a
+    configuration error keyed ``--family``."""
     if override is None:
         return _refinement_family(scale)
     ladder = _parse("--family", override, None, _ints)
-    return _refinement_family(scale, ladder, ladder)
+    try:
+        return _resolve_family(_refinement_family(scale, ladder, ladder), None)
+    except (TooFewPoints, NonMonotonePoints, FamilyTooShort) as exc:
+        raise ConfigError(str(exc), key="--family") from None
 
 
 # --- output helpers ----------------------------------------------------------

@@ -19,10 +19,10 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .calculus import (GridFunction, delta_derivative, equation_defect,
-                       full_support_values, require_realization)
+from .calculus import (GridFunction, band_values, delta_derivative, equation_defect,
+                       full_support_values)
 from .errors import (
-    BoundOrderViolation,
+    BracketViolation,
     ConfigError,
     CriterionNotSatisfied,
     DomainViolation,
@@ -31,7 +31,6 @@ from .errors import (
     NonFiniteResult,
     NonpositiveEndpoint,
     ShapeViolation,
-    SupportMismatch,
 )
 from .expressions import ExpressionTree
 from .green import envelope_weight, green_solve, kernel_factors, kernel_lower_weight
@@ -90,8 +89,8 @@ class CriterionReport:
 
 @dataclass(frozen=True)
 class BoundsPair:
-    """Lower (and optionally upper) bounding grid functions plus the
-    constants that produced them."""
+    """Lower (and optionally upper) bounding grid functions, a band that
+    :func:`~tsdyn.calculus.band_values` accepts, plus their constants."""
 
     alpha: GridFunction
     beta: GridFunction | None
@@ -99,21 +98,13 @@ class BoundsPair:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.beta is None:
-            return
-        require_realization(self.beta, self.alpha.scale, "upper bound")
-        if self.alpha.support != self.beta.support:
-            raise SupportMismatch("bounds must share a support")
-        if np.any(self.alpha.values > self.beta.values):
-            k = int(np.argwhere(self.alpha.values > self.beta.values)[0][0])
-            raise BoundOrderViolation(
-                f"lower bound exceeds upper bound at index {self.alpha.lo + k}"
-            )
+        if self.beta is not None:
+            band_values(self.alpha, self.beta, self.alpha.scale, self.alpha.n_components)
 
     @property
     def pair(self) -> tuple[GridFunction, GridFunction]:
         if self.beta is None:
-            raise BoundOrderViolation("no upper bound was constructed")
+            raise BracketViolation(-1, "no upper bound was constructed")
         return (self.alpha, self.beta)
 
 
@@ -225,9 +216,9 @@ def _envelope_states(ts: TimeScale, n: int) -> np.ndarray:
 
 def _pinned_states(ts: TimeScale, n: int, pin: float) -> np.ndarray:
     """Every state slot of every equation point pinned at ``pin``, which must
-    be positive."""
-    if not pin > 0.0:
-        raise NonpositiveEndpoint(f"evaluation point must be positive, got {pin!r}")
+    be positive and finite."""
+    if not 0.0 < pin < math.inf:
+        raise NonpositiveEndpoint(f"evaluation point must be positive and finite, got {pin!r}")
     return np.full((ts.last_index - 1, n), float(pin))
 
 
@@ -361,21 +352,22 @@ def family_quadrature(
 
     ``plain`` and ``envelope`` feed the envelope to the state slots and
     integrate with weight one respectively the kernel's lower weight;
-    ``necessary`` pins the state at the realized right endpoint.  Any other
+    ``necessary`` pins the state at the realized right endpoint, or at
+    ``eval_point_override``, which the other weights refuse.  Any other
     ``weight`` raises :class:`~tsdyn.errors.ConfigError` keyed ``weight``.
     """
+    if weight not in ("plain", "necessary", "envelope"):
+        raise ConfigError(f"expected plain, necessary, or envelope, got {weight!r}",
+                          key="weight")
+    if eval_point_override is not None and weight != "necessary":
+        raise ConfigError("applies only to the necessary weight", key="eval_point_override")
     if weight == "plain":
         return criterion_sufficient(f, scales, reference=reference)
     if weight == "necessary":
         return criterion_necessary(
             f, scales, reference=reference, eval_point_override=eval_point_override
         )
-    if weight != "envelope":
-        raise ConfigError(
-            f"expected plain, necessary, or envelope, got {weight!r}", key="weight"
-        )
     family = _resolve_family(scales, reference)
-
     return _trail_report(f, family, _envelope_states, kernel_lower_weight)
 
 
@@ -699,8 +691,8 @@ def check_lipschitz_bound(
     from below.
     """
     lo, hi = float(band[0]), float(band[1])
-    if not 0.0 < lo < hi:
-        raise DomainViolation(f"band must satisfy 0 < lo < hi, got {band!r}")
+    if not 0.0 < lo < hi < math.inf:
+        raise DomainViolation(f"band must satisfy 0 < lo < hi < inf, got {band!r}")
     rng = np.random.default_rng(seed)
     anchor = np.full(f.arity, lo)
     probes = [(float(t), anchor, j, 1e-6 * lo)

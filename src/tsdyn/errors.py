@@ -85,7 +85,7 @@ class NonFiniteResult(TsdynError):
 # --- solver and criteria --------------------------------------------------------
 
 class BracketViolation(TsdynError):
-    """Lower bound exceeds upper bound at some grid index."""
+    """Lower bound exceeds upper bound at grid ``index``; -1 when there is no upper bound."""
 
     def __init__(self, index: int, message: str | None = None):
         self.index = index
@@ -106,10 +106,6 @@ class CriterionNotSatisfied(TsdynError):
 
 class ShapeViolation(TsdynError):
     """Declared scaling exponents are missing or violate the shape constraints."""
-
-
-class BoundOrderViolation(TsdynError):
-    """A bounds pair is crossed (lower above upper) or has no upper bound."""
 
 
 class EnvelopeViolation(TsdynError):

@@ -33,13 +33,12 @@ from enum import Enum
 
 import numpy as np
 
-from .calculus import GridFunction, equation_defect, full_support_values, require_realization
+from .calculus import GridFunction, band_values, equation_defect, full_support_values
 from .errors import (
     BracketViolation,
     ConfigError,
     DomainViolation,
     NonFiniteResult,
-    SupportMismatch,
 )
 from .green import affine_interpolant, green_solve, kernel_factors
 from .model import DirichletProblem, drop_note, rhs_matrix
@@ -94,8 +93,8 @@ class SolveConfig:
                 or isinstance(self.max_iters, bool) or self.max_iters < 0):
             raise ConfigError(
                 f"must be an integer >= 0, got {self.max_iters!r}", key="max_iters")
-        if not self.tol_residual >= 0.0:
-            raise ConfigError(f"must be >= 0, got {self.tol_residual!r}",
+        if not 0.0 <= self.tol_residual < math.inf:
+            raise ConfigError(f"must be finite and >= 0, got {self.tol_residual!r}",
                               key="tol_residual")
 
 
@@ -127,20 +126,19 @@ class SolveReport:
 def clamp_to_band(
     u: GridFunction, alpha: GridFunction, beta: GridFunction
 ) -> GridFunction:
-    """Clip ``u`` pointwise into ``[alpha, beta]`` on ``u``'s support."""
-    require_realization(alpha, u.scale, "alpha")
-    require_realization(beta, u.scale, "beta")
-    lo = alpha.restrict(u.lo, u.hi).values
-    hi = beta.restrict(u.lo, u.hi).values
-    return GridFunction(u.scale, np.clip(u.values, lo, hi), u.lo, u.hi)
+    """Clip ``u`` into the band ``[alpha, beta]`` on ``u``'s support; the band
+    is checked against ``u`` by :func:`~tsdyn.calculus.band_values`."""
+    lo, hi = band_values(alpha, beta, u.scale, u.n_components)
+    rows = slice(u.lo, u.hi + 1)
+    return GridFunction(u.scale, np.clip(u.values, lo[rows], hi[rows]), u.lo, u.hi)
 
 
 class _FixedPointMap:
     """``T u = phi + G f*(., u^sigma)`` of one solve on plain ``(N+1, n)``
     arrays.  ``brackets``, an ``(alpha, beta)`` pair of grid functions or
-    ``None``, is checked here (full support, component count, ``alpha <=
-    beta``) and kept as value arrays; a map clamps exactly when it holds
-    them, into ``band``, their rows ``1..N-1``.  ``dropped`` collects the
+    ``None``, is checked here by :func:`~tsdyn.calculus.band_values` and
+    kept as value arrays; a map clamps exactly when it holds them, into
+    ``band``, their rows ``1..N-1``.  ``dropped`` collects the
     components whose improper first cell ``rhs_matrix`` dropped in any
     evaluation."""
 
@@ -150,13 +148,7 @@ class _FixedPointMap:
         self.N = N = ts.last_index
         self.brackets = self.band = None
         if brackets is not None:
-            for g in brackets:
-                full_support_values(g, ts, "brackets")
-                if g.n_components != problem.n_components:
-                    raise SupportMismatch("bracket component count differs from the system")
-            alpha, beta = (g.values for g in brackets)
-            if np.any(alpha > beta):
-                raise BracketViolation(int(np.argwhere(alpha > beta)[0][0]))
+            alpha, beta = band_values(*brackets, ts, problem.n_components)
             self.brackets, self.band = (alpha, beta), (alpha[1:N], beta[1:N])
         self.phi = affine_interpolant(ts, problem.boundary_left, problem.boundary_right).values
         self.factors = kernel_factors(ts)

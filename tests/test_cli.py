@@ -562,7 +562,14 @@ class TestConfigErrors:
          ("solve.strategy = bogus", "expected one of picard, monotone_up, "
           "monotone_down, newton_oracle, got 'bogus'"),
          ("bounds.kind = bogus", "expected pair or lower, got 'bogus'"),
-         ("f.2.expr = x1 +", "component 2 beyond f.count = 1")],
+         ("f.2.expr = x1 +", "component 2 beyond f.count = 1"),
+         ("solve.tol_residual = inf", "must be finite, got inf"),
+         ("solve.tol_residual = x", "expected a number, got 'x'"),
+         ("check.band = 0.1,inf", "must be finite, got (0.1, inf)"),
+         ("check.eval_point = inf", "must be finite, got inf"),
+         ("bc.left = nan", "must be finite, got (nan,)"),
+         ("f.1.mu = inf", "must be finite, got (inf,)"),
+         ("scale.end = nan", "must be finite, got nan")],
     )
     def test_every_entry_is_checked_whatever_the_command(
         self, tmp_path, capsys, command, entry, reason
@@ -614,6 +621,24 @@ class TestConfigErrors:
         assert ("expected one of picard, monotone_up, monotone_down, newton_oracle, "
                 "got 'truncated_nest'") in err
         assert key in err
+
+    @pytest.mark.parametrize("command", ["check", "quadrature"])
+    @pytest.mark.parametrize(
+        "scale,ladder,reason",
+        [("uniform\nscale.points = 17", "2,3,4,5,6",
+          "uniform realization needs n >= 4, got 2"),
+         ("uniform\nscale.points = 17", "17,33", "need at least 5 realizations, got 2"),
+         ("quantum\nscale.q = 2\nscale.depth = 10", "5,10,20,40,1100",
+          "points not strictly increasing at index 1")],
+        ids=["too-few-points", "too-short", "underflow"],
+    )
+    def test_refused_family_is_a_config_error(self, tmp_path, capsys, command, scale,
+                                              ladder, reason):
+        cfg = write_cfg(tmp_path, f"scale.kind = {scale}\nf.count = 1\nf.1.expr = x1^(-0.5)\n")
+        assert main([command, str(cfg), "--family", ladder]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"tsdyn: configuration error: {reason} (key '--family')\n"
 
     @pytest.mark.parametrize("command", ["check", "quadrature"])
     def test_empty_family_is_a_config_error(self, solve_cfg, capsys, command):

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsdyn import (
-    BoundOrderViolation,
     BoundsPair,
+    BracketViolation,
     ConfigError,
     CriterionNotSatisfied,
     DirichletProblem,
@@ -209,10 +209,11 @@ class TestNecessary:
         assert other.trails != default.trails
 
     def test_nonpositive_override_rejected(self):
-        with pytest.raises(NonpositiveEndpoint):
-            criterion_necessary(
-                [power_law(0.5)], quantum_family(2.0), eval_point_override=0.0
-            )
+        for pin in (0.0, math.inf, math.nan):
+            with pytest.raises(NonpositiveEndpoint, match="must be positive and finite"):
+                criterion_necessary(
+                    [power_law(0.5)], quantum_family(2.0), eval_point_override=pin
+                )
 
     def test_every_pin_is_checked_before_any_member_is_evaluated(self):
         calls = []
@@ -362,6 +363,13 @@ class TestFamilyQuadrature:
         with pytest.raises(ConfigError) as err:
             family_quadrature([power_law(0.5)], weight="bogus")
         assert err.value.key == "weight"
+
+    @pytest.mark.parametrize("weight", ["plain", "envelope"])
+    def test_override_applies_only_to_the_necessary_weight(self, weight):
+        with pytest.raises(ConfigError,
+                           match="^applies only to the necessary weight") as err:
+            family_quadrature([power_law(0.5)], weight=weight, eval_point_override=-3.0)
+        assert err.value.key == "eval_point_override"
 
 
 class TestConstructBounds:
@@ -550,14 +558,27 @@ class TestConstructLower:
         low = alpha.values.copy()
         low[[7, 30]] = beta.values[[7, 30]] + 1e-3
         crossed = GridFunction(alpha.scale, low, 0, alpha.scale.last_index)
-        with pytest.raises(BoundOrderViolation, match="at index 7$"):
+        with pytest.raises(BracketViolation, match="at index 7$") as err:
             BoundsPair(alpha=crossed, beta=beta, constants={})
+        assert err.value.index == 7
 
     def test_pair_must_share_a_support(self, problem):
         alpha, beta = construct_bounds(problem).pair
         N = alpha.scale.last_index
-        with pytest.raises(SupportMismatch, match="share a support"):
+        with pytest.raises(SupportMismatch,
+                           match="^brackets must cover the whole realization$"):
             BoundsPair(alpha=alpha, beta=beta.restrict(1, N), constants={})
+        # a partial pair on one support is refused too, as solve refuses it
+        with pytest.raises(SupportMismatch):
+            BoundsPair(alpha=alpha.restrict(1, N), beta=beta.restrict(1, N),
+                       constants={})
+
+    def test_pair_must_share_a_component_count(self, problem):
+        alpha, beta = construct_bounds(problem).pair
+        wide = GridFunction.from_values(alpha.scale, np.repeat(alpha.values, 2, axis=1))
+        with pytest.raises(SupportMismatch,
+                           match="^bracket component count must be 2, got 1$"):
+            BoundsPair(alpha=wide, beta=beta, constants={})
 
     @pytest.mark.parametrize("mu", [1.0, 1.5])
     @pytest.mark.parametrize("construct", [construct_bounds, construct_lower])
@@ -569,14 +590,16 @@ class TestConstructLower:
 
     def test_no_upper_half(self, problem):
         pair = construct_lower(problem)
-        with pytest.raises(BoundOrderViolation):
+        with pytest.raises(BracketViolation,
+                           match="^no upper bound was constructed$") as err:
             pair.pair
+        assert err.value.index == -1
 
     def test_nonpositive_endpoint_is_refused(self):
         # the state is pinned at sigma^2(b) = -1
         f = Nonlinearity.from_expression("1 + x1", arity=1)
         with pytest.raises(NonpositiveEndpoint,
-                           match=r"^evaluation point must be positive, got -1\.0$"):
+                           match=r"^evaluation point must be positive and finite, got -1\.0$"):
             construct_lower(DirichletProblem(uniform(-2.0, -1.0, 17), (f,)))
 
     @pytest.mark.parametrize("construct", [construct_bounds, construct_lower])
@@ -814,7 +837,7 @@ class TestLipschitzCheck:
         assert err.value.key == "samples"
 
     def test_band_validation(self, unit65):
-        with pytest.raises(DomainViolation):
-            check_lipschitz_bound(power_law(0.5), unit65, (0.0, 1.0))
-        with pytest.raises(DomainViolation):
-            check_lipschitz_bound(power_law(0.5), unit65, (2.0, 1.0))
+        for band in [(0.0, 1.0), (2.0, 1.0), (0.1, math.inf), (math.nan, 1.0),
+                     (0.1, math.nan)]:
+            with pytest.raises(DomainViolation, match="0 < lo < hi < inf"):
+                check_lipschitz_bound(power_law(0.5), unit65, band)

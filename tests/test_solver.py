@@ -829,6 +829,27 @@ class TestRhsModes:
         assert clamped.values.min() == 0.0
         assert clamped.values.max() == 1.0
 
+    def test_clamp_to_band_clips_the_rows_of_the_support(self, unit65):
+        alpha = GridFunction.from_values(unit65, np.linspace(0.0, 1.0, 65))
+        beta = alpha + 0.5
+        u = GridFunction(unit65, np.full(11, 2.0), 20, 30)
+        clamped = clamp_to_band(u, alpha, beta)
+        assert clamped.support == (20, 30)
+        assert clamped.values.tobytes() == beta.values[20:31].tobytes()
+
+    def test_clamp_to_band_checks_the_band(self, unit65):
+        # the band check of solve: a crossed band used to clip to beta, and a
+        # band of two components on a one-component u widened it
+        u = GridFunction.from_values(unit65, np.linspace(-1.0, 2.0, 65))
+        low, high = (GridFunction.constant(unit65, v) for v in (0.0, 1.0))
+        with pytest.raises(BracketViolation) as err:
+            clamp_to_band(u, high, low)
+        assert err.value.index == 0
+        with pytest.raises(SupportMismatch, match="component count must be 1, got 2"):
+            clamp_to_band(u, *(GridFunction.constant(unit65, v, n=2) for v in (0.0, 1.0)))
+        with pytest.raises(SupportMismatch, match="cover the whole realization"):
+            clamp_to_band(u, low.restrict(0, 63), high)
+
 
 #: How an entry of the iterate sits against its band.
 BELOW, ABOVE, LOW_EDGE, HIGH_EDGE, INSIDE, NAN = range(6)
@@ -919,6 +940,7 @@ class TestSolveConfig:
             ("max_iters", True),
             ("tol_residual", -1.0),
             ("tol_residual", float("nan")),
+            ("tol_residual", float("inf")),
         ],
     )
     def test_rejected(self, key, value):
