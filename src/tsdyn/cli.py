@@ -39,7 +39,7 @@ from .criteria import (
     verify_lower,
     verify_upper,
 )
-from .criteria import DEFAULT_SEED, _refinement_family, _resolve_family
+from .criteria import DEFAULT_SEED, _resolve_family
 from .errors import (
     BracketViolation,
     ConfigError,
@@ -54,7 +54,8 @@ from .errors import (
 )
 from .model import DirichletProblem, Nonlinearity
 from .solver import SolveConfig, Status, Strategy, solve
-from .timescale import TimeScale, from_points, quantum, uniform
+from .timescale import (QUANTUM_FAMILY_DEPTHS, UNIFORM_FAMILY_SIZES, TimeScale,
+                        from_points, quantum, quantum_family, uniform, uniform_family)
 
 _EXIT_OK = 0
 _EXIT_FAIL = 2
@@ -295,17 +296,21 @@ def build_problem(cfg: Config, scale: TimeScale) -> DirichletProblem:
 
 
 def _family(scale: TimeScale, override: str | None) -> list[TimeScale]:
-    """The refinement family of ``scale``: the ``--family`` ladder, else the
-    library default for the scale's kind.  A ladder whose realizations the
-    time-scale constructor refuses, or too short for the classifier, is a
-    configuration error keyed ``--family``."""
-    if override is None:
-        return _refinement_family(scale)
-    ladder = _parse("--family", override, None, _ints)
+    """The refinement family of ``scale``: quantum realizations of its base
+    when it is a quantum scale, else uniform realizations of its span, at
+    the ``--family`` ladder or the library's default one.  A ladder whose
+    realizations the time-scale constructor refuses, too short for the
+    classifier or not refining is a configuration error keyed ``--family``."""
+    ladder = None if override is None else _parse("--family", override, None, _ints)
     try:
-        return _resolve_family(_refinement_family(scale, ladder, ladder), None)
-    except (TooFewPoints, NonMonotonePoints, FamilyTooShort) as exc:
-        raise ConfigError(str(exc), key="--family") from None
+        if scale.q is not None:
+            family = quantum_family(scale.q, ladder or QUANTUM_FAMILY_DEPTHS)
+        else:
+            family = uniform_family(scale.a, scale.sigma2_b, ladder or UNIFORM_FAMILY_SIZES)
+        return _resolve_family(family)
+    except (TooFewPoints, NonMonotonePoints, FamilyTooShort, ConfigError) as exc:
+        reason = exc.reason if isinstance(exc, ConfigError) else str(exc)
+        raise ConfigError(reason, key="--family") from None
 
 
 # --- output helpers ----------------------------------------------------------

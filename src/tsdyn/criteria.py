@@ -35,8 +35,7 @@ from .errors import (
 from .expressions import ExpressionTree
 from .green import envelope_weight, green_solve, kernel_factors, kernel_lower_weight
 from .model import DirichletProblem, Nonlinearity, drop_note, rhs_matrix
-from .timescale import (QUANTUM_FAMILY_DEPTHS, UNIFORM_FAMILY_SIZES, TimeScale,
-                        quantum_family, uniform_family)
+from .timescale import TimeScale, uniform_family
 
 #: Seed for every sampling-based hypothesis check.
 DEFAULT_SEED = 0xD1E5
@@ -182,30 +181,19 @@ def _classify(trail: Sequence[float], positive: bool) -> ConvergenceVerdict:
     )
 
 
-def _refinement_family(
-    reference: TimeScale | None,
-    sizes: Sequence[int] = UNIFORM_FAMILY_SIZES,
-    depths: Sequence[int] = QUANTUM_FAMILY_DEPTHS,
-) -> list[TimeScale]:
-    """The refinement family of ``reference``, by default the one a criterion
-    classifies over when given none: quantum realizations of its base at
-    ``depths`` when it is a quantum scale, uniform realizations of its span
-    (of ``[0, 1]`` without a reference) at ``sizes`` points otherwise."""
-    if reference is None:
-        return uniform_family(0.0, 1.0, sizes)
-    if reference.q is not None:
-        return quantum_family(reference.q, depths)
-    return uniform_family(reference.a, reference.sigma2_b, sizes)
-
-
-def _resolve_family(scales, reference) -> list[TimeScale]:
-    if scales is not None and reference is not None:
-        raise ConfigError("give scales or a reference, not both", key="reference")
-    family = list(scales) if scales is not None else _refinement_family(reference)
+def _resolve_family(scales) -> list[TimeScale]:
+    """``scales`` as a list, by default uniform realizations of ``[0, 1]``.
+    Fewer than ``_MIN_FAMILY`` members raise :class:`FamilyTooShort`; point
+    counts that do not strictly increase refine nothing and raise
+    :class:`ConfigError` keyed ``scales``."""
+    family = list(scales) if scales is not None else uniform_family(0.0, 1.0)
     if len(family) < _MIN_FAMILY:
         raise FamilyTooShort(
             f"need at least {_MIN_FAMILY} realizations, got {len(family)}"
         )
+    sizes = [ts.npoints for ts in family]
+    if any(fine <= coarse for coarse, fine in zip(sizes, sizes[1:])):
+        raise ConfigError(f"point counts must strictly increase, got {sizes}", key="scales")
     return family
 
 
@@ -242,16 +230,20 @@ def _quadrature(ts: TimeScale, vals: np.ndarray, weight=1.0) -> list[float]:
     return [float(np.sum(mu * weight * vals[:, i])) for i in range(vals.shape[1])]
 
 
-def _trail_report(f, family, states_fn, weight_fn) -> CriterionReport:
+def _trail_report(f, family, weight_fn, pins=None) -> CriterionReport:
+    """Classify the trails of ``f``'s quadratures under ``weight_fn`` over
+    ``family``, with the state slots of member ``m`` at ``pins[m]``, else
+    at the envelope."""
     f = tuple(f)
     n = len(f)
     zeros = (0.0,) * n
     partials: list[list[float]] = []
     lows: list[np.ndarray] = []
     notes: list[str] = []
-    for ts in family:
+    for m, ts in enumerate(family):
         problem = DirichletProblem(ts, f, zeros, zeros)
-        vals, skipped = rhs_matrix(problem, states_fn(ts, n))
+        states = _envelope_states(ts, n) if pins is None else pins[m]
+        vals, skipped = rhs_matrix(problem, states)
         notes.extend(drop_note(skipped, f"{ts.npoints} points: "))
         partials.append(_quadrature(ts, vals, weight_fn(ts)))
         lows.append(np.min(vals, axis=0))
@@ -271,10 +263,7 @@ def _trail_report(f, family, states_fn, weight_fn) -> CriterionReport:
 
 
 def criterion_sufficient(
-    f: Sequence[Nonlinearity],
-    scales: Sequence[TimeScale] | None = None,
-    *,
-    reference: TimeScale | None = None,
+    f: Sequence[Nonlinearity], scales: Sequence[TimeScale] | None = None
 ) -> CriterionReport:
     """Classify the envelope-fed integrals whose convergence yields solvability.
 
@@ -284,15 +273,13 @@ def criterion_sufficient(
     components, positive integrands) is the sufficient criterion; its
     ``limit`` fields carry the extrapolated improper integrals.
     """
-    family = _resolve_family(scales, reference)
-    return _trail_report(f, family, _envelope_states, lambda ts: 1.0)
+    return family_quadrature(f, scales)
 
 
 def criterion_necessary(
     f: Sequence[Nonlinearity],
     scales: Sequence[TimeScale] | None = None,
     *,
-    reference: TimeScale | None = None,
     eval_point_override: float | None = None,
 ) -> CriterionReport:
     """Classify the endpoint-pinned weighted integrals a solution forces finite.
@@ -302,19 +289,13 @@ def criterion_necessary(
     ``(sigma(s) - a) (sigma(b) - sigma(s))`` with the realized ``sigma(b)``.
     A ``DIVERGENT`` report refutes solvability for the positive class.
     """
-    family = _resolve_family(scales, reference)
-    f = tuple(f)
-    # every member's pin is checked before any member is evaluated
-    pinned = iter([_pinned_states(ts, len(f), ts.sigma2_b if eval_point_override is None
-                                  else eval_point_override) for ts in family])
-    return _trail_report(f, family, lambda ts, n: next(pinned), _necessary_weight)
+    return family_quadrature(f, scales, weight="necessary",
+                             eval_point_override=eval_point_override)
 
 
 def classify_weighted_bound(
     g: Union[ExpressionTree, Callable[[float], float]],
     scales: Sequence[TimeScale] | None = None,
-    *,
-    reference: TimeScale | None = None,
 ) -> ConvergenceVerdict:
     """Classify ``integral of (sigma(s) - a)(sigma(b) - sigma(s)) g(s)``.
 
@@ -324,27 +305,30 @@ def classify_weighted_bound(
     a known time-only profile.  Errors and non-finite values of ``g`` are
     handled as for a nonlinearity: dropped in the first cell, raised inside.
     """
-    family = _resolve_family(scales, reference)
+    family = _resolve_family(scales)
     if isinstance(g, ExpressionTree):
         # given no state values, a weight that names a state raises UnknownVariable
         g.evaluate_array(np.zeros(1), np.zeros((1, 0)))
     body = g if isinstance(g, ExpressionTree) else (lambda t, x: g(t))
     weight_f = Nonlinearity(1, 1, body, (0.0,), (0.0,))
-
-    def states(ts: TimeScale, n: int) -> np.ndarray:
-        # g ignores the state; any value in the row shape will do
-        return np.zeros((ts.last_index - 1, n))
-
-    report = _trail_report([weight_f], family, states, _necessary_weight)
+    # g reads no state, so the envelope states serve as well as any
+    report = _trail_report([weight_f], family, _necessary_weight)
     verdict = report.per_component[0]
     return replace(verdict, notes=report.notes + verdict.notes)
+
+
+#: The weight of each named family quadrature.
+_WEIGHTS = {
+    "plain": lambda ts: 1.0,
+    "necessary": _necessary_weight,
+    "envelope": kernel_lower_weight,
+}
 
 
 def family_quadrature(
     f: Sequence[Nonlinearity],
     scales: Sequence[TimeScale] | None = None,
     *,
-    reference: TimeScale | None = None,
     weight: str = "plain",
     eval_point_override: float | None = None,
 ) -> CriterionReport:
@@ -355,20 +339,22 @@ def family_quadrature(
     ``necessary`` pins the state at the realized right endpoint, or at
     ``eval_point_override``, which the other weights refuse.  Any other
     ``weight`` raises :class:`~tsdyn.errors.ConfigError` keyed ``weight``.
+    ``scales`` defaults to ``uniform_family(0.0, 1.0)``; a realization's
+    family is ``uniform_family(ts.a, ts.sigma2_b)`` or ``quantum_family(ts.q)``.
     """
-    if weight not in ("plain", "necessary", "envelope"):
+    if weight not in _WEIGHTS:
         raise ConfigError(f"expected plain, necessary, or envelope, got {weight!r}",
                           key="weight")
     if eval_point_override is not None and weight != "necessary":
         raise ConfigError("applies only to the necessary weight", key="eval_point_override")
-    if weight == "plain":
-        return criterion_sufficient(f, scales, reference=reference)
+    family = _resolve_family(scales)
+    f = tuple(f)
+    pins = None
     if weight == "necessary":
-        return criterion_necessary(
-            f, scales, reference=reference, eval_point_override=eval_point_override
-        )
-    family = _resolve_family(scales, reference)
-    return _trail_report(f, family, _envelope_states, kernel_lower_weight)
+        # every member's pin is built, and so checked, before any is evaluated
+        pins = [_pinned_states(ts, len(f), ts.sigma2_b if eval_point_override is None
+                               else eval_point_override) for ts in family]
+    return _trail_report(f, family, _WEIGHTS[weight], pins)
 
 
 # --- bound construction ---------------------------------------------------------

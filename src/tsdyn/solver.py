@@ -477,6 +477,7 @@ def _newton(T: _FixedPointMap, config: SolveConfig) -> SolveReport:
         except (DomainViolation, NonFiniteResult) as exc:
             return Status.DIVERGED, str(exc)
         delta = _gmres(operator, g, min(1e-2, g_max))
+        undefined = 0
         for halvings in range(_LINE_SEARCH_HALVINGS + 1):
             z = u + 0.5**halvings * delta
             z[1 : T.N] = T.clamp(z)[0]
@@ -484,11 +485,16 @@ def _newton(T: _FixedPointMap, config: SolveConfig) -> SolveReport:
             try:
                 trial = T(z)
             except (DomainViolation, NonFiniteResult):
+                undefined += 1
                 continue
             if np.abs(trial[1] - z).max() < g_max:
                 return z, trial
-        return Status.STALLED, (f"line search failed at defect {g_max:.3e}; the "
-                                f"clamp moves {T.clamp(u + delta)[1]} entries of "
-                                "the full step")
+        causes = [f"line search failed at defect {g_max:.3e}"]
+        if undefined:
+            causes.append(f"{undefined} of {_LINE_SEARCH_HALVINGS + 1} trials left "
+                          "the domain of f")
+        if T.band is not None:
+            causes.append(f"the clamp moves {T.clamp(u + delta)[1]} entries of the full step")
+        return Status.STALLED, "; ".join(causes)
 
     return _iterate(T, config, Strategy.NEWTON_ORACLE, step)

@@ -11,8 +11,10 @@ import pytest
 
 import tsdyn.cli
 from tsdyn import (SolveConfig, check_lipschitz_bound, check_monotone_in_state,
-                   check_scaling_exponents)
-from tsdyn.cli import _csv, build_nonlinearities, build_scale, main, read_config
+                   check_scaling_exponents, family_quadrature, quantum_family,
+                   uniform_family)
+from tsdyn.cli import (_criterion_records, _csv, _verdict_exit, build_nonlinearities,
+                       build_scale, main, read_config)
 
 SOLVE_CFG = """\
 # singular power problem on a uniform grid
@@ -189,6 +191,23 @@ class TestSolveCommand:
 
         assert body(a) == body(b)
 
+    def test_one_boundary_value_serves_every_component(self, tmp_path):
+        # bc.left = 0.5 on a two-component system reads as 0.5,0.5
+        one = write_cfg(tmp_path, TWO_COMPONENT_CFG + "bc.left = 0.5\n", "one.cfg")
+        both = write_cfg(tmp_path, TWO_COMPONENT_CFG + "bc.left = 0.5,0.5\n", "both.cfg")
+        a, b = tmp_path / "one.csv", tmp_path / "both.csv"
+        assert main(["solve", str(one), "--out", str(a)]) == 0
+        assert main(["solve", str(both), "--out", str(b)]) == 0
+        rows = [line for line in a.read_text().splitlines() if not line.startswith("#")]
+        assert rows[0] == "t,u1,u2"
+        assert rows[1] == "0,0.5,0.5"
+
+        def body(path):
+            return [line for line in path.read_text().splitlines()
+                    if not line.startswith("# cfg.bc.left")]
+
+        assert body(a) == body(b)
+
     def test_stdout_when_no_out_path(self, solve_cfg, capsys):
         assert main(["solve", str(solve_cfg)]) == 0
         captured = capsys.readouterr().out
@@ -229,6 +248,30 @@ class TestCheckCommand:
             json.loads(l) for l in capsys.readouterr().out.splitlines() if l
         ]
         assert records[-1]["points"] == [17, 33, 65, 129, 257]
+
+    @pytest.mark.parametrize(
+        "scale, family",
+        [("quantum\nscale.q = 2\nscale.depth = 10", quantum_family(2.0)),
+         ("uniform\nscale.start = 1\nscale.end = 3\nscale.points = 9",
+          uniform_family(1.0, 3.0)),
+         ("explicit\nscale.values = 0.5,0.7,1.5,2,3", uniform_family(0.5, 3.0))],
+        ids=["quantum", "uniform", "explicit"],
+    )
+    @pytest.mark.parametrize("criterion", ["sufficient", "necessary"])
+    def test_default_family_follows_the_scale_kind(self, tmp_path, capsys, scale,
+                                                   family, criterion):
+        # quantum truncations of the base, else uniform meshes of the span,
+        # the families quantum_family and uniform_family give
+        cfg = write_cfg(tmp_path, f"scale.kind = {scale}\nf.count = 1\n"
+                        "f.1.expr = x1^(-0.5)\nf.1.lambda = -0.5\nf.1.mu = 0.5\n"
+                        f"check.criterion = {criterion}\n")
+        report = family_quadrature([_single(cfg)], family, weight=(
+            "plain" if criterion == "sufficient" else criterion))
+        assert main(["check", str(cfg)]) == _verdict_exit(report.verdict)
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert records == json.loads(json.dumps(_criterion_records(report)))
+        if scale.startswith("quantum"):
+            assert records[-1]["points"] == [7, 12, 22, 42, 82]
 
     def test_quantum_necessary(self, tmp_path):
         cfg = write_cfg(
@@ -463,6 +506,25 @@ class TestConfigErrors:
         key = entry.split(" = ")[0]
         assert f"unknown entry (key '{key}', line 10)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, reason", [("novalue", "expected 'key = value'"),
+                                              (" = 3", "empty key")])
+    def test_line_without_a_key_names_its_line(self, tmp_path, capsys, line, reason):
+        cfg = write_cfg(tmp_path, SOLVE_CFG + line + "\n")
+        assert main(["solve", str(cfg)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"tsdyn: configuration error: {reason} (line 14)\n"
+
+    @pytest.mark.parametrize("command", ["solve", "bounds"])
+    def test_boundary_row_of_the_wrong_length_names_its_entry(self, tmp_path, capsys,
+                                                              command):
+        cfg = write_cfg(tmp_path, TWO_COMPONENT_CFG + "bc.left = 0,0,0\n")
+        assert main([command, str(cfg)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("tsdyn: configuration error: expected 2 boundary values, got 3 "
+                       "(key 'bc.left', line 11)\n")
+
     def test_duplicate_key(self, tmp_path):
         cfg = write_cfg(tmp_path, SOLVE_CFG + "scale.points = 17\n")
         assert main(["solve", str(cfg)]) == 4
@@ -629,8 +691,15 @@ class TestConfigErrors:
           "uniform realization needs n >= 4, got 2"),
          ("uniform\nscale.points = 17", "17,33", "need at least 5 realizations, got 2"),
          ("quantum\nscale.q = 2\nscale.depth = 10", "5,10,20,40,1100",
-          "points not strictly increasing at index 1")],
-        ids=["too-few-points", "too-short", "underflow"],
+          "points not strictly increasing at index 1"),
+         ("uniform\nscale.points = 17", "17,17,17,17,17",
+          "point counts must strictly increase, got [17, 17, 17, 17, 17]"),
+         ("uniform\nscale.points = 17", "65,33,17,9,5",
+          "point counts must strictly increase, got [65, 33, 17, 9, 5]"),
+         ("quantum\nscale.q = 2\nscale.depth = 10", "5,10,10,20,40",
+          "point counts must strictly increase, got [7, 12, 12, 22, 42]")],
+        ids=["too-few-points", "too-short", "underflow", "repeated", "coarsening",
+             "quantum-repeated"],
     )
     def test_refused_family_is_a_config_error(self, tmp_path, capsys, command, scale,
                                               ladder, reason):
@@ -790,6 +859,18 @@ class TestRunFailures:
         err = capsys.readouterr().err
         assert "monotone iteration needs a lower and an upper solution" in err
         assert "bounds refused: construction integrals must be positive" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["monotone_up", "monotone_down"])
+    def test_monotone_run_without_bounds_exits_two(self, tmp_path, capsys, strategy):
+        # with solve.use_bounds = false no bounds were refused, so stderr has
+        # the solver's refusal alone
+        cfg = write_cfg(tmp_path, SOLVE_CFG.replace("= picard", f"= {strategy}")
+                        .replace("use_bounds = true", "use_bounds = false"))
+        out = tmp_path / "run.csv"
+        assert main(["solve", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "tsdyn: monotone iteration needs a lower and an upper solution\n")
         assert not out.exists()
 
     def test_improper_first_cell_is_noted(self, tmp_path):

@@ -218,7 +218,8 @@ class TestNecessary:
     def test_every_pin_is_checked_before_any_member_is_evaluated(self):
         calls = []
         f = Nonlinearity(1, 1, lambda t, x: calls.append(t) or 1.0, (0.0,), (0.0,))
-        family = uniform_family(0.0, 1.0, (17, 33, 65, 129)) + [uniform(-2.0, -1.0, 17)]
+        # the last member refines the others but ends at -1
+        family = uniform_family(0.0, 1.0, (17, 33, 65, 129)) + [uniform(-2.0, -1.0, 257)]
         with pytest.raises(NonpositiveEndpoint, match=r"got -1\.0$"):
             criterion_necessary([f], family)
         assert calls == []
@@ -305,38 +306,6 @@ class TestWeightedBound:
             classify_weighted_bound(parse_expression(text))
 
 
-class TestReferenceFamily:
-    """Without ``scales``, a criterion classifies over the default family of
-    ``reference``: quantum truncations of its base, else uniform meshes of its
-    span."""
-
-    @pytest.mark.parametrize(
-        "reference, family",
-        [
-            (quantum(2, 7), quantum_family(2.0)),
-            (uniform(0.5, 3.0, 9), uniform_family(0.5, 3.0)),
-            (from_points([0.5, 0.7, 1.5, 2.0, 3.0]), uniform_family(0.5, 3.0)),
-        ],
-        ids=["quantum", "uniform", "explicit"],
-    )
-    def test_reference_picks_the_family(self, reference, family):
-        f = [power_law(0.5)]
-        got = criterion_sufficient(f, reference=reference)
-        assert got.scale_sizes == tuple(ts.npoints for ts in family)
-        assert got == criterion_sufficient(f, family)
-        g = parse_expression("t^(-0.5)")
-        want = classify_weighted_bound(g, family)
-        assert classify_weighted_bound(g, reference=reference) == want
-
-    def test_reference_with_scales_is_refused(self):
-        # the scales decide the family, so a reference beside them is an error
-        with pytest.raises(ConfigError) as err:
-            criterion_necessary(
-                [power_law(0.5)], quantum_family(2.0), reference=uniform(0, 1, 17)
-            )
-        assert err.value.key == "reference"
-
-
 class TestFamilyQuadrature:
     def test_plain_aliases_sufficient(self):
         f = power_law(0.5)
@@ -363,6 +332,34 @@ class TestFamilyQuadrature:
         with pytest.raises(ConfigError) as err:
             family_quadrature([power_law(0.5)], weight="bogus")
         assert err.value.key == "weight"
+
+    @pytest.mark.parametrize(
+        "classify, subject",
+        [(criterion_sufficient, [power_law(0.5)]),
+         (criterion_necessary, [power_law(0.5)]),
+         (classify_weighted_bound, parse_expression("t")),
+         (lambda f, scales: family_quadrature(f, scales, weight="envelope"),
+          [power_law(0.5)])],
+        ids=["sufficient", "necessary", "weighted-bound", "quadrature"],
+    )
+    @pytest.mark.parametrize(
+        "sizes", [(17,) * 5, (65, 33, 17, 9, 5), (17, 33, 65, 65, 129)],
+        ids=["repeated", "coarsening", "stalling"],
+    )
+    def test_family_must_refine(self, classify, subject, sizes):
+        # a trail over realizations that do not refine classifies nothing
+        with pytest.raises(ConfigError, match=r"^point counts must strictly increase, "
+                           rf"got \[{', '.join(map(str, sizes))}\]") as err:
+            classify(subject, [uniform(0, 1, n) for n in sizes])
+        assert err.value.key == "scales"
+
+    def test_default_family_is_the_uniform_family_of_the_unit_interval(self):
+        f = [power_law(0.5)]
+        family = uniform_family(0.0, 1.0)
+        assert criterion_sufficient(f) == criterion_sufficient(f, family)
+        assert criterion_necessary(f) == criterion_necessary(f, family)
+        g = parse_expression("t^(-0.5)")
+        assert classify_weighted_bound(g) == classify_weighted_bound(g, family)
 
     @pytest.mark.parametrize("weight", ["plain", "envelope"])
     def test_override_applies_only_to_the_necessary_weight(self, weight):
@@ -841,3 +838,59 @@ class TestLipschitzCheck:
                      (0.1, math.nan)]:
             with pytest.raises(DomainViolation, match="0 < lo < hi < inf"):
                 check_lipschitz_bound(power_law(0.5), unit65, band)
+
+
+def root_above_one(log):
+    """``x1^0.5`` where ``x1 >= 1``, undefined below; ``log`` records for
+    every evaluation whether it was defined."""
+    def body(t, x):
+        log.append(x[0] >= 1.0)
+        if x[0] < 1.0:
+            raise ValueError("x1 below 1")
+        return math.sqrt(x[0])
+    return Nonlinearity(1, 1, body, (0.5,), (0.5,))
+
+
+class TestUndefinedSamples:
+    """A sample where f is undefined is skipped: it neither counts as checked
+    nor decides the verdict.  Most draws of the two state-only checks lie
+    below 1, and so does half the Lipschitz band, its floor included."""
+
+    def test_scaling_counts_the_defined_scaled_values(self, unit65):
+        log = []
+        rep = check_scaling_exponents(root_above_one(log), unit65)
+        # a defined base value is followed by one value per scale factor
+        calls, bases, scaled = iter(log), [], []
+        for base in calls:
+            bases.append(base)
+            if base:
+                scaled += [next(calls), next(calls)]
+        assert False in bases and False in scaled
+        assert 0 < rep.checked == scaled.count(True)
+        assert rep.ok and rep.witness is None
+
+    def test_monotone_counts_the_defined_pairs(self, unit65):
+        log = []
+        rep = check_monotone_in_state(root_above_one(log), unit65, nonincreasing=False)
+        # a bump above a defined state stays defined, so pairs come whole
+        assert log.count(False) > 0
+        assert 0 < rep.checked == log.count(True) // 2 < 200
+        assert rep.ok and rep.witness is None
+        assert not check_monotone_in_state(root_above_one([]), unit65).ok
+
+    def test_lipschitz_counts_the_defined_quotients(self, unit65):
+        log = []
+        rep = check_lipschitz_bound(root_above_one(log), unit65, (0.5, 2.0))
+        # the bumped state goes first, then the base state if it was defined
+        calls, tops, bottoms = iter(log), [], []
+        for top in calls:
+            tops.append(top)
+            if top:
+                bottoms.append(next(calls))
+        anchored = unit65.npoints - 2
+        assert not any(tops[:anchored])  # the band floor 0.5 is outside the domain
+        assert False in tops[anchored:]
+        assert 0 < rep.checked == bottoms.count(True)
+        # the slope of x^0.5 on [1, 2] is at most 0.5, taken at 1
+        assert 0.45 < rep.bound <= 0.5
+        assert rep.at["x"][0] >= 1.0

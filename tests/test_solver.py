@@ -670,6 +670,21 @@ class TestNewton:
             "the clamp moves 63 entries of the full step",
         )
 
+    @pytest.mark.parametrize("points", [17, 65, 257])
+    def test_trials_outside_the_domain_are_counted(self, points):
+        # unbracketed, every trial of the first step drives a state negative
+        # under ^0.5; with no band there is no clamp for the note to name.
+        # Picard converges on the same problem
+        p = isotone_problem(uniform(0.0, 1.0, points))
+        report = solve(p, strategy=Strategy.NEWTON_ORACLE)
+        assert report.status is Status.STALLED
+        assert report.iterations == 0
+        assert report.notes == (
+            f"iteration 0: line search failed at defect {report.defect:.3e}; "
+            "41 of 41 trials left the domain of f",
+        )
+        assert solve(p, strategy=Strategy.PICARD).converged
+
 
 class TestNewtonAgreesWithPicard:
     """Random jittered explicit meshes, one and two components."""
