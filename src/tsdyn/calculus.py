@@ -13,7 +13,7 @@ derivative exactly (telescoping), not just in the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,15 +35,16 @@ from .timescale import TimeScale, same_realization
 class GridFunction:
     """Vector-valued function sampled on indices ``lo..hi`` of one scale.
 
-    ``values`` has one row per supported index and one column per component.
+    ``values`` has one row per supported index and one column per component;
+    the support starts at ``lo`` and ends at ``hi = lo + rows - 1``.
     Values are immutable and must be finite; evaluation outside the support
     is an error rather than zero.
     """
 
     scale: TimeScale
     values: np.ndarray
-    lo: int
-    hi: int
+    lo: int = 0
+    hi: int = field(init=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -51,13 +52,10 @@ class GridFunction:
             vals = vals[:, None]
         if vals.ndim != 2:
             raise DimensionMismatch("values must be a vector or a 2-d array")
-        lo, hi = int(self.lo), int(self.hi)
+        lo = int(self.lo)
+        hi = lo + vals.shape[0] - 1
         if not 0 <= lo <= hi <= self.scale.last_index:
             raise BadRange(f"support [{lo}, {hi}] leaves the realization")
-        if vals.shape[0] != hi - lo + 1:
-            raise DimensionMismatch(
-                f"support [{lo}, {hi}] needs {hi - lo + 1} rows, got {vals.shape[0]}"
-            )
         if not np.all(np.isfinite(vals)):
             raise NonFiniteResult("grid functions must hold finite values")
         vals = np.ascontiguousarray(vals)
@@ -67,14 +65,6 @@ class GridFunction:
         object.__setattr__(self, "hi", hi)
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_values(
-        cls, scale: TimeScale, values: np.ndarray, lo: int = 0
-    ) -> "GridFunction":
-        vals = np.asarray(values, dtype=float)
-        rows = vals.shape[0]
-        return cls(scale, vals, lo, lo + rows - 1)
 
     @classmethod
     def from_callable(
@@ -87,7 +77,7 @@ class GridFunction:
         hi = scale.last_index if hi is None else int(hi)
         rows = [np.atleast_1d(np.asarray(fn(float(t)), dtype=float))
                 for t in scale.points[lo : hi + 1]]
-        return cls(scale, np.vstack(rows), lo, hi)
+        return cls(scale, np.vstack(rows), lo)
 
     @classmethod
     def constant(
@@ -97,7 +87,7 @@ class GridFunction:
         if n is not None and row.size == 1:
             row = np.full(n, row[0])
         vals = np.tile(row, (scale.npoints, 1))
-        return cls(scale, vals, 0, scale.last_index)
+        return cls(scale, vals)
 
     # -- accessors ---------------------------------------------------------
 
@@ -127,9 +117,7 @@ class GridFunction:
     def restrict(self, lo: int, hi: int) -> "GridFunction":
         if not self.lo <= lo <= hi <= self.hi:
             raise BadRange(f"[{lo}, {hi}] not inside support [{self.lo}, {self.hi}]")
-        return GridFunction(
-            self.scale, self.values[lo - self.lo : hi - self.lo + 1], lo, hi
-        )
+        return GridFunction(self.scale, self.values[lo - self.lo : hi - self.lo + 1], lo)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -148,8 +136,8 @@ class GridFunction:
                 raise DimensionMismatch(
                     f"{left.shape[1]} vs {right.shape[1]} components"
                 )
-            return GridFunction(self.scale, op(left, right), lo, hi)
-        return GridFunction(self.scale, op(self.values, float(other)), self.lo, self.hi)
+            return GridFunction(self.scale, op(left, right), lo)
+        return GridFunction(self.scale, op(self.values, float(other)), self.lo)
 
     def __add__(self, other):
         return self._binary(other, lambda x, y: x + y)
@@ -171,7 +159,7 @@ class GridFunction:
         return self._binary(other, lambda x, y: x / y)
 
     def __neg__(self):
-        return GridFunction(self.scale, -self.values, self.lo, self.hi)
+        return GridFunction(self.scale, -self.values, self.lo)
 
 
 def require_realization(u: GridFunction, scale: TimeScale, what: str) -> None:
@@ -221,7 +209,7 @@ def delta_derivative(u: GridFunction) -> GridFunction:
     if u.hi - u.lo < 1:
         raise EmptySupport("delta derivative needs at least two supported points")
     vals = difference_quotient(u.values, u.scale.mu[u.lo : u.hi])
-    return GridFunction(u.scale, vals, u.lo, u.hi - 1)
+    return GridFunction(u.scale, vals, u.lo)
 
 
 def delta_second(u: GridFunction) -> GridFunction:
@@ -235,7 +223,7 @@ def sigma_shift(u: GridFunction) -> GridFunction:
     """(u^sigma)_k = u_{k+1}; support shrinks by one at the top."""
     if u.hi - u.lo < 1:
         raise EmptySupport("shift needs at least two supported points")
-    return GridFunction(u.scale, u.values[1:], u.lo, u.hi - 1)
+    return GridFunction(u.scale, u.values[1:], u.lo)
 
 
 def delta_integral(u: GridFunction, lo: int, hi: int) -> np.ndarray:

@@ -332,11 +332,9 @@ def _config_block(cfg: Config, args) -> list[str]:
     lines = [f"# tsdyn {__version__}", f"# command = {args.command}"]
     for key in sorted(cfg.entries):
         lines.append(f"# cfg.{key} = {cfg.entries[key][0]}")
-    for name in ("seed", "strategy", "family"):
-        # a subcommand's namespace holds only the flags it registers
-        value = getattr(args, name, None)
-        if value is not None:
-            lines.append(f"# override.{name} = {value}")
+    # of the CSV commands only solve registers a flag, --strategy
+    if getattr(args, "strategy", None) is not None:
+        lines.append(f"# override.strategy = {args.strategy}")
     return lines
 
 
@@ -443,7 +441,7 @@ def _cmd_solve(cfg: Config, args) -> int:
     else:
         strategy = cfg["solve.strategy"]
     brackets = refused = None
-    if cfg["solve.use_bounds"] and problem.is_positive_system:
+    if cfg["solve.use_bounds"]:
         try:
             brackets = construct_bounds(problem).pair
         except (ShapeViolation, CriterionNotSatisfied) as exc:

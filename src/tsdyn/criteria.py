@@ -410,8 +410,8 @@ def construct_bounds(problem: DirichletProblem) -> BoundsPair:
         k2.append(max(1.0, high_base**expo))
     y = green_solve(kernel_factors(ts), vals)
     return BoundsPair(
-        alpha=GridFunction(ts, y * np.asarray(k1), 0, N),
-        beta=GridFunction(ts, y * np.asarray(k2), 0, N),
+        alpha=GridFunction(ts, y * np.asarray(k1)),
+        beta=GridFunction(ts, y * np.asarray(k2)),
         constants={"I1": tuple(I1), "I2": tuple(I2), "C": C,
                    "k1": tuple(k1), "k2": tuple(k2)},
         notes=drop_note(skipped),
@@ -422,19 +422,17 @@ def construct_lower(problem: DirichletProblem) -> BoundsPair:
     """Build a lower bound ``k1 g`` from the endpoint-pinned right hand side.
 
     ``g_i`` is the kernel image of ``w(s) f_i(s, [endpoint])`` where ``w``
-    is the kernel's lower weight.  No upper bound is produced.  Requires
+    is the kernel's lower weight, and ``L1`` its quadrature under ``w(s)
+    (sigma^2(b) - sigma(s)) / D``.  No upper bound is produced.  Requires
     zero boundary values, diagonal upper degrees below one and sigma^2(b) > 0.
     """
     vals, skipped = _construction_rhs(problem, "lower construction",
                                       lambda ts, n: _pinned_states(ts, n, ts.sigma2_b))
     ts = problem.scale
-    N = ts.last_index
     n = problem.n_components
-    D = ts.span
     endpoint = ts.sigma2_b
-    sig = ts.points[1:N]
-    cell = ts.mu[: N - 1] * (sig - ts.a) * (endpoint - sig) ** 2.0 / D**2.0
-    L1 = [float(np.sum(cell * vals[:, i])) / D for i in range(n)]
+    w = kernel_lower_weight(ts)
+    L1 = _quadrature(ts, vals, w * (endpoint - ts.points[1 : ts.last_index]) / ts.span)
     if min(L1) <= 0.0:
         raise CriterionNotSatisfied("lower-construction integrals must be positive")
     C2 = min(1.0 / (endpoint * max(L1[i], 1.0)) for i in range(n))
@@ -447,9 +445,9 @@ def construct_lower(problem: DirichletProblem) -> BoundsPair:
             for j in range(n)
         )
         k1.append(min(1.0, base**expo))
-    g = green_solve(kernel_factors(ts), kernel_lower_weight(ts)[:, None] * vals)
+    g = green_solve(kernel_factors(ts), w[:, None] * vals)
     return BoundsPair(
-        alpha=GridFunction(ts, g * np.asarray(k1), 0, N),
+        alpha=GridFunction(ts, g * np.asarray(k1)),
         beta=None,
         constants={"L1": tuple(L1), "C2": C2, "k1": tuple(k1)},
         notes=drop_note(skipped),

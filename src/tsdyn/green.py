@@ -99,7 +99,7 @@ def green_apply(ts: TimeScale, h: GridFunction) -> GridFunction:
         raise SupportMismatch(
             f"right-hand side must cover indices [0, {N - 2}], got [{h.lo}, {h.hi}]"
         )
-    return GridFunction(ts, green_solve(kernel_factors(ts), h.values[: N - 1]), 0, N)
+    return GridFunction(ts, green_solve(kernel_factors(ts), h.values[: N - 1]))
 
 
 def affine_interpolant(ts: TimeScale, A, B) -> GridFunction:
@@ -111,7 +111,7 @@ def affine_interpolant(ts: TimeScale, A, B) -> GridFunction:
     frac = (ts.points - ts.a) / ts.span
     vals = Avec[None, :] + (Bvec - Avec)[None, :] * frac[:, None]
     vals[-1] = Bvec  # A + (B - A) * 1 can miss B by an ulp
-    return GridFunction(ts, vals, 0, ts.last_index)
+    return GridFunction(ts, vals)
 
 
 def envelope_weight(ts: TimeScale) -> GridFunction:
@@ -121,7 +121,7 @@ def envelope_weight(ts: TimeScale) -> GridFunction:
     column: G(t, s) <= e(t) for all s.
     """
     vals = (ts.points - ts.a) * (ts.sigma2_b - ts.points) / ts.span
-    return GridFunction(ts, vals, 0, ts.last_index)
+    return GridFunction(ts, vals)
 
 
 def kernel_lower_weight(ts: TimeScale) -> np.ndarray:

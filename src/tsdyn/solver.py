@@ -106,7 +106,9 @@ class SolveReport:
     quantity that decided the status (infinite if the image could not be
     formed).  ``final_residual`` is the differential residual
     ``|-u^DD - f(., u^sigma)|_inf`` with the raw ``f``, computed once at the
-    end (infinite outside ``f``'s domain).
+    end (infinite outside ``f``'s domain).  ``bracket_respected`` is true
+    when the clamp moves no entry of the solution's rows ``1..N-1``, the
+    states ``f`` reads, and always without brackets.
     """
 
     solution: GridFunction
@@ -130,7 +132,7 @@ def clamp_to_band(
     is checked against ``u`` by :func:`~tsdyn.calculus.band_values`."""
     lo, hi = band_values(alpha, beta, u.scale, u.n_components)
     rows = slice(u.lo, u.hi + 1)
-    return GridFunction(u.scale, np.clip(u.values, lo[rows], hi[rows]), u.lo, u.hi)
+    return GridFunction(u.scale, np.clip(u.values, lo[rows], hi[rows]), u.lo)
 
 
 class _FixedPointMap:
@@ -196,7 +198,7 @@ def regularized_rhs(
     they are."""
     T = _FixedPointMap(problem, brackets)
     full = full_support_values(u, problem.scale, "iterate")
-    return GridFunction.from_values(problem.scale, T.rhs(full)[0], lo=0)
+    return GridFunction(problem.scale, T.rhs(full)[0])
 
 
 def apply_green_operator(
@@ -206,7 +208,7 @@ def apply_green_operator(
     :func:`regularized_rhs`."""
     T = _FixedPointMap(problem, brackets)
     full = full_support_values(u, problem.scale, "iterate")
-    return GridFunction(problem.scale, T(full)[1], 0, T.N)
+    return GridFunction(problem.scale, T(full)[1])
 
 
 def residual_norm(problem: DirichletProblem, u: GridFunction) -> float:
@@ -217,14 +219,6 @@ def residual_norm(problem: DirichletProblem, u: GridFunction) -> float:
     """
     full = full_support_values(u, problem.scale, "iterate")
     return _residual(problem, full)
-
-
-def _bracket_respected(u: np.ndarray, brackets) -> bool:
-    if brackets is None:
-        return True
-    alpha, beta = brackets
-    slack = 1e-8 * max(1.0, float(np.max(np.abs(alpha))), float(np.max(np.abs(beta))))
-    return bool(np.all(u >= alpha - slack) and np.all(u <= beta + slack))
 
 
 def solve(
@@ -289,7 +283,7 @@ def _iterate(
     solve, both in ``T``; the differential residual is computed once at the
     end, from the last ``f*`` when that was the raw ``f``.
     """
-    problem, N = T.problem, T.N
+    problem = T.problem
     u = start
     if u is None:
         u = T.phi.copy() if T.brackets is None else 0.5 * (T.brackets[0] + T.brackets[1])
@@ -342,13 +336,13 @@ def _iterate(
         u, evaluated = following, extra
     notes.extend(drop_note(T.dropped))
     return SolveReport(
-        solution=GridFunction(problem.scale, u, 0, N),
+        solution=GridFunction(problem.scale, u),
         strategy=strategy,
         status=status,
         iterations=it,
         final_residual=_residual(problem, u, rhs if moved == 0 else None),
         defect=defect,
-        bracket_respected=_bracket_respected(u, T.brackets),
+        bracket_respected=T.clamp(u)[1] == 0,
         notes=tuple(notes),
     )
 
@@ -475,7 +469,8 @@ def _newton(T: _FixedPointMap, config: SolveConfig) -> SolveReport:
         try:
             operator = _newton_operator(T, u, rhs)
         except (DomainViolation, NonFiniteResult) as exc:
-            return Status.DIVERGED, str(exc)
+            # u itself was evaluated; only a forward-difference probe left f's domain
+            return Status.DIVERGED, f"Jacobian probe: {exc}"
         delta = _gmres(operator, g, min(1e-2, g_max))
         undefined = 0
         for halvings in range(_LINE_SEARCH_HALVINGS + 1):

@@ -68,7 +68,7 @@ def test_criterion_01_green_identity_and_oracle():
             ts = uniform(0.0, 1.0, n)
             for _ in range(20):
                 h = rng.standard_normal(ts.last_index - 1)
-                hf = GridFunction.from_values(ts, h)
+                hf = GridFunction(ts, h)
                 u = green_apply(ts, hf)
                 defect = delta_second(u) + hf
                 assert defect.max_abs() <= 1e-10 * np.max(np.abs(h))
@@ -224,8 +224,8 @@ def test_criterion_10_calculus_identities():
         kinds = ("uniform", "quantum", "explicit")
         for trial in range(100):
             ts = random_scale(rng, kinds[trial % 3])
-            u = GridFunction.from_values(ts, rng.standard_normal(ts.npoints))
-            v = GridFunction.from_values(ts, rng.standard_normal(ts.npoints))
+            u = GridFunction(ts, rng.standard_normal(ts.npoints))
+            v = GridFunction(ts, rng.standard_normal(ts.npoints))
             du = delta_derivative(u)
             got = delta_integral(du, 0, ts.last_index)[0]
             want = u.value_at(ts.last_index)[0] - u.value_at(0)[0]

@@ -25,28 +25,42 @@ from conftest import SEED, random_scale
 
 
 class TestGridFunction:
-    def test_from_values_defaults_to_full_support(self, unit5):
-        u = GridFunction.from_values(unit5, np.arange(5.0))
+    def test_support_defaults_to_the_full_realization(self, unit5):
+        u = GridFunction(unit5, np.arange(5.0))
         assert u.support == (0, 4)
         assert u.n_components == 1
         assert u.value_at(3) == pytest.approx([3.0])
 
     def test_value_outside_support_is_an_error(self, unit5):
-        u = GridFunction.from_values(unit5, [1.0, 2.0], lo=1)
+        u = GridFunction(unit5, [1.0, 2.0], lo=1)
         with pytest.raises(IndexOutOfRange):
             u.value_at(0)
 
-    def test_row_count_must_match_support(self, unit5):
-        with pytest.raises(DimensionMismatch):
-            GridFunction(unit5, np.zeros(3), 0, 4)
+    def test_rows_fix_the_top_of_the_support(self, unit5):
+        u = GridFunction(unit5, np.zeros(3), lo=1)
+        assert (u.lo, u.hi) == (1, 3)
+        with pytest.raises(TypeError):
+            GridFunction(unit5, np.zeros(3), 0, 2)
 
     def test_support_must_stay_on_the_scale(self, unit5):
-        with pytest.raises(BadRange):
-            GridFunction(unit5, np.zeros(7), 0, 6)
+        for values, lo in ((np.zeros(7), 0), (np.zeros(3), 3), (np.zeros(0), 0)):
+            with pytest.raises(BadRange):
+                GridFunction(unit5, values, lo)
+
+    def test_values_beyond_two_dimensions_rejected(self, unit5):
+        with pytest.raises(DimensionMismatch, match="a vector or a 2-d array"):
+            GridFunction(unit5, np.zeros((5, 1, 1)))
+
+    def test_components_are_numbered_from_one(self, unit5):
+        u = GridFunction.constant(unit5, [1.0, 2.0])
+        assert u.component(2).tolist() == [2.0] * 5
+        for i in (0, 3):
+            with pytest.raises(DimensionMismatch, match=f"component {i} of 2"):
+                u.component(i)
 
     def test_nan_rejected(self, unit5):
         with pytest.raises(NonFiniteResult):
-            GridFunction.from_values(unit5, [0.0, np.nan, 0.0, 0.0, 0.0])
+            GridFunction(unit5, [0.0, np.nan, 0.0, 0.0, 0.0])
 
     def test_values_are_frozen(self, unit5):
         u = GridFunction.constant(unit5, 1.0)
@@ -64,7 +78,7 @@ class TestGridFunction:
         assert np.all(u.values == 2.5)
 
     def test_restrict(self, unit5):
-        u = GridFunction.from_values(unit5, np.arange(5.0))
+        u = GridFunction(unit5, np.arange(5.0))
         v = u.restrict(1, 3)
         assert v.support == (1, 3)
         assert np.allclose(v.component(1), [1.0, 2.0, 3.0])
@@ -74,15 +88,15 @@ class TestGridFunction:
 
 class TestArithmetic:
     def test_intersection_support(self, unit5):
-        u = GridFunction.from_values(unit5, [1.0, 2.0, 3.0], lo=0)
-        v = GridFunction.from_values(unit5, [10.0, 20.0, 30.0], lo=1)
+        u = GridFunction(unit5, [1.0, 2.0, 3.0], lo=0)
+        v = GridFunction(unit5, [10.0, 20.0, 30.0], lo=1)
         w = u + v
         assert w.support == (1, 2)
         assert np.allclose(w.component(1), [12.0, 23.0])
 
     def test_disjoint_supports_rejected(self, unit5):
-        u = GridFunction.from_values(unit5, [1.0], lo=0)
-        v = GridFunction.from_values(unit5, [1.0], lo=3)
+        u = GridFunction(unit5, [1.0], lo=0)
+        v = GridFunction(unit5, [1.0], lo=3)
         with pytest.raises(EmptySupport):
             u * v
 
@@ -93,10 +107,25 @@ class TestArithmetic:
             u + v
 
     def test_scalar_ops(self, unit5):
-        u = GridFunction.from_values(unit5, np.arange(5.0))
+        u = GridFunction(unit5, np.arange(5.0))
         assert np.allclose((2.0 * u - 1.0).component(1), 2 * np.arange(5.0) - 1)
         assert np.allclose((-u).component(1), -np.arange(5.0))
         assert (1.0 + u).max_abs() == 5.0
+        assert (1.0 - u).component(1).tolist() == [1.0, 0.0, -1.0, -2.0, -3.0]
+        assert (u / 2.0).component(1).tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+    def test_grid_quotient(self, unit5):
+        u = GridFunction(unit5, [2.0, 6.0, 12.0], lo=1)
+        v = GridFunction(unit5, [1.0, 2.0, 3.0, 4.0], lo=1)
+        w = u / v
+        assert w.support == (1, 3)
+        assert w.component(1).tolist() == [2.0, 3.0, 4.0]
+
+    def test_component_counts_must_agree(self, unit5):
+        u = GridFunction.constant(unit5, 1.0)
+        v = GridFunction.constant(unit5, [1.0, 2.0])
+        with pytest.raises(DimensionMismatch, match="1 vs 2 components"):
+            u + v
 
 
 class TestDeltaDerivative:
@@ -119,9 +148,14 @@ class TestDeltaDerivative:
         assert delta_second(u).support == (0, 2)
 
     def test_needs_two_points(self, unit5):
-        u = GridFunction.from_values(unit5, [1.0], lo=2)
+        u = GridFunction(unit5, [1.0], lo=2)
+        for op in (delta_derivative, sigma_shift):
+            with pytest.raises(EmptySupport):
+                op(u)
+
+    def test_second_derivative_needs_three_points(self, unit5):
         with pytest.raises(EmptySupport):
-            delta_derivative(u)
+            delta_second(GridFunction(unit5, [1.0, 2.0], lo=1))
 
     def test_constant_has_zero_derivative(self, q23):
         du = delta_derivative(GridFunction.constant(q23, 4.2))
@@ -134,7 +168,7 @@ class TestDeltaDerivative:
 
 
 def test_sigma_shift(unit5):
-    u = GridFunction.from_values(unit5, np.arange(5.0))
+    u = GridFunction(unit5, np.arange(5.0))
     su = sigma_shift(u)
     assert su.support == (0, 3)
     assert np.allclose(su.component(1), [1.0, 2.0, 3.0, 4.0])
@@ -184,7 +218,7 @@ class TestCalculusIdentities:
         rng = np.random.default_rng(SEED + 1)
         for _ in range(10):
             ts = random_scale(rng, kind)
-            u = GridFunction.from_values(ts, rng.standard_normal(ts.npoints))
+            u = GridFunction(ts, rng.standard_normal(ts.npoints))
             du = delta_derivative(u)
             for lo, hi in ((0, ts.last_index), (1, ts.last_index - 1)):
                 got = delta_integral(du, lo, hi)[0]
@@ -207,7 +241,7 @@ class TestCalculusIdentities:
         """
         ts = from_points(left + np.concatenate([[0.0], np.cumsum(gaps)]))
         rng = np.random.default_rng(seed)
-        u = GridFunction.from_values(ts, rng.uniform(-1.0, 1.0, (ts.npoints, 2)))
+        u = GridFunction(ts, rng.uniform(-1.0, 1.0, (ts.npoints, 2)))
         lo, hi = sorted(int(k) for k in rng.integers(0, ts.npoints, size=2))
         got = delta_integral(delta_derivative(u), lo, hi)
         want = u.value_at(hi) - u.value_at(lo)
@@ -220,8 +254,8 @@ class TestCalculusIdentities:
         rng = np.random.default_rng(SEED + 2)
         for _ in range(10):
             ts = random_scale(rng, kind)
-            u = GridFunction.from_values(ts, rng.standard_normal(ts.npoints))
-            v = GridFunction.from_values(ts, rng.standard_normal(ts.npoints))
+            u = GridFunction(ts, rng.standard_normal(ts.npoints))
+            v = GridFunction(ts, rng.standard_normal(ts.npoints))
             lhs = delta_derivative(u * v)
             rhs = delta_derivative(u) * sigma_shift(v) + u * delta_derivative(v)
             # relative to the quotient scale, which thin cells inflate

@@ -834,8 +834,10 @@ class TestRunFailures:
              "construction integrals must be positive", 0),
             ("f.1.expr = 100*(1 + x1^2)\nf.1.lambda = 0\nf.1.mu = 2\n",
              "component 1: diagonal upper degree must stay below one, got 2", 2),
+            ("f.1.expr = 1 + x1^0.5\nbc.left = 0.7\nbc.right = 0.1\n",
+             "bound construction requires zero boundary values", 0),
         ],
-        ids=["criterion", "shape"],
+        ids=["criterion", "shape", "boundary"],
     )
     def test_refused_bounds_are_the_first_note(self, tmp_path, body, reason, code):
         cfg = write_cfg(tmp_path, "scale.kind = uniform\nscale.points = 17\n"
@@ -848,17 +850,25 @@ class TestRunFailures:
         assert len(notes) == (1 if code == 0 else 2)
         assert "\nt,u1\n" in text
 
+    @pytest.mark.parametrize(
+        "body,reason",
+        [("f.1.expr = -1\n", "construction integrals must be positive"),
+         ("f.1.expr = 1 + x1^0.5\nbc.left = 0.7\nbc.right = 0.1\n",
+          "bound construction requires zero boundary values")],
+        ids=["criterion", "boundary"],
+    )
     @pytest.mark.parametrize("strategy", ["monotone_up", "monotone_down"])
-    def test_monotone_run_names_the_refusal(self, tmp_path, capsys, strategy):
+    def test_monotone_run_names_the_refusal(self, tmp_path, capsys, strategy, body,
+                                            reason):
         # a monotone run needs the bounds construct_bounds refused: it exits 2,
         # writes no CSV, and stderr says why there are none
         cfg = write_cfg(tmp_path, "scale.kind = uniform\nscale.points = 17\n"
-                        "f.count = 1\nf.1.expr = -1\n")
+                        "f.count = 1\n" + body)
         out = tmp_path / "run.csv"
         assert main(["solve", str(cfg), "--strategy", strategy, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "monotone iteration needs a lower and an upper solution" in err
-        assert "bounds refused: construction integrals must be positive" in err
+        assert f"bounds refused: {reason}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("strategy", ["monotone_up", "monotone_down"])

@@ -16,6 +16,7 @@ from tsdyn import (
     BoundsPair,
     BracketViolation,
     ConfigError,
+    ConvergenceVerdict,
     CriterionNotSatisfied,
     DirichletProblem,
     DomainViolation,
@@ -52,6 +53,7 @@ from tsdyn import (
     verify_lower,
     verify_upper,
 )
+from tsdyn.criteria import _classify
 
 
 def power_law(gamma):
@@ -164,6 +166,17 @@ class TestClassifier:
         rep = criterion_sufficient([f], fam)
         want = [sufficient_oracle(f, ts) for ts in fam]
         assert np.allclose(rep.trails[0], want, rtol=1e-13, atol=0)
+
+    def test_non_finite_partial_diverges(self):
+        verdict = _classify([1.0, 2.0, math.inf, 3.0, 4.0], positive=True)
+        assert verdict == ConvergenceVerdict(
+            Verdict.DIVERGENT, None, 4.0, (), math.inf, True, ("non-finite partial value",)
+        )
+
+    def test_zero_increment_then_a_nonzero_one_is_an_infinite_ratio(self):
+        verdict = _classify([1.0, 1.0, 1.5, 1.75, 1.875], positive=True)
+        assert verdict.ratios == (math.inf, 0.5, 0.5)
+        assert verdict.verdict is Verdict.INCONCLUSIVE
 
     def test_sign_changing_integrand_is_not_positive(self):
         f = Nonlinearity.from_expression(
@@ -554,7 +567,7 @@ class TestConstructLower:
         alpha, beta = construct_bounds(problem).pair
         low = alpha.values.copy()
         low[[7, 30]] = beta.values[[7, 30]] + 1e-3
-        crossed = GridFunction(alpha.scale, low, 0, alpha.scale.last_index)
+        crossed = GridFunction(alpha.scale, low)
         with pytest.raises(BracketViolation, match="at index 7$") as err:
             BoundsPair(alpha=crossed, beta=beta, constants={})
         assert err.value.index == 7
@@ -572,7 +585,7 @@ class TestConstructLower:
 
     def test_pair_must_share_a_component_count(self, problem):
         alpha, beta = construct_bounds(problem).pair
-        wide = GridFunction.from_values(alpha.scale, np.repeat(alpha.values, 2, axis=1))
+        wide = GridFunction(alpha.scale, np.repeat(alpha.values, 2, axis=1))
         with pytest.raises(SupportMismatch,
                            match="^bracket component count must be 2, got 1$"):
             BoundsPair(alpha=wide, beta=beta, constants={})
@@ -651,7 +664,7 @@ class TestVerification:
     def test_boundary_rows_checked(self, unit65):
         problem = DirichletProblem(unit65, (power_law(0.5),))
         vals = envelope_at(unit65, unit65.points) + 0.05
-        candidate = GridFunction.from_values(unit65, vals)
+        candidate = GridFunction(unit65, vals)
         report = verify_lower(problem, candidate)
         indices = {k for (_, k, _) in report.violations}
         assert 0 in indices and unit65.last_index in indices
@@ -660,7 +673,7 @@ class TestVerification:
     def test_non_finite_second_difference_raises(self):
         ts = from_points([0.0, 1e-200, 1.0, 2.0])
         problem = DirichletProblem(ts, (power_law(0.5),))
-        candidate = GridFunction.from_values(ts, [0.0, 1e300, 1.0, 0.0])
+        candidate = GridFunction(ts, [0.0, 1e300, 1.0, 0.0])
         for verify in (verify_lower, verify_upper):
             with pytest.raises(NonFiniteResult):
                 verify(problem, candidate)
@@ -715,7 +728,7 @@ class TestEnvelopeDisplay:
 
     def test_escape_raises_with_location(self, solved):
         problem, u = solved
-        inflated = GridFunction(u.scale, u.values * 3.0, u.lo, u.hi)
+        inflated = GridFunction(u.scale, u.values * 3.0, u.lo)
         with pytest.raises(EnvelopeViolation) as err:
             compute_envelope(problem, inflated)
         assert err.value.component == 1
@@ -725,7 +738,7 @@ class TestEnvelopeDisplay:
         problem, u = solved
         # f(x) = x^-0.5 grows as the solution shrinks, so the lower edge
         # J1 e(t) rises while the deflated values fall
-        deflated = GridFunction(u.scale, u.values * 0.01, u.lo, u.hi)
+        deflated = GridFunction(u.scale, u.values * 0.01, u.lo)
         with pytest.raises(EnvelopeViolation) as err:
             compute_envelope(problem, deflated)
         assert (err.value.component, err.value.index) == (1, 1)

@@ -12,6 +12,7 @@ from scipy.linalg import solve_banded
 from tsdyn import (
     GridFunction,
     IndexOutOfRange,
+    SupportMismatch,
     affine_interpolant,
     delta_second,
     envelope_weight,
@@ -108,13 +109,13 @@ class TestGreenApply:
     def test_exact_discrete_identity(self, rng):
         for kind in ("uniform", "quantum", "explicit"):
             ts = random_scale(rng, kind)
-            h = GridFunction.from_values(ts, rng.standard_normal(ts.last_index - 1))
+            h = GridFunction(ts, rng.standard_normal(ts.last_index - 1))
             u = green_apply(ts, h)
             defect = delta_second(u) + h
             assert defect.max_abs() <= 1e-10 * max(1.0, h.max_abs())
 
     def test_boundary_rows_are_zero(self, q23):
-        h = GridFunction.from_values(q23, np.ones(q23.last_index - 1))
+        h = GridFunction(q23, np.ones(q23.last_index - 1))
         u = green_apply(q23, h)
         assert u.value_at(0)[0] == 0.0
         assert u.value_at(q23.last_index)[0] == 0.0
@@ -124,7 +125,7 @@ class TestGreenApply:
         rng = np.random.default_rng(SEED + n)
         ts = uniform(0.0, 2.0, n)
         h = rng.standard_normal(ts.last_index - 1)
-        u = green_apply(ts, GridFunction.from_values(ts, h))
+        u = green_apply(ts, GridFunction(ts, h))
         want = banded_oracle(ts, h)
         assert np.allclose(u.component(1), want, rtol=1e-12, atol=1e-12)
 
@@ -132,7 +133,7 @@ class TestGreenApply:
         rng = np.random.default_rng(SEED)
         ts = quantum(2.0, 8)
         h = rng.uniform(0.5, 2.0, size=ts.last_index - 1)
-        u = green_apply(ts, GridFunction.from_values(ts, h))
+        u = green_apply(ts, GridFunction(ts, h))
         want = banded_oracle(ts, h)
         scale = np.max(np.abs(want))
         assert np.allclose(u.component(1), want, rtol=1e-12, atol=1e-12 * scale)
@@ -140,19 +141,19 @@ class TestGreenApply:
     def test_multi_component(self, unit65):
         rng = np.random.default_rng(SEED)
         h = rng.standard_normal((unit65.last_index - 1, 2))
-        u = green_apply(unit65, GridFunction.from_values(unit65, h))
+        u = green_apply(unit65, GridFunction(unit65, h))
         assert u.n_components == 2
-        defect = delta_second(u) + GridFunction.from_values(unit65, h)
+        defect = delta_second(u) + GridFunction(unit65, h)
         assert defect.max_abs() < 1e-10
 
     def test_rhs_must_cover_equation_points(self, unit5):
-        short = GridFunction.from_values(unit5, [1.0, 1.0], lo=0)
+        short = GridFunction(unit5, [1.0, 1.0], lo=0)
         with pytest.raises(Exception):
             green_apply(unit5, short)
 
     def test_positivity_preserved(self, rng):
         ts = random_scale(rng, "quantum")
-        h = GridFunction.from_values(ts, rng.uniform(0.1, 1.0, ts.last_index - 1))
+        h = GridFunction(ts, rng.uniform(0.1, 1.0, ts.last_index - 1))
         u = green_apply(ts, h)
         assert np.all(u.values[1:-1] > 0.0)
 
@@ -167,18 +168,18 @@ class TestGreenApply:
         for ts in scales:
             N = ts.last_index
             h = np.random.default_rng(0x5EED).standard_normal(N - 1)
-            u = green_apply(ts, GridFunction.from_values(ts, h)).component(1)
+            u = green_apply(ts, GridFunction(ts, h)).component(1)
             assert u[0] == 0.0 and u[-1] == 0.0
             if (ts.span / float(np.min(ts.mu))) ** 2 * 2.3e-16 > 1e-8:
                 continue
             checked += 1
-            resid = delta_second(GridFunction(ts, u, 0, N)).component(1) + h
+            resid = delta_second(GridFunction(ts, u)).component(1) + h
             assert np.max(np.abs(resid)) <= 1e-6 * np.max(np.abs(h))
         assert checked > 0
 
     def test_keeps_no_per_scale_state(self):
         ts = uniform(0.0, 1.0, 33)
-        h = GridFunction.from_values(ts, np.ones(ts.last_index - 1))
+        h = GridFunction(ts, np.ones(ts.last_index - 1))
         u = green_apply(ts, h)
         ref = weakref.ref(ts)
         del ts, h, u
@@ -205,7 +206,7 @@ class TestGreenApply:
             rng.standard_normal(ts.last_index - 1),
             rng.uniform(0.5, 2.0, size=ts.last_index - 1),
         ):
-            u = green_apply(ts, GridFunction.from_values(ts, h)).component(1)
+            u = green_apply(ts, GridFunction(ts, h)).component(1)
             want = banded_oracle(ts, h)
             tol = EPS * np.max(np.abs(want)) * kappa
             assert np.max(np.abs(u - want)) <= tol
@@ -222,9 +223,9 @@ class TestGreenApply:
         """-(G h)^DD = h to within the floor eps |h| (span / mu_min)^2."""
         ts = from_points(left + np.concatenate([[0.0], np.cumsum(gaps)]))
         h = np.random.default_rng(seed).uniform(-1.0, 1.0, ts.last_index - 1)
-        u = green_apply(ts, GridFunction.from_values(ts, h))
+        u = green_apply(ts, GridFunction(ts, h))
         assert u.value_at(0)[0] == 0.0 and u.value_at(ts.last_index)[0] == 0.0
-        defect = (delta_second(u) + GridFunction.from_values(ts, h)).max_abs()
+        defect = (delta_second(u) + GridFunction(ts, h)).max_abs()
         floor = EPS * np.max(np.abs(h)) * (ts.span / float(np.min(ts.mu))) ** 2
         assert defect <= floor
 
@@ -265,7 +266,7 @@ class TestKernelCore:
         rows = N + 1 if extra else N - 1  # extra top rows are ignored
         h = np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, n))
         core = green_solve(kernel_factors(ts), h[: N - 1])
-        wrapped = green_apply(ts, GridFunction.from_values(ts, h))
+        wrapped = green_apply(ts, GridFunction(ts, h))
         assert core.shape == wrapped.values.shape == (N + 1, n)
         assert core.tobytes() == wrapped.values.tobytes()
 
@@ -286,7 +287,7 @@ class TestMatrix:
         for k in range(unit5.last_index - 1):
             unit = np.zeros(unit5.last_index - 1)
             unit[k] = 1.0
-            col = green_apply(unit5, GridFunction.from_values(unit5, unit))
+            col = green_apply(unit5, GridFunction(unit5, unit))
             assert np.allclose(col.component(1), W[:, k], rtol=0, atol=1e-16)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -296,7 +297,7 @@ class TestMatrix:
         for _ in range(5):
             ts = random_scale(rng, kind)
             h = rng.standard_normal((ts.last_index - 1, n))
-            u = green_apply(ts, GridFunction.from_values(ts, h))
+            u = green_apply(ts, GridFunction(ts, h))
             want = dense_kernel(ts) @ h
             scale = np.max(np.abs(want), axis=0)
             assert np.all(np.abs(u.values - want) <= 1e-13 * scale)
@@ -317,6 +318,10 @@ class TestAffineInterpolant:
         phi = affine_interpolant(unit5, [0.0, 1.0], [1.0, 0.0])
         assert phi.n_components == 2
         assert np.allclose(phi.value_at(2), [0.5, 0.5])
+
+    def test_boundary_vectors_must_have_equal_length(self, unit5):
+        with pytest.raises(SupportMismatch, match="equal length"):
+            affine_interpolant(unit5, [0.0, 1.0], [1.0])
 
     def test_end_rows_are_the_boundary_values_exactly(self, unit65, q23):
         # A + (B - A) * 1 misses B by an ulp for A = 0.7, B = 0.1

@@ -130,6 +130,16 @@ class TestNonlinearity:
         with pytest.raises(UnknownVariable):
             Nonlinearity.from_expression("x2", arity=1)
 
+    def test_arity_must_be_positive(self):
+        with pytest.raises(DimensionMismatch, match="arity must be at least 1"):
+            Nonlinearity(arity=0, component_index=1, body=lambda t, x: 1.0,
+                         degree_low=(), degree_high=())
+
+    def test_evaluate_needs_one_state_per_component(self):
+        f = Nonlinearity.from_expression("x1 + x2", arity=2)
+        with pytest.raises(DimensionMismatch, match="expected 2 state values, got 1"):
+            f.evaluate(0.5, (1.0,))
+
     def test_component_index_in_range(self):
         with pytest.raises(DimensionMismatch):
             Nonlinearity.from_expression("x1", arity=1, component_index=2)
@@ -188,7 +198,7 @@ class TestNonlinearity:
         with pytest.raises(DomainViolation, match=r"^nonlinearity evaluated to \(.*j\)$"):
             f.evaluate(0.5, (-1.0,))
         problem = DirichletProblem(unit65, (f,))
-        u = GridFunction.from_values(unit65, np.linspace(-5.0, 5.0, unit65.npoints))
+        u = GridFunction(unit65, np.linspace(-5.0, 5.0, unit65.npoints))
         assert residual_norm(problem, u) == math.inf
         # row 0 is the improper first cell, dropped; row 1 is the first raise
         with pytest.raises(DomainViolation, match=r"^row 1, component 1: nonlinearity "):
@@ -322,6 +332,10 @@ class TestDirichletProblem:
         assert p.n_components == 1
         assert p.boundary_left == (0.0,)
         assert np.allclose(p.evaluate_rhs(0.5, (4.0,)), [0.5])
+
+    def test_needs_a_nonlinearity(self, unit65):
+        with pytest.raises(DimensionMismatch, match="at least one nonlinearity"):
+            DirichletProblem(unit65, ())
 
     def test_arities_must_agree(self, unit65):
         two = Nonlinearity.from_expression("x1 + x2", arity=2)

@@ -301,7 +301,7 @@ class TestDefectStop:
         p = isotone_problem(uniform(0.0, 1.0, 33))
         alpha, beta = construct_bounds(p).pair
         exact = solve(p, brackets=(alpha, beta)).solution.values
-        low = GridFunction.from_values(p.scale, 0.5 * (alpha.values + exact))
+        low = GridFunction(p.scale, 0.5 * (alpha.values + exact))
         report = solve(p, strategy=strategy, brackets=(alpha, low))
         assert report.status is Status.STALLED
         assert not report.bracket_respected
@@ -310,6 +310,24 @@ class TestDefectStop:
             f"iteration {report.iterations}: band not invariant: defect "
             f"{report.defect:.3e} meets the tolerance where the clamp moves "
             "31 entries",
+        )
+
+    def test_bracket_verdict_is_the_clamps(self):
+        # beta sits a relative 1e-10 below Picard's solution, so the run stops
+        # where the clamp moves every interior entry; the verdict counts those
+        # moves, however small, with no slack
+        p = power_problem(uniform(0.0, 1.0, 65))
+        alpha, beta = construct_bounds(p).pair
+        exact = solve(p, brackets=(alpha, beta))
+        assert exact.converged and exact.bracket_respected
+        below = GridFunction(p.scale, exact.solution.values * (1.0 - 1e-10))
+        report = solve(p, brackets=(alpha, below))
+        assert report.status is Status.STALLED
+        assert not report.bracket_respected
+        assert report.notes == (
+            f"iteration {report.iterations}: band not invariant: defect "
+            f"{report.defect:.3e} meets the tolerance where the clamp moves "
+            "63 entries",
         )
 
     @pytest.mark.parametrize("points", [65, 1025])
@@ -434,7 +452,7 @@ class TestAndersonStep:
         alpha, beta = exact - 0.03, exact + 0.05
         alpha[::7] = 0.0
         assert (alpha < 0.0).any() and (alpha == 0.0).any() and (alpha > 0.0).any()
-        pair = tuple(GridFunction.from_values(p.scale, v) for v in (alpha, beta))
+        pair = tuple(GridFunction(p.scale, v) for v in (alpha, beta))
         start = solve(p, brackets=pair, config=SolveConfig(max_iters=0))
         # abs keeps the square roots np.where discards free of warnings
         expected = np.where(alpha > 0.0, np.sqrt(np.abs(alpha * beta)), 0.5 * (alpha + beta))
@@ -592,7 +610,7 @@ class TestNewton:
             assert (np.abs(inner - edge) > steps).all()
 
         def defect_map(values):
-            image = apply_green_operator(p, GridFunction(ts, values, 0, N), (alpha, beta))
+            image = apply_green_operator(p, GridFunction(ts, values), (alpha, beta))
             return (image.values - values)[1:N].ravel()
 
         dense = np.empty(((N - 1) * n, (N - 1) * n))
@@ -670,6 +688,19 @@ class TestNewton:
             "the clamp moves 63 entries of the full step",
         )
 
+    def test_jacobian_probe_outside_the_domain_is_named(self):
+        # every iterate of 1 + (1 - x1)^0.5 from phi = 1 is in f's domain,
+        # but the forward-difference probe lifts each state past 1
+        f = Nonlinearity.from_expression("1 + (1 - x1)^0.5", arity=1)
+        p = DirichletProblem(uniform(0.0, 1.0, 17), (f,), (1.0,), (1.0,))
+        report = solve(p, strategy=Strategy.NEWTON_ORACLE)
+        assert report.status is Status.DIVERGED
+        assert report.iterations == 0
+        assert report.notes == (
+            "iteration 0: Jacobian probe: row 1, component 1: negative base "
+            "-1.5e-08 with non-integer exponent 0.5",
+        )
+
     @pytest.mark.parametrize("points", [17, 65, 257])
     def test_trials_outside_the_domain_are_counted(self, points):
         # unbracketed, every trial of the first step drives a state negative
@@ -734,7 +765,7 @@ class TestBracketChecks:
         alpha, beta = construct_bounds(singular65).pair
         crossed = beta.values.copy()
         crossed[[20, 40]] = alpha.values[[20, 40]] - 1e-3
-        beta = GridFunction(beta.scale, crossed, 0, beta.scale.last_index)
+        beta = GridFunction(beta.scale, crossed)
         with pytest.raises(BracketViolation) as err:
             solve(singular65, brackets=(alpha, beta))
         assert err.value.index == 20
@@ -789,7 +820,7 @@ class TestRhsModes:
     def test_brackets_decide_the_clamp(self, singular65, edge):
         alpha, beta = construct_bounds(singular65).pair
         ts = singular65.scale
-        wild = GridFunction.from_values(ts, np.linspace(-5.0, 5.0, ts.npoints))
+        wild = GridFunction(ts, np.linspace(-5.0, 5.0, ts.npoints))
         assert (clamp_to_band(wild, alpha, beta).values != wild.values).any()
         clamped = edge(singular65, wild, (alpha, beta))
         direct = edge(singular65, clamp_to_band(wild, alpha, beta))
@@ -808,20 +839,18 @@ class TestRhsModes:
         with pytest.raises(SupportMismatch):
             edge(singular65, u, (alpha.restrict(1, ts.last_index), beta))
         with pytest.raises(SupportMismatch):
-            pair = (GridFunction.from_values(ts, np.repeat(g.values, 2, axis=1))
+            pair = (GridFunction(ts, np.repeat(g.values, 2, axis=1))
                     for g in (alpha, beta))
             edge(singular65, u, tuple(pair))
         other = quantum(2.0, 63)
         with pytest.raises(ScaleMismatch):
-            edge(singular65, u, (GridFunction(other, alpha.values, 0, 64), beta))
+            edge(singular65, u, (GridFunction(other, alpha.values), beta))
 
     def test_truncated_stays_in_band(self, singular65):
         pair = construct_bounds(singular65)
         alpha, beta = pair.pair
         ts = singular65.scale
-        wild = GridFunction.from_values(
-            ts, np.linspace(-5.0, 5.0, ts.npoints)
-        )
+        wild = GridFunction(ts, np.linspace(-5.0, 5.0, ts.npoints))
         rhs = regularized_rhs(singular65, wild, pair.pair)
         direct = regularized_rhs(singular65, clamp_to_band(wild, alpha, beta))
         assert np.allclose(rhs.values, direct.values, rtol=0, atol=1e-15)
@@ -839,15 +868,15 @@ class TestRhsModes:
     def test_clamp_to_band(self, unit65):
         alpha = GridFunction.constant(unit65, 0.0)
         beta = GridFunction.constant(unit65, 1.0)
-        u = GridFunction.from_values(unit65, np.linspace(-1.0, 2.0, 65))
+        u = GridFunction(unit65, np.linspace(-1.0, 2.0, 65))
         clamped = clamp_to_band(u, alpha, beta)
         assert clamped.values.min() == 0.0
         assert clamped.values.max() == 1.0
 
     def test_clamp_to_band_clips_the_rows_of_the_support(self, unit65):
-        alpha = GridFunction.from_values(unit65, np.linspace(0.0, 1.0, 65))
+        alpha = GridFunction(unit65, np.linspace(0.0, 1.0, 65))
         beta = alpha + 0.5
-        u = GridFunction(unit65, np.full(11, 2.0), 20, 30)
+        u = GridFunction(unit65, np.full(11, 2.0), 20)
         clamped = clamp_to_band(u, alpha, beta)
         assert clamped.support == (20, 30)
         assert clamped.values.tobytes() == beta.values[20:31].tobytes()
@@ -855,7 +884,7 @@ class TestRhsModes:
     def test_clamp_to_band_checks_the_band(self, unit65):
         # the band check of solve: a crossed band used to clip to beta, and a
         # band of two components on a one-component u widened it
-        u = GridFunction.from_values(unit65, np.linspace(-1.0, 2.0, 65))
+        u = GridFunction(unit65, np.linspace(-1.0, 2.0, 65))
         low, high = (GridFunction.constant(unit65, v) for v in (0.0, 1.0))
         with pytest.raises(BracketViolation) as err:
             clamp_to_band(u, high, low)
@@ -906,8 +935,8 @@ class TestClampCount:
                   for i in range(1, n + 1))
         scale = uniform(0.0, 1.0, points)
         problem = DirichletProblem(scale, f, zeros, zeros)
-        T = tsdyn.solver._FixedPointMap(problem, (GridFunction.from_values(scale, alpha),
-                                                  GridFunction.from_values(scale, beta)))
+        T = tsdyn.solver._FixedPointMap(problem, (GridFunction(scale, alpha),
+                                                  GridFunction(scale, beta)))
         _, _, moved = T(u)
         N = points - 1
         assert moved == np.count_nonzero(np.isin(kind[1:N], [BELOW, ABOVE, NAN]))
@@ -993,7 +1022,7 @@ class TestResidual:
         f = Nonlinearity.from_expression("1", arity=1)
         p = DirichletProblem(unit65, (f,))
         t = unit65.points
-        exact = GridFunction.from_values(unit65, t * (1.0 - t) / 2.0)
+        exact = GridFunction(unit65, t * (1.0 - t) / 2.0)
         assert residual_norm(p, exact) < 1e-12
 
     def test_domain_escape_scores_infinity(self, singular65):
@@ -1020,7 +1049,7 @@ ENTRY_POINTS = {
     "compute_envelope": lambda p, alpha, beta, u: compute_envelope(p, u),
     "green_apply": lambda p, alpha, beta, u: green_apply(p.scale, u),
     "clamp_to_band": lambda p, alpha, beta, u: clamp_to_band(
-        GridFunction(p.scale, u.values, u.lo, u.hi), alpha, beta),
+        GridFunction(p.scale, u.values, u.lo), alpha, beta),
 }
 
 
@@ -1035,7 +1064,7 @@ class TestRealizationCheck:
         p = power_problem(ts)
         pair = construct_bounds(p)
         u = solve(p, brackets=pair.pair).solution
-        return p, *(GridFunction(other, g.values, g.lo, g.hi)
+        return p, *(GridFunction(other, g.values, g.lo)
                     for g in (pair.alpha, pair.beta, u))
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

@@ -39,6 +39,16 @@ class TestFromPoints:
         with pytest.raises(TooFewPoints):
             from_points([0.0, 0.5, 1.0])
 
+    def test_points_must_be_flat(self):
+        with pytest.raises(NonMonotonePoints, match="flat sequence"):
+            from_points(np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_points_must_be_finite(self, bad):
+        with pytest.raises(NonMonotonePoints, match="must be finite") as err:
+            from_points([0.0, 0.25, bad, 1.0])
+        assert err.value.index == 2
+
     def test_four_points_is_minimal(self):
         ts = from_points([0.0, 1.0, 2.0, 4.0])
         assert ts.npoints == 4
