@@ -32,7 +32,6 @@ from .criteria import (
     construct_lower,
     criterion_necessary,
     criterion_sufficient,
-    endpoint_slope_limits,
     family_quadrature,
     verify_lower,
     verify_upper,
@@ -66,7 +65,6 @@ from .green import (
     affine_interpolant,
     envelope_weight,
     green_apply,
-    green_value,
     kernel_lower_weight,
 )
 from .model import DirichletProblem, Nonlinearity, emden_fowler, rhs_matrix
@@ -104,8 +102,7 @@ __all__ = [
     "check_monotone_in_state", "check_scaling_exponents",
     "classify_weighted_bound", "compute_envelope", "construct_bounds",
     "construct_lower", "criterion_necessary", "criterion_sufficient",
-    "endpoint_slope_limits", "family_quadrature", "verify_lower",
-    "verify_upper",
+    "family_quadrature", "verify_lower", "verify_upper",
     "BadRange", "BracketViolation", "ConfigError",
     "CriterionNotSatisfied", "DegenerateInterval", "DimensionMismatch",
     "DomainViolation", "EmptySupport", "EnvelopeViolation",
@@ -114,7 +111,7 @@ __all__ = [
     "NonpositiveEndpoint", "ScaleMismatch", "ShapeViolation",
     "SupportMismatch", "TooFewPoints", "TsdynError", "UnknownVariable",
     "ExpressionTree", "parse_expression",
-    "affine_interpolant", "envelope_weight", "green_apply", "green_value",
+    "affine_interpolant", "envelope_weight", "green_apply",
     "kernel_lower_weight",
     "DirichletProblem", "Nonlinearity", "emden_fowler", "rhs_matrix",
     "SolveConfig", "SolveReport", "Status", "Strategy",

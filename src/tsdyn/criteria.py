@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .calculus import (GridFunction, band_values, delta_derivative, equation_defect,
+from .calculus import (GridFunction, band_values, equation_defect,
                        full_support_values)
 from .errors import (
     BracketViolation,
@@ -534,12 +534,6 @@ def compute_envelope(problem: DirichletProblem, solution: GridFunction) -> dict:
         "upper": tuple(J2),
         "skipped_components": skipped,
     }
-
-
-def endpoint_slope_limits(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Delta slopes at the two ends of the support, one entry per component."""
-    d = delta_derivative(u)
-    return (np.array(d.values[0]), np.array(d.values[-1]))
 
 
 # --- sampled hypothesis checks ---------------------------------------------------

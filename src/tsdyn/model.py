@@ -239,9 +239,6 @@ class DirichletProblem:
     def is_positive_system(self) -> bool:
         return all(v == 0.0 for v in self.boundary_left + self.boundary_right)
 
-    def evaluate_rhs(self, t: float, x: Sequence[float]) -> np.ndarray:
-        return np.array([fi.evaluate(t, x) for fi in self.f], dtype=float)
-
 
 def rhs_matrix(
     problem: DirichletProblem,

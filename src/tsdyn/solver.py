@@ -427,14 +427,24 @@ def _newton_operator(T: _FixedPointMap, u, rhs):
     """Newton's operator ``v -> (I - G J) v`` on ``(N+1, n)`` arrays at ``u``,
     where ``f*`` is ``rhs``; rows 0 and N pass through.  ``f*`` at point ``k``
     reads only ``u_{k+1}``, so ``J`` is block diagonal, ``(N-1, n, n)``, and
-    one forward-difference ``T.rhs`` call per component gives it."""
+    one forward-difference ``T.rhs`` call per component gives it.  Where the
+    forward probe leaves f's domain the component is probed backward; only
+    when both leave it is the error raised."""
     N = T.N
     jac = np.empty(rhs.shape + rhs.shape[1:])
     for j in range(rhs.shape[1]):
-        shifted = u.copy()
-        shifted[1:N, j] += _JACOBIAN_STEP * np.maximum(1.0, np.abs(u[1:N, j]))
+        h = _JACOBIAN_STEP * np.maximum(1.0, np.abs(u[1:N, j]))
+        for sign in (1.0, -1.0):
+            shifted = u.copy()
+            shifted[1:N, j] += sign * h
+            try:
+                probe = T.rhs(shifted)[0]
+                break
+            except (DomainViolation, NonFiniteResult):
+                if sign < 0:
+                    raise
         step = (shifted - u)[1:N, j, None]
-        jac[:, :, j] = (T.rhs(shifted)[0] - rhs) / step
+        jac[:, :, j] = (probe - rhs) / step
     return lambda v: v - green_solve(T.factors, np.einsum("kij,kj->ki", jac, v[1:N]))
 
 
@@ -469,7 +479,7 @@ def _newton(T: _FixedPointMap, config: SolveConfig) -> SolveReport:
         try:
             operator = _newton_operator(T, u, rhs)
         except (DomainViolation, NonFiniteResult) as exc:
-            # u itself was evaluated; only a forward-difference probe left f's domain
+            # u itself was evaluated; only its forward and backward probes left f's domain
             return Status.DIVERGED, f"Jacobian probe: {exc}"
         delta = _gmres(operator, g, min(1e-2, g_max))
         undefined = 0

@@ -40,8 +40,8 @@ from tsdyn import (
     construct_lower,
     criterion_necessary,
     criterion_sufficient,
+    delta_derivative,
     emden_fowler,
-    endpoint_slope_limits,
     family_quadrature,
     from_points,
     parse_expression,
@@ -749,7 +749,8 @@ class TestEnvelopeDisplay:
 
     def test_endpoint_slopes_are_finite_and_signed(self, solved):
         _, u = solved
-        left, right = endpoint_slope_limits(u)
+        slopes = delta_derivative(u).values
+        left, right = slopes[0], slopes[-1]
         assert left[0] > 0.0
         assert right[0] < 0.0
 

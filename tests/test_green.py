@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from tsdyn import (
     envelope_weight,
     from_points,
     green_apply,
-    green_value,
     kernel_lower_weight,
     quantum,
     uniform,
@@ -53,6 +53,22 @@ def banded_oracle(ts, h):
     return np.concatenate([[0.0], interior, [0.0]])
 
 
+def green_value(ts, t_idx, s_idx):
+    """Kernel value G(p_{t_idx}, p_{s_idx}) from the closed form in
+    ``tsdyn.green``'s docstring; ``s_idx`` ranges over 0..N-1."""
+    N = ts.last_index
+    if not 0 <= t_idx <= N:
+        raise IndexOutOfRange(f"t index {t_idx} outside [0, {N}]")
+    if not 0 <= s_idx <= N - 1:
+        raise IndexOutOfRange(f"s index {s_idx} outside [0, {N - 1}]")
+    a, s2b = ts.a, ts.sigma2_b
+    t = float(ts.points[t_idx])
+    sig_s = float(ts.points[s_idx + 1])
+    if t <= sig_s:
+        return (t - a) * (s2b - sig_s) / (s2b - a)
+    return (sig_s - a) * (s2b - t) / (s2b - a)
+
+
 def dense_kernel(ts):
     """Weighted kernel W[j, k] = mu_k G(p_j, p_k), k = 0..N-2, from ``green_value``.
 
@@ -63,6 +79,41 @@ def dense_kernel(ts):
     return np.array(
         [[ts.mu[k] * green_value(ts, j, k) for k in range(N - 1)] for j in range(N + 1)]
     )
+
+
+def exact_green(ts, h):
+    """u = G h in exact rationals, by shooting the three-point recurrence.
+
+    With the slope d_k = (u_{k+1} - u_k) / mu_k, equation k reads
+    d_{k+1} = d_k - mu_k h_k.  Shooting from u_0 = 0, d_0 = 0 and then
+    subtracting the line through (a, 0) and (sigma^2(b), u_N) pins u_N = 0.
+    Binary floats are dyadic rationals, so every step is exact.
+    """
+    p = [Fraction(x) for x in ts.points.tolist()]
+    N = len(p) - 1
+    u, slope = [Fraction(0)], Fraction(0)
+    for k in range(N):
+        mu = p[k + 1] - p[k]
+        u.append(u[k] + mu * slope)
+        if k < N - 1:
+            slope -= mu * Fraction(float(h[k]))
+    shift = u[N] / (p[N] - p[0])
+    return [u_j - shift * (p_j - p[0]) for u_j, p_j in zip(u, p)]
+
+
+#: c in the kernel's stated accuracy |u_hat_j - u_j| <= c eps (G|h|)_j
+KERNEL_C = 8
+
+
+def assert_kernel_accuracy(ts, h):
+    """``green_solve`` of ``h`` is within KERNEL_C eps (G|h|)_j of the exact
+    G h at every point j, both sides computed in exact rationals."""
+    got = green_solve(kernel_factors(ts), h[:, None])[:, 0]
+    bound = KERNEL_C * Fraction(EPS)
+    for j, (got_j, u_j, g_j) in enumerate(
+        zip(got.tolist(), exact_green(ts, h), exact_green(ts, np.abs(h)))
+    ):
+        assert abs(Fraction(got_j) - u_j) <= bound * g_j, j
 
 
 def jittered(rng, n):
@@ -228,6 +279,37 @@ class TestGreenApply:
         defect = (delta_second(u) + GridFunction(ts, h)).max_abs()
         floor = EPS * np.max(np.abs(h)) * (ts.span / float(np.min(ts.mu))) ** 2
         assert defect <= floor
+
+
+class TestExactOracle:
+    """The kernel's stated accuracy against the exact rational solve."""
+
+    @pytest.mark.parametrize("h_kind", ["one", "inverse-sqrt", "normal"])
+    @pytest.mark.parametrize("mesh", ["quantum-2-80", "quantum-3-20", "uniform-257"])
+    def test_named_meshes(self, mesh, h_kind):
+        ts = {
+            "quantum-2-80": lambda: quantum(2.0, 80),
+            "quantum-3-20": lambda: quantum(3.0, 20),
+            "uniform-257": lambda: uniform(0.0, 1.0, 257),
+        }[mesh]()
+        N = ts.last_index
+        h = {
+            "one": lambda: np.ones(N - 1),
+            "inverse-sqrt": lambda: ts.points[1:N] ** -0.5,  # s^(-1/2) at sigma(s)
+            "normal": lambda: np.random.default_rng(SEED).standard_normal(N - 1),
+        }[h_kind]()
+        assert_kernel_accuracy(ts, h)
+
+    def test_random_explicit_meshes(self):
+        """Points 10^U(-20, 0) with 0 and 1, cells spanning 20 decades, and
+        signed h spanning 16."""
+        rng = np.random.default_rng(SEED)
+        for _ in range(30):
+            inner = 10.0 ** rng.uniform(-20.0, 0.0, int(rng.integers(1, 299)))
+            ts = from_points(np.unique(np.r_[0.0, 1.0, inner]))
+            N = ts.last_index
+            signs = rng.choice([-1.0, 1.0], N - 1)
+            assert_kernel_accuracy(ts, signs * 10.0 ** rng.uniform(-8.0, 8.0, N - 1))
 
 
 MESHES = st.one_of(

@@ -162,11 +162,8 @@ class TestNonlinearity:
             return math.pow(x[0], -0.5) * math.pow(x[1], -0.25)
 
         f = Nonlinearity(2, 1, body, (-0.5, -0.25), (0.5, -0.25))
-        g = Nonlinearity(2, 2, body, (-0.5, -0.25), (-0.5, 0.25))
         assert f.evaluate(0.5, np.array([4.0, 16.0])) == 0.25
         assert f.evaluate(0.5, [4, 16]) == 0.25
-        DirichletProblem(unit65, (f, g), (0.0, 0.0), (0.0, 0.0)).evaluate_rhs(
-            0.5, np.array([1.0, 2.0]))
         check_scaling_exponents(f, unit65, samples=5)
         check_monotone_in_state(f, unit65, samples=5)
         check_lipschitz_bound(f, unit65, (0.5, 2.0), samples=5)
@@ -331,7 +328,7 @@ class TestDirichletProblem:
         p = DirichletProblem(unit65, (power_law(0.5),))
         assert p.n_components == 1
         assert p.boundary_left == (0.0,)
-        assert np.allclose(p.evaluate_rhs(0.5, (4.0,)), [0.5])
+        assert np.allclose([fi.evaluate(0.5, (4.0,)) for fi in p.f], [0.5])
 
     def test_needs_a_nonlinearity(self, unit65):
         with pytest.raises(DimensionMismatch, match="at least one nonlinearity"):

@@ -2,7 +2,10 @@
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -16,6 +19,19 @@ def test_all_lists_resolvable_names_and_no_modules():
     for name in tsdyn.__all__:
         assert not isinstance(getattr(tsdyn, name), types.ModuleType), name
 
+
+def test_import_loads_no_test_or_heavy_modules():
+    """Importing the package and its CLI stays cheap: beyond numpy it loads
+    only small standard-library modules, and none of these."""
+    heavy = ("scipy", "hypothesis", "fractions", "decimal", "logging")
+    code = ("import sys, tsdyn, tsdyn.cli; "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    src = str(Path(tsdyn.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_readme_quick_start_prints_what_its_comments_say():

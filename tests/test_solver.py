@@ -689,9 +689,10 @@ class TestNewton:
         )
 
     def test_jacobian_probe_outside_the_domain_is_named(self):
-        # every iterate of 1 + (1 - x1)^0.5 from phi = 1 is in f's domain,
-        # but the forward-difference probe lifts each state past 1
-        f = Nonlinearity.from_expression("1 + (1 - x1)^0.5", arity=1)
+        # phi = 1 is in the domain of 1 + (1 - x1)^0.5 + (x1 - 1)^0.5, but
+        # the forward probe lifts each state past 1 and the backward probe
+        # lowers it below 1
+        f = Nonlinearity.from_expression("1 + (1 - x1)^0.5 + (x1 - 1)^0.5", arity=1)
         p = DirichletProblem(uniform(0.0, 1.0, 17), (f,), (1.0,), (1.0,))
         report = solve(p, strategy=Strategy.NEWTON_ORACLE)
         assert report.status is Status.DIVERGED
@@ -699,6 +700,20 @@ class TestNewton:
         assert report.notes == (
             "iteration 0: Jacobian probe: row 1, component 1: negative base "
             "-1.5e-08 with non-integer exponent 0.5",
+        )
+
+    def test_jacobian_probes_backward_where_the_forward_probe_leaves_the_domain(self):
+        # the forward probe lifts a state of 1 + (1 - x1)^0.5 past 1 at
+        # iteration 6; probing backward there, Newton goes on until its line
+        # search finds no trial inside the domain
+        f = Nonlinearity.from_expression("1 + (1 - x1)^0.5", arity=1)
+        p = DirichletProblem(uniform(1.0, 3.0, 65), (f,), (0.7,), (0.1,))
+        report = solve(p, strategy=Strategy.NEWTON_ORACLE)
+        assert report.status is Status.STALLED
+        assert report.iterations == 13
+        assert report.notes == (
+            "iteration 13: line search failed at defect 6.878e-02; "
+            "41 of 41 trials left the domain of f",
         )
 
     @pytest.mark.parametrize("points", [17, 65, 257])
