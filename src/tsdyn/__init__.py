@@ -67,7 +67,7 @@ from .green import (
     green_apply,
     kernel_lower_weight,
 )
-from .model import DirichletProblem, Nonlinearity, emden_fowler, rhs_matrix
+from .model import DirichletProblem, Nonlinearity, rhs_matrix
 from .solver import (
     SolveConfig,
     SolveReport,
@@ -113,7 +113,7 @@ __all__ = [
     "ExpressionTree", "parse_expression",
     "affine_interpolant", "envelope_weight", "green_apply",
     "kernel_lower_weight",
-    "DirichletProblem", "Nonlinearity", "emden_fowler", "rhs_matrix",
+    "DirichletProblem", "Nonlinearity", "rhs_matrix",
     "SolveConfig", "SolveReport", "Status", "Strategy",
     "apply_green_operator", "clamp_to_band", "regularized_rhs",
     "residual_norm", "solve",

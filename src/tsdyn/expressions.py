@@ -167,7 +167,9 @@ class _Parser:
     def atom(self) -> Node:
         tok = self.advance()
         if tok.kind == "NUM":
-            return Const(float(tok.text))
+            if not math.isfinite(value := float(tok.text)):
+                raise ExpressionSyntaxError(tok.pos, f"number {tok.text} overflows")
+            return Const(value)
         if tok.kind == "T":
             return TimeVar()
         if tok.kind == "X":

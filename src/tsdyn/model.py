@@ -14,7 +14,6 @@ strict brackets are what the shape constraints below ask for.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from .errors import (
     ShapeViolation,
     UnknownVariable,
 )
-from .expressions import BinOp, Const, ExpressionTree, StateVar, TimeVar, parse_expression
+from .expressions import BinOp, Const, ExpressionTree, Neg, parse_expression
 from .timescale import TimeScale
 
 Body = Union[ExpressionTree, Callable[[float, tuple[float, ...]], float]]
@@ -82,15 +81,15 @@ class Nonlinearity:
         degree_low: Sequence[float] | None = None,
         degree_high: Sequence[float] | None = None,
     ) -> "Nonlinearity":
-        """Parse ``text``; missing degree rows default to all zeros."""
+        """Parse ``text``.  A missing degree row is zeros, unless both are:
+        then both are the exact degrees :func:`_exact_degrees` finds, if any."""
+        body = parse_expression(text)
         zeros = (0.0,) * arity
-        return cls(
-            arity=arity,
-            component_index=component_index,
-            body=parse_expression(text),
-            degree_low=tuple(degree_low) if degree_low is not None else zeros,
-            degree_high=tuple(degree_high) if degree_high is not None else zeros,
-        )
+        if degree_low is None and degree_high is None:
+            degree_low = degree_high = _exact_degrees(body.root, arity)
+        return cls(arity=arity, component_index=component_index, body=body,
+                   degree_low=zeros if degree_low is None else degree_low,
+                   degree_high=zeros if degree_high is None else degree_high)
 
     def evaluate(self, t: float, x: Sequence[float]) -> float:
         if len(x) != self.arity:
@@ -155,41 +154,40 @@ class Nonlinearity:
                 )
 
 
-def emden_fowler(
-    exponents: Sequence[float],
-    *,
-    component_index: int = 1,
-    coefficient: float = 1.0,
-    t_power: float = 0.0,
-) -> Nonlinearity:
-    """Separable power nonlinearity ``c * t^p * x1^g1 * ... * xn^gn``.
+def _exact_degrees(node, arity: int) -> tuple[float, ...] | None:
+    """The degrees of ``node`` in ``x1..x{arity}`` where it is exactly homogeneous
+    in each state: constants and ``t`` have degree 0, ``xj`` degree 1 in ``xj``,
+    ``*`` adds and ``/`` subtracts degrees, a power with a finite exponent free
+    of ``t`` and states scales them, and negation, or ``+`` and ``-`` of terms
+    that agree, keeps them.  ``None`` where these rules give no finite degrees."""
+    if isinstance(node, Neg):
+        return _exact_degrees(node.child, arity)
+    if not isinstance(node, BinOp):  # a constant, t, or a state
+        return tuple(float(j == getattr(node, "index", 0)) for j in range(1, arity + 1))
+    left, right = _exact_degrees(node.left, arity), _exact_degrees(node.right, arity)
+    if left is None or right is None or node.op in "+-":
+        return left if left == right else None
+    if node.op == "^":
+        if not _is_constant(node.right):
+            return None
+        try:
+            expo = ExpressionTree(node.right).evaluate(0.0, ())
+        except (DomainViolation, NonFiniteResult):
+            return None
+        degrees = tuple(g * expo + 0.0 for g in left)  # + 0.0: no -0.0 entries
+    else:
+        sign = 1.0 if node.op == "*" else -1.0
+        degrees = tuple(a + sign * b for a, b in zip(left, right))
+    return degrees if all(map(math.isfinite, degrees)) else None
 
-    The degree bracket collapses onto the exact exponents, so the scaling
-    inequalities hold with equality and the strict shape constraints do not;
-    widen the bracket by hand where a strict version is needed.
-    """
-    if not coefficient > 0.0:
-        raise ShapeViolation("coefficient must be positive")
-    exps = tuple(float(g) for g in exponents)
-    if not all(map(math.isfinite, (coefficient, t_power) + exps)):
-        raise ShapeViolation("coefficient, t_power and exponents must be finite")
 
-    def power(base, expo):
-        return base if expo == 1.0 else BinOp("^", base, Const(float(expo)))
-
-    factors = []
-    if coefficient != 1.0 or (t_power == 0.0 and all(g == 0.0 for g in exps)):
-        factors.append(Const(float(coefficient)))
-    if t_power != 0.0:
-        factors.append(power(TimeVar(), t_power))
-    factors += [power(StateVar(j), g) for j, g in enumerate(exps, start=1) if g != 0.0]
-    return Nonlinearity(
-        arity=len(exps),
-        component_index=component_index,
-        body=ExpressionTree(functools.reduce(lambda a, b: BinOp("*", a, b), factors)),
-        degree_low=exps,
-        degree_high=exps,
-    )
+def _is_constant(node) -> bool:
+    """Whether ``node`` reads neither ``t`` nor a state."""
+    if isinstance(node, Neg):
+        return _is_constant(node.child)
+    if isinstance(node, BinOp):
+        return _is_constant(node.left) and _is_constant(node.right)
+    return isinstance(node, Const)
 
 
 @dataclass(frozen=True)

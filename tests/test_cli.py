@@ -102,6 +102,18 @@ class TestSolveCommand:
         assert "# status = converged" in text
         assert "t,u1,alpha1,beta1" in text
 
+    def test_degree_rows_are_optional(self, tmp_path):
+        # without f.1.lambda and f.1.mu the expression's exact degrees build
+        # the band, and the bracketed solve converges inside it
+        cfg = write_cfg(tmp_path, SOLVE_CFG.replace("f.1.lambda = -0.5\n", "")
+                        .replace("f.1.mu = 0.5\n", ""))
+        out = tmp_path / "run.csv"
+        assert main(["solve", str(cfg), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "# status = converged" in text
+        assert "# bracket_respected = true" in text
+        assert "# note = " not in text
+
     def test_reruns_are_byte_identical(self, solve_cfg, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["solve", str(solve_cfg), "--out", str(a)])
@@ -366,6 +378,18 @@ class TestCheckCommand:
         assert record == _as_record(expected)
         assert record["ok"] is False and record["notes"]
 
+    def test_scaling_criterion_on_undeclared_degrees(self, tmp_path, capsys):
+        # the derived degrees (-0.5,) are exact: every draw sits on the bracket
+        cfg = write_cfg(
+            tmp_path,
+            "scale.kind = explicit\nscale.values = 0,0.1,0.25,0.3,0.5,0.55,0.8,1\n"
+            "f.count = 1\nf.1.expr = x1^(-0.5)\ncheck.criterion = scaling\n",
+        )
+        assert main(["check", str(cfg)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["ok"] is True and record["checked"] > 0
+        assert record["shape_ok"] is False  # the collapsed bracket is not strict
+
     @pytest.mark.parametrize(
         "command,entry",
         [("quadrature", "quadrature.weight = plain"),
@@ -592,6 +616,14 @@ class TestConfigErrors:
             "(key 'f.1.expr', line 7)\n"
         )
 
+    def test_overflowing_number_is_reported_with_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SOLVE_CFG.replace("x1^(-0.5)", "1e400*x1^(-0.5)"))
+        assert main(["solve", str(cfg)]) == 4
+        assert capsys.readouterr().err == (
+            "tsdyn: configuration error: number 1e400 overflows (position 1) "
+            "(key 'f.1.expr', line 7)\n"
+        )
+
     def test_bad_expression_reported_with_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SOLVE_CFG.replace("x1^(-0.5)", "x1 +"))
         assert main(["solve", str(cfg)]) == 4
@@ -813,10 +845,10 @@ class TestRunFailures:
 
     @pytest.mark.parametrize("strategy", ["picard", "newton_oracle"])
     def test_band_that_is_not_invariant_exits_three(self, tmp_path, strategy):
-        # without declared degrees the constructed band has alpha == beta,
+        # with zero degrees declared the constructed band has alpha == beta,
         # which is not a lower/upper pair; the run stops at once
-        cfg = write_cfg(tmp_path, SOLVE_CFG.replace("f.1.lambda = -0.5\n", "")
-                        .replace("f.1.mu = 0.5\n", ""))
+        cfg = write_cfg(tmp_path, SOLVE_CFG.replace("f.1.lambda = -0.5\n", "f.1.lambda = 0\n")
+                        .replace("f.1.mu = 0.5\n", "f.1.mu = 0\n"))
         out = tmp_path / "run.csv"
         assert main(["solve", str(cfg), "--strategy", strategy, "--out", str(out)]) == 3
         text = out.read_text()
@@ -834,10 +866,12 @@ class TestRunFailures:
              "construction integrals must be positive", 0),
             ("f.1.expr = 100*(1 + x1^2)\nf.1.lambda = 0\nf.1.mu = 2\n",
              "component 1: diagonal upper degree must stay below one, got 2", 2),
+            ("f.1.expr = x1^2\n",
+             "component 1: diagonal upper degree must stay below one, got 2", 0),
             ("f.1.expr = 1 + x1^0.5\nbc.left = 0.7\nbc.right = 0.1\n",
              "bound construction requires zero boundary values", 0),
         ],
-        ids=["criterion", "shape", "boundary"],
+        ids=["criterion", "shape", "derived-shape", "boundary"],
     )
     def test_refused_bounds_are_the_first_note(self, tmp_path, body, reason, code):
         cfg = write_cfg(tmp_path, "scale.kind = uniform\nscale.points = 17\n"

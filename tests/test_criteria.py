@@ -28,6 +28,8 @@ from tsdyn import (
     NonpositiveEndpoint,
     Nonlinearity,
     ShapeViolation,
+    Status,
+    Strategy,
     SupportMismatch,
     UnknownVariable,
     Verdict,
@@ -41,7 +43,6 @@ from tsdyn import (
     criterion_necessary,
     criterion_sufficient,
     delta_derivative,
-    emden_fowler,
     family_quadrature,
     from_points,
     parse_expression,
@@ -439,7 +440,8 @@ class TestConstructBounds:
         assert np.allclose(ratio, k2 / k1, rtol=1e-12)
 
     def test_emden_fowler_constants(self, unit65):
-        problem = DirichletProblem(unit65, (emden_fowler([-0.5]),))
+        f = Nonlinearity.from_expression("x1^(-0.5)", arity=1)
+        problem = DirichletProblem(unit65, (f,))
         pair = construct_bounds(problem)
         I2 = pair.constants["I2"][0]
         I1 = pair.constants["I1"][0]
@@ -492,6 +494,24 @@ class TestConstructBounds:
         pair = construct_bounds(problem)
         assert verify_lower(problem, pair.alpha).ok
         assert verify_upper(problem, pair.beta).ok
+
+    @pytest.mark.parametrize(
+        "ts",
+        [uniform(0.0, 1.0, 65), uniform(0.0, 1.0, 1025), quantum(2.0, 30),
+         quantum(3.0, 20)],
+        ids=["uniform65", "uniform1025", "quantum2_30", "quantum3_20"],
+    )
+    def test_undeclared_degrees_give_a_verified_band(self, ts):
+        # the derived degrees are (-0.5,) on both edges; zero rows would
+        # give alpha == beta, a band that is not invariant
+        f = Nonlinearity.from_expression("x1^(-0.5)", arity=1)
+        problem = DirichletProblem(ts, (f,))
+        pair = construct_bounds(problem)
+        assert verify_lower(problem, pair.alpha).ok
+        assert verify_upper(problem, pair.beta).ok
+        report = solve(problem, strategy=Strategy.PICARD, brackets=pair.pair)
+        assert report.status is Status.CONVERGED
+        assert report.bracket_respected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -552,8 +572,11 @@ class TestConstructLower:
     )
     def test_lower_bound_verifies_on_emden_fowler_grid(self, ts):
         # diagonal degrees below one of both signs, and a coupled system
-        systems = [(emden_fowler((g,), t_power=p),)
-                   for g in (-0.7, -0.3, 0.0, 0.3, 0.7) for p in (-0.5, 0.0, 1.0)]
+        # t^p * x1^g without its unit factors; undeclared, so the degrees are (g,)
+        t_factor = {-0.5: ["t^(-0.5)"], 0.0: [], 1.0: ["t"]}
+        texts = ["*".join(t_factor[p] + [f"x1^({g})"] * (g != 0.0)) or "1"
+                 for g in (-0.7, -0.3, 0.0, 0.3, 0.7) for p in (-0.5, 0.0, 1.0)]
+        systems = [(Nonlinearity.from_expression(text, arity=1),) for text in texts]
         failed = []
         for f in systems + [coupled_system()]:
             zero = (0.0,) * len(f)
@@ -775,7 +798,8 @@ class TestScalingCheck:
         )
 
     def test_pure_power_sits_on_the_bracket_edge(self, unit65):
-        rep = check_scaling_exponents(emden_fowler([-0.5]), unit65)
+        f = Nonlinearity.from_expression("x1^(-0.5)", arity=1)
+        rep = check_scaling_exponents(f, unit65)
         assert rep.ok           # equality edges are inside the padded bracket
         assert not rep.shape_ok  # but the collapsed bracket is not strict
 

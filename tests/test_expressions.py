@@ -124,6 +124,16 @@ class TestErrors:
             parse_expression(src)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("src,position", [("x1^1e400", 4), ("1e400*x1", 1),
+                                              ("t^(-1e400)*x1", 5)])
+    def test_overflowing_literal_is_a_syntax_error(self, src, position):
+        with pytest.raises(ExpressionSyntaxError, match="number 1e400 overflows") as err:
+            parse_expression(src)
+        assert err.value.position == position
+
+    def test_underflowing_literal_is_zero(self):
+        assert parse_expression("1e-400*x1").root == BinOp("*", Const(0.0), StateVar(1))
+
     def test_syntax_error_message_carries_position(self):
         with pytest.raises(ExpressionSyntaxError) as err:
             parse_expression("1 + * 2")
@@ -182,8 +192,9 @@ class TestPrinter:
         assert str(parse_expression("2^(3^2)")) == "2^3^2"
 
     def test_non_finite_constants_print(self):
-        assert str(parse_expression("1e400")) == "inf"
-        assert str(parse_expression("x1*1e400")) == "x1*inf"
+        # the parser refuses such a literal; a built tree may hold one
+        assert str(ExpressionTree(Const(math.inf))) == "inf"
+        assert str(ExpressionTree(BinOp("*", StateVar(1), Const(math.inf)))) == "x1*inf"
         tree = ExpressionTree(BinOp("^", StateVar(1), Const(-math.inf)))
         assert str(tree) == "x1^(-inf)"
         assert str(ExpressionTree(BinOp("+", TimeVar(), Const(math.nan)))) == "t + nan"

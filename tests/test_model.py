@@ -21,7 +21,6 @@ from tsdyn import (
     check_lipschitz_bound,
     check_monotone_in_state,
     check_scaling_exponents,
-    emden_fowler,
     parse_expression,
     regularized_rhs,
     residual_norm,
@@ -248,15 +247,54 @@ class TestShapeValidation:
             bad.validate_shape()
 
 
-class TestEmdenFowler:
+class TestDerivedDegrees:
+    """Without declared degrees, ``from_expression`` derives the exact ones."""
+
+    @pytest.mark.parametrize(
+        "text,degrees",
+        [
+            ("x1^(-0.5)", (-0.5,)),
+            ("t^(-0.5)*x1^(-0.3)", (-0.3,)),
+            ("(x1*x2)^0.5/x2", (0.5, -0.5)),
+            ("2*x1^-0.5 - t*x1^-0.5", (-0.5,)),
+            ("-x1^2", (2.0,)),
+            ("x1^(2^3)", (8.0,)),
+            ("x2^(-0.5)", (0.0, -0.5)),
+        ],
+    )
+    def test_exact_degrees(self, text, degrees):
+        f = Nonlinearity.from_expression(text, arity=len(degrees))
+        assert f.degree_low == f.degree_high == degrees
+        assert all(math.copysign(1.0, g) == math.copysign(1.0, d)
+                   for g, d in zip(f.degree_low, degrees))  # no -0.0
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1 + x1^0.5", "x1^t", "1 + (1 - x1)^0.5", "x1^x1", "x1^(t^0)",
+         "x1^(1/0)", "x1^((-1)^0.5)", "x1^(1e200*1e200)", "(x1^1e200)^1e200"],
+    )
+    def test_zero_rows_where_the_rules_give_no_finite_degree(self, text):
+        f = Nonlinearity.from_expression(text, arity=1)
+        assert f.degree_low == f.degree_high == (0.0,)
+
+    def test_declared_rows_are_untouched(self):
+        f = Nonlinearity.from_expression("x1^(-0.5)", arity=1,
+                                         degree_low=(-0.7,), degree_high=(0.2,))
+        assert (f.degree_low, f.degree_high) == ((-0.7,), (0.2,))
+        one = Nonlinearity.from_expression("x1^(-0.5)", arity=1, degree_low=(-0.7,))
+        assert (one.degree_low, one.degree_high) == ((-0.7,), (0.0,))
+        one = Nonlinearity.from_expression("x1^(-0.5)", arity=1, degree_high=(0.2,))
+        assert (one.degree_low, one.degree_high) == ((0.0,), (0.2,))
+
     def test_point_value(self):
-        f = emden_fowler([-0.5], coefficient=2.0, t_power=-0.5)
+        f = Nonlinearity.from_expression("2*t^(-0.5)*x1^(-0.5)", arity=1)
         assert f.evaluate(0.25, (4.0,)) == pytest.approx(2.0, abs=1e-15)
 
     def test_scaling_identity_is_exact(self):
         """Pure powers factor scalings out exactly: f(t, c x) = c^g f(t, x)."""
         rng = np.random.default_rng(0xD1E5)
-        f = emden_fowler([-0.7, 0.3], coefficient=1.5, t_power=0.25)
+        f = Nonlinearity.from_expression("1.5*t^0.25*x1^(-0.7)*x2^0.3", arity=2)
+        assert f.degree_low == f.degree_high == (-0.7, 0.3)
         for _ in range(50):
             t = float(rng.uniform(0.05, 1.0))
             x = rng.uniform(0.1, 5.0, size=2)
@@ -268,47 +306,28 @@ class TestEmdenFowler:
             )
 
     def test_bracket_collapses_onto_the_exponents(self):
-        f = emden_fowler([-0.5, -1.2])
+        f = Nonlinearity.from_expression("x1^(-0.5)*x2^(-1.2)", arity=2)
         assert f.degree_low == (-0.5, -1.2)
         assert f.degree_high == (-0.5, -1.2)
         with pytest.raises(ShapeViolation):
             f.validate_shape()
 
-    def test_positive_coefficient_required(self):
-        with pytest.raises(ShapeViolation):
-            emden_fowler([-0.5], coefficient=-1.0)
-
     @pytest.mark.parametrize(
-        "exponents,coefficient,t_power",
+        "exponents,text",
         [
-            ([math.inf], 1.0, 0.0),
-            ([-0.5, math.nan], 1.0, 0.0),
-            ([-0.5], math.inf, 0.0),
-            ([-0.5], 1.0, -math.inf),
-            ([-0.5], 1.0, math.nan),
+            ((-0.5, 2.0), "1.5*t^(-0.25)*x1^(-0.5)*x2^2"),
+            ((1.0, 0.0, -3.0), "t*x1*x3^(-3)"),
+            ((0.0,), "2"),
+            ((0.0,), "1"),
+            ((1e20,), "1e-05*t^1000000000000000*x1^1e+20"),
         ],
     )
-    def test_non_finite_parameters_are_shape_violations(
-        self, exponents, coefficient, t_power
-    ):
-        with pytest.raises(ShapeViolation, match="must be finite"):
-            emden_fowler(exponents, coefficient=coefficient, t_power=t_power)
-
-    @pytest.mark.parametrize(
-        "args,text",
-        [
-            (([-0.5, 2.0], 1.5, -0.25), "1.5*t^(-0.25)*x1^(-0.5)*x2^2"),
-            (([1.0, 0.0, -3.0], 1.0, 1.0), "t*x1*x3^(-3)"),
-            (([0.0], 2.0, 0.0), "2"),
-            (([0.0], 1.0, 0.0), "1"),
-            (([1e20], 1e-5, 1e15), "1e-05*t^1000000000000000*x1^1e+20"),
-        ],
-    )
-    def test_tree_prints_and_evaluates_as_its_text(self, args, text):
-        exponents, coefficient, t_power = args
-        f = emden_fowler(exponents, coefficient=coefficient, t_power=t_power)
+    def test_tree_prints_and_evaluates_as_its_text(self, exponents, text):
+        # separable powers c*t^p*x1^g1*..., printed without unit factors:
+        # their derived degrees are the exponents g
+        f = Nonlinearity.from_expression(text, arity=len(exponents))
         assert str(f.body) == text
-        # the tree is built directly, not parsed; it must equal the parse
+        assert f.degree_low == f.degree_high == exponents
         parsed = parse_expression(text)
         t = np.array([0.3, 0.7])
         x = np.array([[0.9, 0.6, 0.5], [0.4, 0.8, 0.7]])[:, : len(exponents)]
@@ -317,10 +336,6 @@ class TestEmdenFowler:
         assert f.body.evaluate_array(t, x)[0].tobytes() == (
             parsed.evaluate_array(t, x)[0].tobytes()
         )
-
-    def test_component_index_forwarded(self):
-        f = emden_fowler([-0.5, -0.5], component_index=2)
-        assert f.component_index == 2
 
 
 class TestDirichletProblem:

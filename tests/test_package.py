@@ -20,6 +20,36 @@ def test_all_lists_resolvable_names_and_no_modules():
         assert not isinstance(getattr(tsdyn, name), types.ModuleType), name
 
 
+#: The public surface.  Adding or removing a name is a deliberate edit here.
+PUBLIC_NAMES = [
+    "BadRange", "BoundsPair", "BracketViolation", "ConfigError",
+    "ConvergenceVerdict", "CriterionNotSatisfied", "CriterionReport",
+    "DEFAULT_SEED", "DegenerateInterval", "DimensionMismatch",
+    "DirichletProblem", "DomainViolation", "EmptySupport", "EnvelopeViolation",
+    "ExpressionSyntaxError", "ExpressionTree", "FamilyTooShort", "GridFunction",
+    "IndexOutOfRange", "InvalidBase", "LipschitzReport", "NonFiniteResult",
+    "NonMonotonePoints", "Nonlinearity", "NonpositiveEndpoint",
+    "QUANTUM_FAMILY_DEPTHS", "SampleReport", "ScaleMismatch", "ScalingReport",
+    "ShapeViolation", "SolveConfig", "SolveReport", "Status", "Strategy",
+    "SupportMismatch", "TimeScale", "TooFewPoints", "TsdynError",
+    "UNIFORM_FAMILY_SIZES", "UnknownVariable", "Verdict", "VerificationReport",
+    "affine_interpolant", "apply_green_operator", "check_lipschitz_bound",
+    "check_monotone_in_state", "check_scaling_exponents", "clamp_to_band",
+    "classify_weighted_bound", "compute_envelope", "construct_bounds",
+    "construct_lower", "criterion_necessary", "criterion_sufficient",
+    "delta_derivative", "delta_integral", "delta_second", "envelope_weight",
+    "family_quadrature", "from_points", "green_apply", "kernel_lower_weight",
+    "parse_expression", "quantum", "quantum_family", "regularized_rhs",
+    "residual_norm", "rhs_matrix", "same_realization", "sigma_shift", "solve",
+    "uniform", "uniform_family", "verify_lower", "verify_upper",
+]
+
+
+def test_all_is_the_pinned_public_surface():
+    assert len(PUBLIC_NAMES) == 75
+    assert sorted(tsdyn.__all__) == PUBLIC_NAMES
+
+
 def test_import_loads_no_test_or_heavy_modules():
     """Importing the package and its CLI stays cheap: beyond numpy it loads
     only small standard-library modules, and none of these."""

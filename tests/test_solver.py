@@ -61,10 +61,11 @@ def coupled_problem(ts, gamma=0.5):
 
 
 def zero_degree_problem(ts):
-    """The README problem without its declared degrees: both rows default to
-    zero, so ``construct_bounds`` returns ``alpha == beta``, a band that is
-    not invariant."""
-    return DirichletProblem(ts, (Nonlinearity.from_expression("x1^(-0.5)", arity=1),))
+    """The README problem with zero degrees declared, which claims that f
+    ignores the state, so ``construct_bounds`` returns ``alpha == beta``, a
+    band that is not invariant."""
+    return DirichletProblem(ts, (Nonlinearity.from_expression(
+        "x1^(-0.5)", arity=1, degree_low=(0.0,), degree_high=(0.0,)),))
 
 
 def jittered_scale(points, seed):
