@@ -14,7 +14,6 @@ strict brackets are what the shape constraints below ask for.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -245,21 +244,25 @@ def rhs_matrix(
     """Evaluate every ``f_i`` at the equation points ``k = 0 .. N-2``.
 
     ``states[k]`` is the state vector fed to row ``k`` (normally the
-    sigma-shifted iterate).  A domain error in the first row only is the
-    improper-cell case: that entry is recorded and replaced by zero, which
-    truncates the offending graininess cell out of every quadrature built on
-    top.  The second return value lists the dropped components, 1-based,
-    ascending and without repeats.  Errors at interior rows always
-    propagate, re-raised as the same class with a message that starts
-    ``row k, component i:``.
+    sigma-shifted iterate); ``states`` is read as a float array, so a list
+    of rows or an integer array serves as well.  A domain error in the first
+    row only is the improper-cell case: that entry is recorded and replaced
+    by zero, which truncates the offending graininess cell out of every
+    quadrature built on top.  The second return value lists the dropped
+    components, 1-based, ascending and without repeats.  Errors at interior
+    rows always propagate, re-raised as the same class with a message that
+    starts ``row k, component i:``.
 
     Expression bodies are evaluated over all rows at once.  Callable bodies
     are called column by column, rows in order within each column, once per
     entry, as ``body(t, x)`` with ``t`` a Python float and ``x`` the state
     row as a tuple of Python floats (made lazily for each column from one
-    list per call).  Each column is one pass of
-    ``map(float, starmap(body, ...))``; an entry that raises is marked and
-    the pass resumes at the next entry.
+    list per call).  Each column is one pass of ``map(body, points, rows)``,
+    one body call per entry; an entry that raises is marked and the pass
+    resumes at the next entry.  The column's results become floats in one
+    numpy assignment, which gives ``float()``'s bits; only where that
+    assignment refuses a value is the column converted entry by entry,
+    NaN wherever ``float()`` refuses.
     Only the entries an expression guard flags, and the callable entries
     that raised or gave a non-finite value, go through the scalar
     :meth:`Nonlinearity.evaluate` (which calls the body a second time, so
@@ -272,6 +275,7 @@ def rhs_matrix(
     ts = problem.scale
     rows = ts.last_index - 1
     n = problem.n_components
+    states = np.asarray(states, dtype=float)
     if states.shape != (rows, n):
         raise DimensionMismatch(
             f"states must have shape {(rows, n)}, got {states.shape}"
@@ -294,12 +298,13 @@ def rhs_matrix(
     if callables:
         columns = states.T.tolist()
     for i in callables:
-        body = problem.f[i].body
-        values: list[float] = []
-        rest = zip(points, zip(*columns))
+        values: list = []
+        # the row tuples stream: built all at once, they would keep one live
+        # tracked tuple per row and set off the cyclic collector
+        calls = map(problem.f[i].body, points, zip(*columns))
         while True:
             try:
-                values.extend(map(float, itertools.starmap(body, rest)))
+                values.extend(calls)
             except Exception:
                 pass
             if len(values) == rows:
@@ -309,10 +314,18 @@ def rhs_matrix(
             # appended; mark the entry for the scalar path below and resume
             # after it.
             values.append(math.nan)
-        out[:, i] = values
+        try:
+            out[:, i] = values
+        except Exception:  # numpy refused a value: NaN where float() refuses it
+            for k, v in enumerate(values):
+                try:
+                    out[k, i] = float(v)
+                except Exception:
+                    out[k, i] = math.nan
         scalar[:, i] = ~np.isfinite(out[:, i])
     skipped: list[int] = []
-    for k, i in np.argwhere(scalar).tolist():
+    for entry in np.flatnonzero(scalar).tolist():
+        k, i = divmod(entry, n)
         try:
             out[k, i] = problem.f[i].evaluate(points[k], states[k])
         except (DomainViolation, NonFiniteResult) as exc:

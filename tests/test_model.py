@@ -2,6 +2,8 @@
 
 import math
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +47,17 @@ FAULTS = {
     "bool": True,
     "float64": np.float64(-2.5),
     "complex": 1j,  # float() raises TypeError
+    "none": None,  # float() raises TypeError
+    # accepted by float() without being floats: numpy's column conversion
+    # must give float()'s bits
+    "str": "2.5",
+    "bytes": b"2.5",
+    "decimal": Decimal("0.1"),
+    "fraction": Fraction(1, 3),
+    "int64": np.int64(3),
+    "float32": np.float32(0.1),
+    "0-d array": np.array(1.5),
+    "int-rounded": 2**70 + 1,
 }
 
 
@@ -64,12 +77,12 @@ def faulty(faults, calls=None, i=0):
     def body(t, x):
         if calls is not None:
             calls[i, t] += 1
-        fault = faults.get(t)
+        if t not in faults:
+            return 1.0 + t * t + math.fsum(v * v for v in x)
+        fault = faults[t]
         if isinstance(fault, Exception):
             raise type(fault)(*fault.args)
-        if fault is not None:
-            return fault
-        return 1.0 + t * t + math.fsum(v * v for v in x)
+        return fault
 
     return body
 
@@ -537,7 +550,53 @@ class TestRhsMatrix:
                 again = fails(faults.get(t, 0.0)) and calls[i, t] > 0
                 assert got_calls[i, t] == 1 + again, (i, t)
 
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    @pytest.mark.parametrize("where", ["rows 1-2", "every row"])
+    def test_each_fault_as_the_row_by_row_loop(self, name, where):
+        """One fault kind alone in a column, so a value numpy accepts is
+        converted by numpy, and a column of one kind throughout too.  An
+        entry is called once, and once more if it faults and the scalar loop
+        reaches it."""
+        ts = uniform(0.0, 1.0, 9)
+        rows = ts.last_index - 1
+        points = ts.points.tolist()
+        at = range(1, 3) if where == "rows 1-2" else range(rows)
+        calls = Counter()
+        faults = {points[k]: FAULTS[name] for k in at}
+        p = DirichletProblem(ts, (Nonlinearity(1, 1, faulty(faults, calls), (0.0,), (0.0,)),))
+        states = np.linspace(0.5, 2.0, rows)[:, None]
+        got = outcome(rhs_matrix, p, states)
+        got_calls = calls.copy()
+        calls.clear()
+        assert got == outcome(row_by_row, p, states)
+        assert got_calls == Counter({
+            (0, t): 1 + (fails(faults.get(t, 0.0)) and calls[0, t] > 0)
+            for t in points[:rows]})
+
     def test_shape_checked(self, unit65):
         p = DirichletProblem(unit65, (power_law(0.5),))
         with pytest.raises(DimensionMismatch):
             rhs_matrix(p, np.ones((3, 1)))
+        with pytest.raises(DimensionMismatch):
+            rhs_matrix(p, [[1.0]] * 3)
+
+    def test_integer_states_reach_a_callable_as_floats(self, unit65):
+        seen = set()
+
+        def body(t, x):
+            seen.add(tuple(map(type, x)))
+            return t + x[0]
+
+        p = DirichletProblem(unit65, (Nonlinearity(1, 1, body, (0.0,), (0.0,)),))
+        rows = unit65.last_index - 1
+        got = outcome(rhs_matrix, p, np.ones((rows, 1), dtype=int))
+        assert seen == {(float,)}
+        assert got == outcome(rhs_matrix, p, np.ones((rows, 1)))
+
+    @pytest.mark.parametrize("kind", ["callable", "expression"])
+    def test_a_list_of_rows_evaluates_like_the_array(self, unit65, kind):
+        f = (Nonlinearity(1, 1, lambda t, x: math.pow(x[0], -0.5), (-0.5,), (0.5,))
+             if kind == "callable" else power_law(0.5))
+        p = DirichletProblem(unit65, (f,))
+        states = np.linspace(0.5, 2.0, unit65.last_index - 1)[:, None]
+        assert outcome(rhs_matrix, p, states.tolist()) == outcome(rhs_matrix, p, states)

@@ -121,6 +121,67 @@ class TestCallableBodies:
         with pytest.raises(TypeError):
             solve(problem, brackets=brackets)
 
+    #: Each right-hand side as (expression, callable, degree_low, degree_high)
+    #: per component, and the strategies it is solved with.
+    PARITY = {
+        "x1^(-0.3)": ([("x1^(-0.3)", lambda t, x: math.pow(x[0], -0.3), (-0.3,), (0.3,))],
+                      (Strategy.PICARD, Strategy.NEWTON_ORACLE)),
+        "x1^(-0.7)": ([("x1^(-0.7)", lambda t, x: math.pow(x[0], -0.7), (-0.7,), (0.7,))],
+                      (Strategy.PICARD, Strategy.NEWTON_ORACLE)),
+        "1 + x1^0.5": ([("1 + x1^0.5", lambda t, x: 1.0 + math.pow(x[0], 0.5), (0.0,), (0.5,))],
+                       (Strategy.PICARD, Strategy.MONOTONE_UP, Strategy.MONOTONE_DOWN,
+                        Strategy.NEWTON_ORACLE)),
+        "coupled": ([("x1^(-0.3) * x2^(-0.2)",
+                      lambda t, x: math.pow(x[0], -0.3) * math.pow(x[1], -0.2),
+                      (-0.3, -0.3), (0.3, -0.1)),
+                     ("x2^(-0.4) * x1^(-0.1)",
+                      lambda t, x: math.pow(x[1], -0.4) * math.pow(x[0], -0.1),
+                      (-0.2, -0.4), (-0.05, 0.4))],
+                    (Strategy.PICARD, Strategy.NEWTON_ORACLE)),
+        "t^(-1.5)": ([("t^(-1.5)", lambda t, x: math.pow(t, -1.5), (0.0,), (0.0,))],
+                     (Strategy.PICARD, Strategy.NEWTON_ORACLE)),
+    }
+
+    @staticmethod
+    def record(problem, strategies):
+        """Everything the bounds, their verification and each solve report,
+        as bytes where it is a float."""
+        pair = construct_bounds(problem)
+        out = [pair.alpha.values.tobytes(), pair.beta.values.tobytes(),
+               repr(pair.constants), pair.notes,
+               repr(verify_lower(problem, pair.alpha)), repr(verify_upper(problem, pair.beta))]
+        for strategy in strategies:
+            config = SolveConfig(max_iters=30) if strategy is Strategy.NEWTON_ORACLE else None
+            r = solve(problem, strategy=strategy, brackets=pair.pair, config=config)
+            out.append((r.solution.values.tobytes(), r.strategy, r.status, r.iterations,
+                        np.float64(r.final_residual).tobytes(),
+                        np.float64(r.defect).tobytes(), r.bracket_respected, r.notes))
+        return out
+
+    @pytest.mark.parametrize("name", sorted(PARITY))
+    @pytest.mark.parametrize("scale", ["uniform-65", "uniform-1025", "quantum-2-30"])
+    def test_callable_and_expression_give_the_same_bytes(self, name, scale):
+        """The benchmark's right-hand sides as expressions and as callables:
+        bounds, verification and every solve report are byte-equal, the
+        dropped first cell of ``t^(-1.5)`` included."""
+        ts = {"uniform-65": lambda: uniform(0.0, 1.0, 65),
+              "uniform-1025": lambda: uniform(0.0, 1.0, 1025),
+              "quantum-2-30": lambda: quantum(2.0, 30)}[scale]()
+        components, strategies = self.PARITY[name]
+        n = len(components)
+        zeros = (0.0,) * n
+        records = []
+        for form in (0, 1):
+            f = tuple(
+                Nonlinearity.from_expression(text, arity=n, component_index=i,
+                                             degree_low=low, degree_high=high)
+                if form == 0 else Nonlinearity(n, i, body, low, high)
+                for i, (text, body, low, high) in enumerate(components, start=1))
+            records.append(self.record(DirichletProblem(ts, f, zeros, zeros), strategies))
+        assert records[0] == records[1]
+        if name == "t^(-1.5)":
+            assert records[0][3] == ("dropped improper first cell for component(s) [1]",)
+
 
 class TestLinearRegression:
     def test_constant_forcing_has_parabolic_solution(self, unit65):
