@@ -31,6 +31,19 @@ from .errors import (
 from .timescale import TimeScale, same_realization
 
 
+def float_rows(values, what: str) -> np.ndarray:
+    """``values`` as a float array; a nest of rows with unequal lengths, which
+    numpy refuses as an inhomogeneous shape, raises
+    :class:`DimensionMismatch` naming ``what``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except ValueError:
+        nested = np.asarray(values, dtype=object)
+        if any(isinstance(v, (list, tuple, np.ndarray)) for v in nested.flat):
+            raise DimensionMismatch(f"{what} must have rows of equal length") from None
+        raise
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Vector-valued function sampled on indices ``lo..hi`` of one scale.
@@ -47,7 +60,7 @@ class GridFunction:
     hi: int = field(init=False)
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = float_rows(self.values, "values")
         if vals.ndim == 1:
             vals = vals[:, None]
         if vals.ndim != 2:

@@ -35,7 +35,7 @@ from .errors import (
 from .expressions import ExpressionTree
 from .green import envelope_weight, green_solve, kernel_factors, kernel_lower_weight
 from .model import DirichletProblem, Nonlinearity, drop_note, rhs_matrix
-from .timescale import TimeScale, uniform_family
+from .timescale import TimeScale, require_integer, uniform_family
 
 #: Seed for every sampling-based hypothesis check.
 DEFAULT_SEED = 0xD1E5
@@ -385,13 +385,8 @@ def construct_bounds(problem: DirichletProblem) -> BoundsPair:
     """
     vals, skipped = _construction_rhs(problem, "bound construction", _envelope_states)
     ts = problem.scale
-    N = ts.last_index
     n = problem.n_components
-    s = ts.points[: N - 1]
-    sig = ts.points[1:N]
-    # (s - a) <= (sigma(s) - a), so this is also a valid lower kernel weight
-    w_low = (s - ts.a) * (ts.sigma2_b - sig) / ts.span**2
-    I1 = _quadrature(ts, vals, w_low)
+    I1 = _quadrature(ts, vals, kernel_lower_weight(ts))
     I2 = _quadrature(ts, vals)
     if min(I1) <= 0.0 or min(I2) <= 0.0:
         raise CriterionNotSatisfied(
@@ -458,6 +453,9 @@ def construct_lower(problem: DirichletProblem) -> BoundsPair:
 
 
 def _verify(problem, candidate, sign, slack) -> VerificationReport:
+    if not math.isfinite(slack):
+        # no margin falls below a NaN or infinite slack: any candidate would pass
+        raise ConfigError(f"must be finite, got {slack!r}", key="slack")
     ts = problem.scale
     N = ts.last_index
     u = full_support_values(candidate, ts, "candidate")
@@ -490,7 +488,8 @@ def verify_lower(
     problem: DirichletProblem, candidate: GridFunction, *, slack: float = 1e-8
 ) -> VerificationReport:
     """Check ``-u^DD <= f(., u^sigma)`` at every equation point and that the
-    candidate sits at or below the boundary values."""
+    candidate sits at or below the boundary values, both up to ``slack``,
+    which must be finite."""
     return _verify(problem, candidate, +1.0, slack)
 
 
@@ -498,7 +497,8 @@ def verify_upper(
     problem: DirichletProblem, candidate: GridFunction, *, slack: float = 1e-8
 ) -> VerificationReport:
     """Check ``-u^DD >= f(., u^sigma)`` at every equation point and that the
-    candidate sits at or above the boundary values."""
+    candidate sits at or above the boundary values, both up to ``slack``,
+    which must be finite."""
     return _verify(problem, candidate, -1.0, slack)
 
 
@@ -544,9 +544,7 @@ def _draws(rng, ts: TimeScale, arity: int, lo: float, hi: float, samples: int):
     one state of ``arity`` entries, log-uniform in ``[lo, hi]``; a check
     draws what else it needs from ``rng`` between two of them.  A count that
     is not an integer >= 0 raises :class:`ConfigError` keyed ``samples``."""
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise ConfigError(f"expected an integer, got {samples!r}", key="samples")
-    if samples < 0:
+    if require_integer(samples, "samples") < 0:
         raise ConfigError(f"must be >= 0, got {samples}", key="samples")
     for _ in range(samples):
         t = float(rng.choice(ts.points[1:-1]))

@@ -113,7 +113,10 @@ def kernel_lower_weight(ts: TimeScale) -> np.ndarray:
     """Lower weight w(s) = (sigma(s) - a)(sigma^2(b) - sigma(s)) / D^2.
 
     One entry per equation point ``k = 0..N-2``.  The kernel dominates it
-    against the envelope: G(t, s) >= e(t) w(s) for all t.
+    against the envelope: G(t, s) >= e(t) w(s) for all t.  Every lower-weighted
+    integral reads it: ``I1`` of ``construct_bounds``, ``L1`` and the kernel
+    image of ``construct_lower``, ``J1`` of ``compute_envelope`` and
+    ``family_quadrature(weight="envelope")``.
     """
     sig = ts.points[1 : ts.last_index]
     return (sig - ts.a) * (ts.sigma2_b - sig) / ts.span**2

@@ -20,6 +20,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .calculus import float_rows
 from .errors import (
     DimensionMismatch,
     DomainViolation,
@@ -63,6 +64,10 @@ class Nonlinearity:
                 f"degree rows must have {self.arity} entries, got "
                 f"{len(self.degree_low)} and {len(self.degree_high)}"
             )
+        for row in ("degree_low", "degree_high"):
+            for j, v in enumerate(getattr(self, row)):
+                if not math.isfinite(v):
+                    raise ShapeViolation(f"{row} for x{j + 1} must be finite, got {v!r}")
         if isinstance(self.body, ExpressionTree):
             used = self.body.max_state_index()
             if used > self.arity:
@@ -225,6 +230,12 @@ class DirichletProblem:
                 f"boundary vectors must have {n} entries, got "
                 f"{len(left)} and {len(right)}"
             )
+        for side, values in (("boundary_left", left), ("boundary_right", right)):
+            for i, v in enumerate(values):
+                if not math.isfinite(v):
+                    raise NonFiniteResult(
+                        f"{side} for component {i + 1} must be finite, got {v!r}"
+                    )
         object.__setattr__(self, "boundary_left", left)
         object.__setattr__(self, "boundary_right", right)
 
@@ -275,7 +286,7 @@ def rhs_matrix(
     ts = problem.scale
     rows = ts.last_index - 1
     n = problem.n_components
-    states = np.asarray(states, dtype=float)
+    states = float_rows(states, "states")
     if states.shape != (rows, n):
         raise DimensionMismatch(
             f"states must have shape {(rows, n)}, got {states.shape}"

@@ -20,12 +20,14 @@ of any single member, so no behavioral branch depends on it here.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateInterval,
     IndexOutOfRange,
     InvalidBase,
@@ -175,13 +177,22 @@ def from_points(points: Sequence[float]) -> TimeScale:
     return TimeScale(np.asarray(points, dtype=float))
 
 
+def require_integer(value, key: str) -> int:
+    """``value``, which must be an integer (a numpy integer serves), as an
+    ``int``; anything else raises :class:`ConfigError` keyed ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"expected an integer, got {value!r}", key=key)
+    return int(value)
+
+
 def uniform(a: float, end: float, n: int) -> TimeScale:
     """Uniform realization of [a, end] with ``n`` points."""
+    n = require_integer(n, "n")
     if n < 4:
         raise TooFewPoints(f"uniform realization needs n >= 4, got {n}")
     if not end > a:
         raise DegenerateInterval(f"need end > a, got [{a}, {end}]")
-    return TimeScale(np.linspace(float(a), float(end), int(n)))
+    return TimeScale(np.linspace(float(a), float(end), n))
 
 def quantum(q: float, depth: int) -> TimeScale:
     """Truncated quantum realization {0} | {q^-k : k = depth..0}.
@@ -193,12 +204,13 @@ def quantum(q: float, depth: int) -> TimeScale:
     1 survive; criteria that quote untruncated quantities accept an explicit
     evaluation-point override.
     """
+    depth = require_integer(depth, "depth")
     if not q > 1.0:
         raise InvalidBase(f"quantum base must satisfy q > 1, got {q}")
     if depth < 3:
         raise TooFewPoints(f"quantum realization needs depth >= 3, got {depth}")
     q = float(q)
-    pts = np.array([0.0] + [q ** (-k) for k in range(int(depth), -1, -1)])
+    pts = np.array([0.0] + [q ** (-k) for k in range(depth, -1, -1)])
     return TimeScale(pts, q=q)
 
 

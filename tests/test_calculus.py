@@ -51,6 +51,14 @@ class TestGridFunction:
         with pytest.raises(DimensionMismatch, match="a vector or a 2-d array"):
             GridFunction(unit5, np.zeros((5, 1, 1)))
 
+    def test_ragged_rows_rejected(self, unit5):
+        with pytest.raises(DimensionMismatch, match="values must have rows of equal length"):
+            GridFunction(unit5, [[1.0], [1.0, 2.0], [1.0], [1.0], [1.0]])
+
+    def test_values_that_are_no_numbers_still_raise_value_error(self, unit5):
+        with pytest.raises(ValueError):
+            GridFunction(unit5, ["a"] * 5)
+
     def test_components_are_numbered_from_one(self, unit5):
         u = GridFunction.constant(unit5, [1.0, 2.0])
         assert u.component(2).tolist() == [2.0] * 5

@@ -45,6 +45,7 @@ from tsdyn import (
     delta_derivative,
     family_quadrature,
     from_points,
+    green_apply,
     parse_expression,
     quantum,
     quantum_family,
@@ -388,15 +389,17 @@ class TestConstructBounds:
     def problem(self, unit65):
         return DirichletProblem(unit65, (power_law(0.5),))
 
-    def test_constants_match_loop_oracle(self, problem):
-        ts = problem.scale
+    @pytest.mark.parametrize("ts", [uniform(0.0, 1.0, 65), quantum(2.0, 10)],
+                             ids=["uniform65", "quantum2_10"])
+    def test_constants_match_loop_oracle(self, ts):
+        problem = DirichletProblem(ts, (power_law(0.5),))
         f = problem.f[0]
         D = ts.span
         I1 = I2 = 0.0
         for k in range(ts.last_index - 1):
             s, sig = float(ts.points[k]), float(ts.points[k + 1])
             v = f.evaluate(s, (envelope_at(ts, sig),))
-            I1 += float(ts.mu[k]) * (s - ts.a) * (ts.sigma2_b - sig) / D**2 * v
+            I1 += float(ts.mu[k]) * (sig - ts.a) * (ts.sigma2_b - sig) / D**2 * v
             I2 += float(ts.mu[k]) * v
         pair = construct_bounds(problem)
         assert pair.constants["I1"][0] == pytest.approx(I1, rel=1e-13)
@@ -412,10 +415,48 @@ class TestConstructBounds:
         )
 
     def test_constants_pinned_on_readme_problem(self, problem):
-        """The lower construction integral keeps its (s - a) weight: pinned."""
+        """The lower construction integral takes the kernel's lower weight
+        w(s) = (sigma(s) - a)(sigma^2(b) - sigma(s)) / D^2: pinned."""
         pair = construct_bounds(problem)
         assert pair.constants["k1"][0] == pytest.approx(0.04674077332568867, rel=1e-14)
-        assert pair.constants["k2"][0] == pytest.approx(20.817737472835006, rel=1e-14)
+        assert pair.constants["k2"][0] == pytest.approx(19.66562066274869, rel=1e-14)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize(
+        "ts", [uniform(0.0, 1.0, 65), quantum(2.0, 10), quantum(3.0, 20)],
+        ids=["uniform65", "quantum2_10", "quantum3_20"],
+    )
+    def test_band_nests_inside_the_s_weighted_band(self, ts, gamma):
+        """The smaller weight (s - a)(sigma^2(b) - sigma(s)) / D^2 is also a
+        lower kernel weight, but it undercounts I1 by (s - a) / (sigma(s) - a)
+        per cell: 1/q on a quantum mesh.  The kernel's own weight gives a
+        band inside the one it builds, strictly narrower on quantum meshes,
+        and both sides still verify."""
+        problem = DirichletProblem(ts, (power_law(gamma),))
+        D = ts.span
+        vals = []
+        I1 = I2 = 0.0
+        for k in range(ts.last_index - 1):
+            s, sig = float(ts.points[k]), float(ts.points[k + 1])
+            v = problem.f[0].evaluate(s, (envelope_at(ts, sig),))
+            vals.append(v)
+            I1 += float(ts.mu[k]) * (s - ts.a) * (ts.sigma2_b - sig) / D**2 * v
+            I2 += float(ts.mu[k]) * v
+        # lambda = -gamma, mu = gamma: gap -2 gamma, exponent 1 / (1 - gamma)
+        C = max(1.0 / I1, I2, 1.0)
+        expo = 1.0 / (1.0 - gamma)
+        k1_old = min(1.0, (C ** (-2 * gamma) * I2 ** -gamma) ** expo)
+        k2_old = max(1.0, (C ** (2 * gamma) * I1 ** -gamma) ** expo)
+        y = green_apply(ts, GridFunction(ts, vals)).values
+        pair = construct_bounds(problem)
+        alpha, beta = pair.alpha.values, pair.beta.values
+        assert np.all(alpha >= k1_old * y * (1.0 - 1e-12))
+        assert np.all(beta <= k2_old * y * (1.0 + 1e-12))
+        k1, k2 = pair.constants["k1"][0], pair.constants["k2"][0]
+        if ts.q is not None:
+            assert k2 / k1 < (1.0 - 1e-6) * (k2_old / k1_old)
+        assert verify_lower(problem, pair.alpha).ok
+        assert verify_upper(problem, pair.beta).ok
 
     def test_pair_is_ordered_and_pinned(self, problem):
         pair = construct_bounds(problem)
@@ -438,6 +479,17 @@ class TestConstructBounds:
         k2 = pair.constants["k2"][0]
         ratio = pair.beta.values[1:-1] / pair.alpha.values[1:-1]
         assert np.allclose(ratio, k2 / k1, rtol=1e-12)
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+    def test_slack_must_be_finite(self, problem, slack):
+        """No margin falls below a NaN slack, and every one stays above an
+        infinite one, so either would pass any candidate."""
+        alpha, beta = construct_bounds(problem).pair
+        for verify, candidate in ((verify_lower, 100.0 * beta), (verify_upper, 1e-9 * alpha)):
+            assert not verify(problem, candidate).ok
+            with pytest.raises(ConfigError) as info:
+                verify(problem, candidate, slack=slack)
+            assert info.value.key == "slack"
 
     def test_emden_fowler_constants(self, unit65):
         f = Nonlinearity.from_expression("x1^(-0.5)", arity=1)

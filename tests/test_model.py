@@ -218,6 +218,17 @@ class TestNonlinearity:
         with pytest.raises(TypeError):
             f.evaluate(0.5, (1.0,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", ["degree_low", "degree_high"])
+    def test_degrees_must_be_finite(self, row, bad):
+        degrees = {"degree_low": (-0.5, -0.2), "degree_high": (0.5, -0.1)}
+        degrees[row] = (degrees[row][0], bad)
+        match = f"{row} for x2 must be finite, got {bad!r}"
+        with pytest.raises(ShapeViolation, match=match):
+            Nonlinearity(2, 1, lambda t, x: 1.0, **degrees)
+        with pytest.raises(ShapeViolation, match=match):
+            Nonlinearity.from_expression("x1^(-0.5) * x2^(-0.2)", arity=2, **degrees)
+
     def test_diagonal_degrees(self):
         f = power_law(0.5)
         assert f.diagonal_low == -0.5
@@ -376,6 +387,17 @@ class TestDirichletProblem:
     def test_boundary_length_checked(self, unit65):
         with pytest.raises(DimensionMismatch):
             DirichletProblem(unit65, (power_law(0.5),), boundary_left=(0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["boundary_left", "boundary_right"])
+    def test_boundary_values_must_be_finite(self, unit65, side, bad):
+        f = Nonlinearity.from_expression("x1 + x2", arity=2)
+        g = Nonlinearity.from_expression("x1", arity=2, component_index=2)
+        match = f"{side} for component 2 must be finite, got {bad!r}"
+        with pytest.raises(NonFiniteResult, match=match):
+            DirichletProblem(unit65, (f, g), **{"boundary_left": (0.0, 0.0),
+                                                "boundary_right": (0.0, 0.0),
+                                                side: (0.0, bad)})
 
     def test_positive_system_detection(self, unit65):
         assert DirichletProblem(unit65, (power_law(0.5),)).is_positive_system
@@ -579,6 +601,16 @@ class TestRhsMatrix:
             rhs_matrix(p, np.ones((3, 1)))
         with pytest.raises(DimensionMismatch):
             rhs_matrix(p, [[1.0]] * 3)
+
+    @pytest.mark.parametrize("kind", ["callable", "expression"])
+    def test_ragged_rows_are_a_dimension_mismatch(self, unit65, kind):
+        f = (Nonlinearity(1, 1, lambda t, x: x[0], (1.0,), (1.0,))
+             if kind == "callable" else power_law(0.5))
+        p = DirichletProblem(unit65, (f,))
+        rows = [[1.0]] * (unit65.last_index - 1)
+        rows[1] = [1.0, 2.0]
+        with pytest.raises(DimensionMismatch, match="states must have rows of equal length"):
+            rhs_matrix(p, rows)
 
     def test_integer_states_reach_a_callable_as_floats(self, unit65):
         seen = set()

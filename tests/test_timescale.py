@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tsdyn import (
+    ConfigError,
     InvalidBase,
     IndexOutOfRange,
     NonMonotonePoints,
@@ -126,6 +127,17 @@ class TestUniform:
         with pytest.raises(TooFewPoints):
             uniform(0.0, 1.0, 3)
 
+    @pytest.mark.parametrize("n", [64.9, 65.0, "65", True, None])
+    def test_count_must_be_an_integer(self, n):
+        with pytest.raises(ConfigError) as info:
+            uniform(0.0, 1.0, n)
+        assert info.value.key == "n"
+
+    def test_numpy_integer_count_accepted(self):
+        ts = uniform(0.0, 1.0, np.int64(65))
+        assert ts.npoints == 65
+        assert np.array_equal(ts.points, uniform(0.0, 1.0, 65).points)
+
     def test_rejects_empty_interval(self):
         with pytest.raises(DegenerateInterval):
             uniform(1.0, 1.0, 5)
@@ -153,6 +165,17 @@ class TestQuantum:
     def test_rejects_shallow_depth(self):
         with pytest.raises(TooFewPoints):
             quantum(2.0, 2)
+
+    @pytest.mark.parametrize("depth", [3.7, 4.0, "4", False])
+    def test_depth_must_be_an_integer(self, depth):
+        with pytest.raises(ConfigError) as info:
+            quantum(2.0, depth)
+        assert info.value.key == "depth"
+
+    def test_numpy_integer_depth_accepted(self):
+        ts = quantum(2.0, np.int32(10))
+        assert ts.npoints == 12
+        assert np.array_equal(ts.points, quantum(2.0, 10).points)
 
     def test_graininess_scales_geometrically(self):
         ts = quantum(2.0, 6)
