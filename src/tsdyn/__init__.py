@@ -37,26 +37,14 @@ from .criteria import (
     verify_upper,
 )
 from .errors import (
-    BadRange,
     BracketViolation,
     ConfigError,
     CriterionNotSatisfied,
-    DegenerateInterval,
     DimensionMismatch,
     DomainViolation,
-    EmptySupport,
     EnvelopeViolation,
     ExpressionSyntaxError,
-    FamilyTooShort,
-    IndexOutOfRange,
-    InvalidBase,
-    NonFiniteResult,
-    NonMonotonePoints,
-    NonpositiveEndpoint,
-    ScaleMismatch,
-    ShapeViolation,
     SupportMismatch,
-    TooFewPoints,
     TsdynError,
     UnknownVariable,
 )
@@ -103,13 +91,9 @@ __all__ = [
     "classify_weighted_bound", "compute_envelope", "construct_bounds",
     "construct_lower", "criterion_necessary", "criterion_sufficient",
     "family_quadrature", "verify_lower", "verify_upper",
-    "BadRange", "BracketViolation", "ConfigError",
-    "CriterionNotSatisfied", "DegenerateInterval", "DimensionMismatch",
-    "DomainViolation", "EmptySupport", "EnvelopeViolation",
-    "ExpressionSyntaxError", "FamilyTooShort", "IndexOutOfRange",
-    "InvalidBase", "NonFiniteResult", "NonMonotonePoints",
-    "NonpositiveEndpoint", "ScaleMismatch", "ShapeViolation",
-    "SupportMismatch", "TooFewPoints", "TsdynError", "UnknownVariable",
+    "BracketViolation", "ConfigError", "CriterionNotSatisfied",
+    "DimensionMismatch", "DomainViolation", "EnvelopeViolation",
+    "ExpressionSyntaxError", "SupportMismatch", "TsdynError", "UnknownVariable",
     "ExpressionTree", "parse_expression",
     "affine_interpolant", "envelope_weight", "green_apply",
     "kernel_lower_weight",

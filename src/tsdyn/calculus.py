@@ -18,17 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BadRange,
-    BracketViolation,
-    DimensionMismatch,
-    EmptySupport,
-    IndexOutOfRange,
-    NonFiniteResult,
-    ScaleMismatch,
-    SupportMismatch,
-)
-from .timescale import TimeScale, same_realization
+from .errors import BracketViolation, DimensionMismatch, DomainViolation, SupportMismatch
+from .timescale import TimeScale, require_integer, same_realization
 
 
 def float_rows(values, what: str) -> np.ndarray:
@@ -68,9 +59,9 @@ class GridFunction:
         lo = int(self.lo)
         hi = lo + vals.shape[0] - 1
         if not 0 <= lo <= hi <= self.scale.last_index:
-            raise BadRange(f"support [{lo}, {hi}] leaves the realization")
+            raise SupportMismatch(f"support [{lo}, {hi}] leaves the realization")
         if not np.all(np.isfinite(vals)):
-            raise NonFiniteResult("grid functions must hold finite values")
+            raise DomainViolation("grid functions must hold finite values")
         vals = np.ascontiguousarray(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -88,9 +79,8 @@ class GridFunction:
         hi: int | None = None,
     ) -> "GridFunction":
         hi = scale.last_index if hi is None else int(hi)
-        rows = [np.atleast_1d(np.asarray(fn(float(t)), dtype=float))
-                for t in scale.points[lo : hi + 1]]
-        return cls(scale, np.vstack(rows), lo)
+        rows = [np.atleast_1d(fn(float(t))) for t in scale.points[lo : hi + 1]]
+        return cls(scale, float_rows(rows, "the callable's values"), lo)
 
     @classmethod
     def constant(
@@ -118,7 +108,7 @@ class GridFunction:
 
     def value_at(self, k: int) -> np.ndarray:
         if not self.lo <= k <= self.hi:
-            raise IndexOutOfRange(f"index {k} outside support [{self.lo}, {self.hi}]")
+            raise SupportMismatch(f"index {k} outside support [{self.lo}, {self.hi}]")
         return self.values[k - self.lo]
 
     def component(self, i: int) -> np.ndarray:
@@ -129,7 +119,7 @@ class GridFunction:
 
     def restrict(self, lo: int, hi: int) -> "GridFunction":
         if not self.lo <= lo <= hi <= self.hi:
-            raise BadRange(f"[{lo}, {hi}] not inside support [{self.lo}, {self.hi}]")
+            raise SupportMismatch(f"[{lo}, {hi}] not inside support [{self.lo}, {self.hi}]")
         return GridFunction(self.scale, self.values[lo - self.lo : hi - self.lo + 1], lo)
 
     def max_abs(self) -> float:
@@ -142,7 +132,7 @@ class GridFunction:
             require_realization(other, self.scale, "operand")
             lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
             if lo > hi:
-                raise EmptySupport("supports do not overlap")
+                raise SupportMismatch("supports do not overlap")
             left = self.values[lo - self.lo : hi - self.lo + 1]
             right = other.values[lo - other.lo : hi - other.lo + 1]
             if left.shape[1] != right.shape[1]:
@@ -176,10 +166,10 @@ class GridFunction:
 
 
 def require_realization(u: GridFunction, scale: TimeScale, what: str) -> None:
-    """Raise :class:`ScaleMismatch` unless ``u`` lives on ``scale``'s
+    """Raise :class:`SupportMismatch` unless ``u`` lives on ``scale``'s
     realization (:func:`same_realization`); ``what`` names ``u``."""
     if not same_realization(u.scale, scale):
-        raise ScaleMismatch(f"{what} lives on another realization")
+        raise SupportMismatch(f"{what} lives on another realization")
 
 
 def full_support_values(u: GridFunction, scale: TimeScale, what: str) -> np.ndarray:
@@ -220,7 +210,7 @@ def equation_defect(ts: TimeScale, u: np.ndarray, rhs: np.ndarray) -> np.ndarray
 def delta_derivative(u: GridFunction) -> GridFunction:
     """Forward difference quotient against graininess; support shrinks by one."""
     if u.hi - u.lo < 1:
-        raise EmptySupport("delta derivative needs at least two supported points")
+        raise SupportMismatch("delta derivative needs at least two supported points")
     vals = difference_quotient(u.values, u.scale.mu[u.lo : u.hi])
     return GridFunction(u.scale, vals, u.lo)
 
@@ -228,14 +218,14 @@ def delta_derivative(u: GridFunction) -> GridFunction:
 def delta_second(u: GridFunction) -> GridFunction:
     """Second delta derivative; support shrinks by two."""
     if u.hi - u.lo < 2:
-        raise EmptySupport("second delta derivative needs at least three points")
+        raise SupportMismatch("second delta derivative needs at least three points")
     return delta_derivative(delta_derivative(u))
 
 
 def sigma_shift(u: GridFunction) -> GridFunction:
     """(u^sigma)_k = u_{k+1}; support shrinks by one at the top."""
     if u.hi - u.lo < 1:
-        raise EmptySupport("shift needs at least two supported points")
+        raise SupportMismatch("shift needs at least two supported points")
     return GridFunction(u.scale, u.values[1:], u.lo)
 
 
@@ -246,11 +236,11 @@ def delta_integral(u: GridFunction, lo: int, hi: int) -> np.ndarray:
     The summation order is fixed (ascending k), so results are reproducible
     bit for bit.
     """
-    lo, hi = int(lo), int(hi)
+    lo, hi = require_integer(lo, "lo"), require_integer(hi, "hi")
     if lo > hi:
-        raise BadRange(f"reversed range [{lo}, {hi})")
+        raise SupportMismatch(f"reversed range [{lo}, {hi})")
     if lo < u.lo or hi > u.hi + 1 or hi - 1 > u.scale.last_index - 1:
-        raise BadRange(
+        raise SupportMismatch(
             f"range [{lo}, {hi}) leaves support [{u.lo}, {u.hi}] or the scale"
         )
     total = np.zeros(u.n_components)

@@ -40,18 +40,7 @@ from .criteria import (
     verify_upper,
 )
 from .criteria import DEFAULT_SEED, _resolve_family
-from .errors import (
-    BracketViolation,
-    ConfigError,
-    CriterionNotSatisfied,
-    DegenerateInterval,
-    FamilyTooShort,
-    InvalidBase,
-    NonMonotonePoints,
-    ShapeViolation,
-    TooFewPoints,
-    TsdynError,
-)
+from .errors import BracketViolation, ConfigError, CriterionNotSatisfied, TsdynError
 from .model import DirichletProblem, Nonlinearity
 from .solver import SolveConfig, Status, Strategy, solve
 from .timescale import (QUANTUM_FAMILY_DEPTHS, UNIFORM_FAMILY_SIZES, TimeScale,
@@ -240,24 +229,27 @@ def build_scale(cfg: Config) -> TimeScale:
     time-scale constructor is a configuration error naming the entry it
     refused; a bad interval names the end the file sets."""
     kind = cfg["scale.kind"]
+    if kind == "uniform":
+        build, keys = uniform, ("scale.start", "scale.end", "scale.points")
+    elif kind == "quantum":
+        build, keys = quantum, ("scale.q", "scale.depth")
+    else:
+        build, keys = from_points, ("scale.values",)
+    args = [cfg[key] for key in keys]  # outside the try: a missing entry keeps its key
     try:
-        if kind == "uniform":
-            return uniform(cfg["scale.start"], cfg["scale.end"], cfg["scale.points"])
-        if kind == "quantum":
-            return quantum(cfg["scale.q"], cfg["scale.depth"])
-        return from_points(cfg["scale.values"])
-    except (TooFewPoints, InvalidBase, DegenerateInterval, NonMonotonePoints) as exc:
+        return build(*args)
+    except ConfigError as exc:
         if kind == "explicit":
             key = "scale.values"
-        elif isinstance(exc, InvalidBase):
+        elif exc.key == "q":
             key = "scale.q"
         elif kind == "quantum":
             key = "scale.depth"  # too shallow, or deep enough to underflow
-        elif isinstance(exc, TooFewPoints):
+        elif exc.key == "n":
             key = "scale.points"
         else:
             key = "scale.start" if "scale.start" in cfg.entries else "scale.end"
-        raise cfg.error(key, str(exc)) from None
+        raise cfg.error(key, exc.reason) from None
 
 
 def build_nonlinearities(cfg: Config) -> tuple[Nonlinearity, ...]:
@@ -308,9 +300,8 @@ def _family(scale: TimeScale, override: str | None) -> list[TimeScale]:
         else:
             family = uniform_family(scale.a, scale.sigma2_b, ladder or UNIFORM_FAMILY_SIZES)
         return _resolve_family(family)
-    except (TooFewPoints, NonMonotonePoints, FamilyTooShort, ConfigError) as exc:
-        reason = exc.reason if isinstance(exc, ConfigError) else str(exc)
-        raise ConfigError(reason, key="--family") from None
+    except ConfigError as exc:
+        raise ConfigError(exc.reason, key="--family") from None
 
 
 # --- output helpers ----------------------------------------------------------
@@ -444,7 +435,7 @@ def _cmd_solve(cfg: Config, args) -> int:
     if cfg["solve.use_bounds"]:
         try:
             brackets = construct_bounds(problem).pair
-        except (ShapeViolation, CriterionNotSatisfied) as exc:
+        except CriterionNotSatisfied as exc:
             refused = exc
     config = SolveConfig(tol_residual=cfg["solve.tol_residual"],
                          max_iters=cfg["solve.max_iters"])

@@ -21,21 +21,12 @@ import numpy as np
 
 from .calculus import (GridFunction, band_values, equation_defect,
                        full_support_values)
-from .errors import (
-    BracketViolation,
-    ConfigError,
-    CriterionNotSatisfied,
-    DomainViolation,
-    EnvelopeViolation,
-    FamilyTooShort,
-    NonFiniteResult,
-    NonpositiveEndpoint,
-    ShapeViolation,
-)
+from .errors import (BracketViolation, ConfigError, CriterionNotSatisfied, DomainViolation,
+                     EnvelopeViolation)
 from .expressions import ExpressionTree
 from .green import envelope_weight, green_solve, kernel_factors, kernel_lower_weight
 from .model import DirichletProblem, Nonlinearity, drop_note, rhs_matrix
-from .timescale import TimeScale, require_integer, uniform_family
+from .timescale import TimeScale, require_finite, require_integer, uniform_family
 
 #: Seed for every sampling-based hypothesis check.
 DEFAULT_SEED = 0xD1E5
@@ -183,13 +174,13 @@ def _classify(trail: Sequence[float], positive: bool) -> ConvergenceVerdict:
 
 def _resolve_family(scales) -> list[TimeScale]:
     """``scales`` as a list, by default uniform realizations of ``[0, 1]``.
-    Fewer than ``_MIN_FAMILY`` members raise :class:`FamilyTooShort`; point
-    counts that do not strictly increase refine nothing and raise
-    :class:`ConfigError` keyed ``scales``."""
+    Fewer than ``_MIN_FAMILY`` members, or point counts that do not strictly
+    increase and so refine nothing, raise :class:`ConfigError` keyed
+    ``scales``."""
     family = list(scales) if scales is not None else uniform_family(0.0, 1.0)
     if len(family) < _MIN_FAMILY:
-        raise FamilyTooShort(
-            f"need at least {_MIN_FAMILY} realizations, got {len(family)}"
+        raise ConfigError(
+            f"need at least {_MIN_FAMILY} realizations, got {len(family)}", key="scales"
         )
     sizes = [ts.npoints for ts in family]
     if any(fine <= coarse for coarse, fine in zip(sizes, sizes[1:])):
@@ -206,7 +197,9 @@ def _pinned_states(ts: TimeScale, n: int, pin: float) -> np.ndarray:
     """Every state slot of every equation point pinned at ``pin``, which must
     be positive and finite."""
     if not 0.0 < pin < math.inf:
-        raise NonpositiveEndpoint(f"evaluation point must be positive and finite, got {pin!r}")
+        raise CriterionNotSatisfied(
+            f"evaluation point must be positive and finite, got {pin!r}"
+        )
     return np.full((ts.last_index - 1, n), float(pin))
 
 
@@ -365,10 +358,10 @@ def _construction_rhs(problem: DirichletProblem, what: str, states) -> tuple:
     values and diagonal upper degrees below one: both constructions raise
     their constants to the power ``1 / (1 - mu_ii)``."""
     if not problem.is_positive_system:
-        raise ShapeViolation(f"{what} requires zero boundary values")
+        raise CriterionNotSatisfied(f"{what} requires zero boundary values")
     for fi in problem.f:
         if not fi.diagonal_high < 1.0:
-            raise ShapeViolation(
+            raise CriterionNotSatisfied(
                 f"component {fi.component_index}: diagonal upper degree must "
                 f"stay below one, got {fi.diagonal_high:g}"
             )
@@ -453,9 +446,8 @@ def construct_lower(problem: DirichletProblem) -> BoundsPair:
 
 
 def _verify(problem, candidate, sign, slack) -> VerificationReport:
-    if not math.isfinite(slack):
-        # no margin falls below a NaN or infinite slack: any candidate would pass
-        raise ConfigError(f"must be finite, got {slack!r}", key="slack")
+    # no margin falls below a NaN or infinite slack: any candidate would pass
+    require_finite(slack, "slack")
     ts = problem.scale
     N = ts.last_index
     u = full_support_values(candidate, ts, "candidate")
@@ -463,7 +455,7 @@ def _verify(problem, candidate, sign, slack) -> VerificationReport:
     # sign +1 checks a lower solution: -u^DD <= f; -1 the reverse
     margin = -sign * equation_defect(ts, u, vals)
     if not np.all(np.isfinite(margin)):
-        raise NonFiniteResult("second delta derivative of the candidate is not finite")
+        raise DomainViolation("second delta derivative of the candidate is not finite")
     bad = np.argwhere(margin < -slack)
     violations = [(int(i) + 1, int(k), float(-margin[k, i])) for k, i in bad]
     worst = float(min(0.0, np.min(margin)))
@@ -511,7 +503,7 @@ def compute_envelope(problem: DirichletProblem, solution: GridFunction) -> dict:
     Raises :class:`EnvelopeViolation` at the first escape.
     """
     if not problem.is_positive_system:
-        raise ShapeViolation("the envelope display requires zero boundary values")
+        raise CriterionNotSatisfied("the envelope display requires zero boundary values")
     ts = problem.scale
     N = ts.last_index
     u = full_support_values(solution, ts, "solution")
@@ -555,7 +547,7 @@ def _value(f: Nonlinearity, t: float, x: np.ndarray) -> float | None:
     """``f(t, x)``, or ``None`` where it is undefined or not finite."""
     try:
         return f.evaluate(t, x)
-    except (DomainViolation, NonFiniteResult):
+    except DomainViolation:
         return None
 
 
@@ -583,7 +575,7 @@ def check_scaling_exponents(
     try:
         f.validate_shape()
         shape_ok = True
-    except ShapeViolation:
+    except CriterionNotSatisfied:
         shape_ok = False
     checked = 0
     witness = None
@@ -668,7 +660,7 @@ def check_lipschitz_bound(
     """
     lo, hi = float(band[0]), float(band[1])
     if not 0.0 < lo < hi < math.inf:
-        raise DomainViolation(f"band must satisfy 0 < lo < hi < inf, got {band!r}")
+        raise ConfigError(f"band must satisfy 0 < lo < hi < inf, got {band!r}", key="band")
     rng = np.random.default_rng(seed)
     anchor = np.full(f.arity, lo)
     probes = [(float(t), anchor, j, 1e-6 * lo)

@@ -1,8 +1,22 @@
 """Exception hierarchy for tsdyn.
 
 Every error raised on purpose by this package derives from :class:`TsdynError`,
-so callers can catch one type at an API boundary.  Construction errors carry
-enough context (an index, a key, a position) to point at the offending datum.
+so callers can catch one type at an API boundary.  Each subclass stands for
+one remedy, what a caller does about it:
+
+=====================  ===================================  ===============================
+class                  raised when                          the caller
+=====================  ===================================  ===============================
+ConfigError            an argument or entry is refused      fixes the entry ``key`` names
+DimensionMismatch      component counts disagree            makes the shapes agree
+ExpressionSyntaxError  expression text does not parse       fixes it at ``position``
+UnknownVariable        a name is not ``t`` or ``x1..xn``    fixes the name or the arity
+DomainViolation        ``f`` is undefined or not finite     treats ``f`` as undefined there
+SupportMismatch        a support or range does not fit      passes data on the right points
+CriterionNotSatisfied  a hypothesis of the theory fails     solves without bounds
+BracketViolation       a lower bound exceeds its upper one  fixes or drops the brackets
+EnvelopeViolation      a solution escapes its envelope      rejects the solution
+=====================  ===================================  ===============================
 """
 
 from __future__ import annotations
@@ -12,55 +26,30 @@ class TsdynError(Exception):
     """Base class for all tsdyn errors."""
 
 
-# --- time scale construction -------------------------------------------------
+# --- arguments and shapes --------------------------------------------------------
 
-class NonMonotonePoints(TsdynError):
-    """Points are not strictly increasing; ``index`` is the first bad entry."""
+class ConfigError(TsdynError):
+    """Bad or missing argument or configuration entry; names the key and line
+    if known.  ``reason`` is the message without them."""
 
-    def __init__(self, index: int, message: str | None = None):
-        self.index = index
-        super().__init__(message or f"points not strictly increasing at index {index}")
-
-
-class TooFewPoints(TsdynError):
-    """A realization needs at least four points to carry boundary structure."""
-
-
-class DegenerateInterval(TsdynError):
-    """Interval endpoints coincide or are reversed."""
-
-
-class InvalidBase(TsdynError):
-    """Quantum base must satisfy q > 1."""
-
-
-class IndexOutOfRange(TsdynError):
-    """Grid index or looked-up value outside the realization."""
-
-
-# --- grid functions -----------------------------------------------------------
-
-class EmptySupport(TsdynError):
-    """Operation would leave no points in the support."""
-
-
-class BadRange(TsdynError):
-    """Summation range is reversed or leaves the support."""
-
-
-class ScaleMismatch(TsdynError):
-    """A grid function lives on another realization than the operation's."""
-
-
-class SupportMismatch(TsdynError):
-    """A grid function does not cover the index range an operation needs."""
+    def __init__(self, message: str, key: str | None = None, line: int | None = None):
+        self.reason = message
+        self.key = key
+        self.line = line
+        where = []
+        if key is not None:
+            where.append(f"key {key!r}")
+        if line is not None:
+            where.append(f"line {line}")
+        suffix = f" ({', '.join(where)})" if where else ""
+        super().__init__(message + suffix)
 
 
 class DimensionMismatch(TsdynError):
     """Component counts disagree."""
 
 
-# --- expressions and model ----------------------------------------------------
+# --- expressions and evaluation ----------------------------------------------------
 
 class ExpressionSyntaxError(TsdynError):
     """Malformed expression text; ``position`` is the 1-based column."""
@@ -75,14 +64,24 @@ class UnknownVariable(TsdynError):
 
 
 class DomainViolation(TsdynError):
-    """Evaluation outside the admissible domain (floor, sign, or boundary)."""
+    """Evaluation outside the admissible domain (floor, sign, or boundary), or
+    a value that overflows or is not finite."""
 
 
-class NonFiniteResult(TsdynError):
-    """Evaluation produced an overflow, Inf, or NaN."""
+# --- grid functions ---------------------------------------------------------------
+
+class SupportMismatch(TsdynError):
+    """A grid function, index or range does not fit the support, range or
+    realization an operation needs."""
 
 
 # --- solver and criteria --------------------------------------------------------
+
+class CriterionNotSatisfied(TsdynError):
+    """A hypothesis of the theory fails: declared degrees miss the shape
+    constraints, boundary values are not zero, an evaluation point is not
+    positive, or a construction integral is not positive."""
+
 
 class BracketViolation(TsdynError):
     """Lower bound exceeds upper bound at grid ``index``; -1 when there is no upper bound."""
@@ -90,22 +89,6 @@ class BracketViolation(TsdynError):
     def __init__(self, index: int, message: str | None = None):
         self.index = index
         super().__init__(message or f"lower bound above upper bound at index {index}")
-
-
-class FamilyTooShort(TsdynError):
-    """Refinement family has fewer members than the classifier needs."""
-
-
-class NonpositiveEndpoint(TsdynError):
-    """The pinned evaluation point must be positive."""
-
-
-class CriterionNotSatisfied(TsdynError):
-    """A construction's integral criterion failed, so no bound can be built."""
-
-
-class ShapeViolation(TsdynError):
-    """Declared scaling exponents are missing or violate the shape constraints."""
 
 
 class EnvelopeViolation(TsdynError):
@@ -118,21 +101,3 @@ class EnvelopeViolation(TsdynError):
         super().__init__(
             f"component {component} escapes envelope at index {index} by {amount:g}"
         )
-
-
-# --- configuration --------------------------------------------------------------
-
-class ConfigError(TsdynError):
-    """Bad or missing configuration entry; names the key and line if known."""
-
-    def __init__(self, message: str, key: str | None = None, line: int | None = None):
-        self.reason = message
-        self.key = key
-        self.line = line
-        where = []
-        if key is not None:
-            where.append(f"key {key!r}")
-        if line is not None:
-            where.append(f"line {line}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(message + suffix)

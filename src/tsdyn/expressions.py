@@ -10,9 +10,8 @@ Grammar (recursive descent, one function per rule):
 Power binds tighter than unary minus and associates to the right, so
 ``-x1^2`` is ``-(x1^2)`` and ``2^3^2`` is ``2^(3^2)``.  Numbers are decimal
 with an optional exponent part.  Evaluation guards the usual real-domain
-holes: division by zero, zero to a negative power, and a negative base under
-a non-integer exponent all raise :class:`DomainViolation`; overflow raises
-:class:`NonFiniteResult`.
+holes: division by zero, zero to a negative power, a negative base under
+a non-integer exponent and overflow all raise :class:`DomainViolation`.
 
 :meth:`ExpressionTree.evaluate_array` walks the tree once over whole arrays
 of times and states.  Instead of raising it flags every row where a guard
@@ -29,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainViolation, ExpressionSyntaxError, NonFiniteResult, UnknownVariable
+from .errors import DomainViolation, ExpressionSyntaxError, UnknownVariable
 
 _NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -197,7 +196,7 @@ class ExpressionTree:
     def evaluate(self, t: float, x: Sequence[float]) -> float:
         v = _eval(self.root, t, x)
         if not math.isfinite(v):
-            raise NonFiniteResult(f"expression evaluated to {v!r}")
+            raise DomainViolation(f"expression evaluated to {v!r}")
         return v
 
     def evaluate_array(
@@ -282,7 +281,7 @@ def _power(base: float, expo: float) -> float:
     try:
         return base ** expo
     except OverflowError as exc:
-        raise NonFiniteResult("power overflow") from exc
+        raise DomainViolation("power overflow") from exc
 
 
 def _eval_array(node: Node, t: np.ndarray, x: np.ndarray, flagged: np.ndarray):

@@ -21,13 +21,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .calculus import float_rows
-from .errors import (
-    DimensionMismatch,
-    DomainViolation,
-    NonFiniteResult,
-    ShapeViolation,
-    UnknownVariable,
-)
+from .errors import CriterionNotSatisfied, DimensionMismatch, DomainViolation, UnknownVariable
 from .expressions import BinOp, Const, ExpressionTree, Neg, parse_expression
 from .timescale import TimeScale
 
@@ -67,7 +61,9 @@ class Nonlinearity:
         for row in ("degree_low", "degree_high"):
             for j, v in enumerate(getattr(self, row)):
                 if not math.isfinite(v):
-                    raise ShapeViolation(f"{row} for x{j + 1} must be finite, got {v!r}")
+                    raise CriterionNotSatisfied(
+                        f"{row} for x{j + 1} must be finite, got {v!r}"
+                    )
         if isinstance(self.body, ExpressionTree):
             used = self.body.max_state_index()
             if used > self.arity:
@@ -110,16 +106,16 @@ class Nonlinearity:
         except ValueError as exc:
             raise DomainViolation(str(exc) or "math domain error") from exc
         except OverflowError as exc:
-            raise NonFiniteResult(str(exc) or "overflow") from exc
+            raise DomainViolation(str(exc) or "overflow") from exc
         try:
             v = float(v)
         except OverflowError as exc:
-            raise NonFiniteResult(str(exc)) from exc
+            raise DomainViolation(str(exc)) from exc
         except (TypeError, ValueError) as exc:
             # e.g. the complex power of a negative base
             raise DomainViolation(f"nonlinearity evaluated to {v!r}") from exc
         if not math.isfinite(v):
-            raise NonFiniteResult(f"nonlinearity evaluated to {v!r}")
+            raise DomainViolation(f"nonlinearity evaluated to {v!r}")
         return v
 
     @property
@@ -135,24 +131,24 @@ class Nonlinearity:
 
         Diagonal entries must straddle zero with the upper edge below one;
         off-diagonal entries must be negative on both edges and strictly
-        ordered.  Raises :class:`ShapeViolation` naming the first failure.
+        ordered.  Raises :class:`CriterionNotSatisfied` naming the first failure.
         """
         i = self.component_index - 1
         for j in range(self.arity):
             lo, hi = self.degree_low[j], self.degree_high[j]
             if not lo < hi:
-                raise ShapeViolation(
+                raise CriterionNotSatisfied(
                     f"degree bracket for x{j + 1} is not strictly ordered "
                     f"({lo:g} !< {hi:g})"
                 )
             if j == i:
                 if not (lo < 0.0 < hi < 1.0):
-                    raise ShapeViolation(
+                    raise CriterionNotSatisfied(
                         f"diagonal bracket must satisfy low < 0 < high < 1, "
                         f"got ({lo:g}, {hi:g})"
                     )
             elif not hi < 0.0:
-                raise ShapeViolation(
+                raise CriterionNotSatisfied(
                     f"off-diagonal bracket for x{j + 1} must stay negative, "
                     f"upper edge is {hi:g}"
                 )
@@ -176,7 +172,7 @@ def _exact_degrees(node, arity: int) -> tuple[float, ...] | None:
             return None
         try:
             expo = ExpressionTree(node.right).evaluate(0.0, ())
-        except (DomainViolation, NonFiniteResult):
+        except DomainViolation:
             return None
         degrees = tuple(g * expo + 0.0 for g in left)  # + 0.0: no -0.0 entries
     else:
@@ -233,7 +229,7 @@ class DirichletProblem:
         for side, values in (("boundary_left", left), ("boundary_right", right)):
             for i, v in enumerate(values):
                 if not math.isfinite(v):
-                    raise NonFiniteResult(
+                    raise DomainViolation(
                         f"{side} for component {i + 1} must be finite, got {v!r}"
                     )
         object.__setattr__(self, "boundary_left", left)
@@ -339,12 +335,12 @@ def rhs_matrix(
         k, i = divmod(entry, n)
         try:
             out[k, i] = problem.f[i].evaluate(points[k], states[k])
-        except (DomainViolation, NonFiniteResult) as exc:
+        except DomainViolation as exc:
             if k == 0:
                 out[k, i] = 0.0
                 skipped.append(i + 1)
             else:
-                raise type(exc)(f"row {k}, component {i + 1}: {exc}") from exc
+                raise DomainViolation(f"row {k}, component {i + 1}: {exc}") from exc
     return out, tuple(skipped)
 
 

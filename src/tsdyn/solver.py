@@ -34,12 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .calculus import GridFunction, band_values, equation_defect, full_support_values
-from .errors import (
-    BracketViolation,
-    ConfigError,
-    DomainViolation,
-    NonFiniteResult,
-)
+from .errors import BracketViolation, ConfigError, DomainViolation
 from .green import affine_interpolant, green_solve, kernel_factors
 from .model import DirichletProblem, drop_note, rhs_matrix
 
@@ -184,7 +179,7 @@ def _residual(problem: DirichletProblem, u: np.ndarray, rhs=None) -> float:
     if rhs is None:
         try:
             rhs = rhs_matrix(problem, u[1 : problem.scale.last_index])[0]
-        except (DomainViolation, NonFiniteResult):
+        except DomainViolation:
             return math.inf
     size = float(np.max(np.abs(equation_defect(problem.scale, u, rhs))))
     return size if math.isfinite(size) else math.inf
@@ -297,8 +292,8 @@ def _iterate(
         try:
             rhs, image, moved = evaluated or T(u)
             if not np.isfinite(image).all():
-                raise NonFiniteResult("image is not finite")
-        except (DomainViolation, NonFiniteResult) as exc:
+                raise DomainViolation("image is not finite")
+        except DomainViolation as exc:
             notes.append(f"iteration {it}: {exc}")
             status, defect, moved = Status.DIVERGED, math.inf, None
             break
@@ -440,7 +435,7 @@ def _newton_operator(T: _FixedPointMap, u, rhs):
             try:
                 probe = T.rhs(shifted)[0]
                 break
-            except (DomainViolation, NonFiniteResult):
+            except DomainViolation:
                 if sign < 0:
                     raise
         step = (shifted - u)[1:N, j, None]
@@ -478,7 +473,7 @@ def _newton(T: _FixedPointMap, config: SolveConfig) -> SolveReport:
     def step(u, rhs, image, g, g_max, theta):
         try:
             operator = _newton_operator(T, u, rhs)
-        except (DomainViolation, NonFiniteResult) as exc:
+        except DomainViolation as exc:
             # u itself was evaluated; only its forward and backward probes left f's domain
             return Status.DIVERGED, f"Jacobian probe: {exc}"
         delta = _gmres(operator, g, min(1e-2, g_max))
@@ -489,7 +484,7 @@ def _newton(T: _FixedPointMap, config: SolveConfig) -> SolveReport:
             z[0], z[-1] = T.problem.boundary_left, T.problem.boundary_right
             try:
                 trial = T(z)
-            except (DomainViolation, NonFiniteResult):
+            except DomainViolation:
                 undefined += 1
                 continue
             if np.abs(trial[1] - z).max() < g_max:

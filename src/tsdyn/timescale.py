@@ -20,20 +20,14 @@ of any single member, so no behavioral branch depends on it here.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateInterval,
-    IndexOutOfRange,
-    InvalidBase,
-    NonMonotonePoints,
-    TooFewPoints,
-)
+from .errors import ConfigError, SupportMismatch
 
 #: Absolute tolerance for looking an index up by point value.
 VALUE_LOOKUP_TOL = 1e-12
@@ -63,19 +57,23 @@ class TimeScale:
         # to it cannot move the points away from the graininesses kept below
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 1:
-            raise NonMonotonePoints(0, "points must be a flat sequence")
+            raise ConfigError("points must be a flat sequence", key="points")
         if pts.size < 4:
-            raise TooFewPoints(
-                f"need at least 4 points for boundary identification, got {pts.size}"
+            raise ConfigError(
+                f"need at least 4 points for boundary identification, got {pts.size}",
+                key="points",
             )
         if not np.all(np.isfinite(pts)):
-            raise NonMonotonePoints(
-                int(np.argmin(np.isfinite(pts))), "points must be finite"
+            raise ConfigError(
+                f"points must be finite at index {int(np.argmin(np.isfinite(pts)))}",
+                key="points",
             )
         diffs = np.diff(pts)
         bad = np.nonzero(diffs <= 0.0)[0]
         if bad.size:
-            raise NonMonotonePoints(int(bad[0]) + 1)
+            raise ConfigError(
+                f"points not strictly increasing at index {int(bad[0]) + 1}", key="points"
+            )
         pts.setflags(write=False)
         diffs.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -122,9 +120,9 @@ class TimeScale:
     # -- jump operators ----------------------------------------------------
 
     def _check_index(self, k: int) -> int:
-        k = int(k)
+        k = require_integer(k, "k")
         if not 0 <= k <= self.last_index:
-            raise IndexOutOfRange(f"index {k} outside [0, {self.last_index}]")
+            raise SupportMismatch(f"index {k} outside [0, {self.last_index}]")
         return k
 
     def sigma(self, k: int) -> int:
@@ -156,7 +154,7 @@ class TimeScale:
                 float(self.points[cand]) - value
             ) <= VALUE_LOOKUP_TOL:
                 return cand
-        raise IndexOutOfRange(f"value {value!r} is not a point of this realization")
+        raise SupportMismatch(f"value {value!r} is not a point of this realization")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -185,13 +183,22 @@ def require_integer(value, key: str) -> int:
     return int(value)
 
 
+def require_finite(value: float, key: str) -> None:
+    """Raise :class:`ConfigError` keyed ``key``, naming ``value``, unless it
+    is a finite number."""
+    if not math.isfinite(value):
+        raise ConfigError(f"must be finite, got {value!r}", key=key)
+
+
 def uniform(a: float, end: float, n: int) -> TimeScale:
     """Uniform realization of [a, end] with ``n`` points."""
     n = require_integer(n, "n")
     if n < 4:
-        raise TooFewPoints(f"uniform realization needs n >= 4, got {n}")
+        raise ConfigError(f"uniform realization needs n >= 4, got {n}", key="n")
+    require_finite(a, "a")
+    require_finite(end, "end")
     if not end > a:
-        raise DegenerateInterval(f"need end > a, got [{a}, {end}]")
+        raise ConfigError(f"need end > a, got [{a}, {end}]", key="end")
     return TimeScale(np.linspace(float(a), float(end), n))
 
 def quantum(q: float, depth: int) -> TimeScale:
@@ -205,10 +212,11 @@ def quantum(q: float, depth: int) -> TimeScale:
     evaluation-point override.
     """
     depth = require_integer(depth, "depth")
+    require_finite(q, "q")
     if not q > 1.0:
-        raise InvalidBase(f"quantum base must satisfy q > 1, got {q}")
+        raise ConfigError(f"quantum base must satisfy q > 1, got {q}", key="q")
     if depth < 3:
-        raise TooFewPoints(f"quantum realization needs depth >= 3, got {depth}")
+        raise ConfigError(f"quantum realization needs depth >= 3, got {depth}", key="depth")
     q = float(q)
     pts = np.array([0.0] + [q ** (-k) for k in range(depth, -1, -1)])
     return TimeScale(pts, q=q)

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsdyn import (
-    BadRange,
+    ConfigError,
     DimensionMismatch,
-    EmptySupport,
+    DomainViolation,
     GridFunction,
-    IndexOutOfRange,
-    NonFiniteResult,
-    ScaleMismatch,
+    SupportMismatch,
     delta_derivative,
     delta_integral,
     delta_second,
@@ -33,7 +31,7 @@ class TestGridFunction:
 
     def test_value_outside_support_is_an_error(self, unit5):
         u = GridFunction(unit5, [1.0, 2.0], lo=1)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(SupportMismatch):
             u.value_at(0)
 
     def test_rows_fix_the_top_of_the_support(self, unit5):
@@ -44,7 +42,7 @@ class TestGridFunction:
 
     def test_support_must_stay_on_the_scale(self, unit5):
         for values, lo in ((np.zeros(7), 0), (np.zeros(3), 3), (np.zeros(0), 0)):
-            with pytest.raises(BadRange):
+            with pytest.raises(SupportMismatch):
                 GridFunction(unit5, values, lo)
 
     def test_values_beyond_two_dimensions_rejected(self, unit5):
@@ -67,7 +65,7 @@ class TestGridFunction:
                 u.component(i)
 
     def test_nan_rejected(self, unit5):
-        with pytest.raises(NonFiniteResult):
+        with pytest.raises(DomainViolation):
             GridFunction(unit5, [0.0, np.nan, 0.0, 0.0, 0.0])
 
     def test_values_are_frozen(self, unit5):
@@ -80,6 +78,16 @@ class TestGridFunction:
         assert np.allclose(u.component(1), unit5.points**2)
         assert np.array_equal(u.times, unit5.points)
 
+    def test_from_callable_ragged_rows_rejected(self, unit5):
+        # the constructor's refusal, not numpy's ValueError from stacking
+        with pytest.raises(DimensionMismatch, match="the callable's values must have rows of equal length"):
+            GridFunction.from_callable(unit5, lambda t: [1.0] if t < 0.5 else [1.0, 2.0])
+
+    def test_from_callable_vector_rows(self, unit5):
+        u = GridFunction.from_callable(unit5, lambda t: (t, 2.0 * t), lo=1, hi=3)
+        assert u.support == (1, 3)
+        assert u.values.tolist() == [[t, 2.0 * t] for t in unit5.points[1:4]]
+
     def test_constant_broadcast(self, unit5):
         u = GridFunction.constant(unit5, 2.5, n=3)
         assert u.n_components == 3
@@ -90,7 +98,7 @@ class TestGridFunction:
         v = u.restrict(1, 3)
         assert v.support == (1, 3)
         assert np.allclose(v.component(1), [1.0, 2.0, 3.0])
-        with pytest.raises(BadRange):
+        with pytest.raises(SupportMismatch):
             u.restrict(2, 9)
 
 
@@ -105,13 +113,13 @@ class TestArithmetic:
     def test_disjoint_supports_rejected(self, unit5):
         u = GridFunction(unit5, [1.0], lo=0)
         v = GridFunction(unit5, [1.0], lo=3)
-        with pytest.raises(EmptySupport):
+        with pytest.raises(SupportMismatch):
             u * v
 
     def test_cross_scale_rejected(self, unit5):
         u = GridFunction.constant(unit5, 1.0)
         v = GridFunction.constant(uniform(0.0, 1.0, 6), 1.0)
-        with pytest.raises(ScaleMismatch):
+        with pytest.raises(SupportMismatch):
             u + v
 
     def test_scalar_ops(self, unit5):
@@ -158,11 +166,11 @@ class TestDeltaDerivative:
     def test_needs_two_points(self, unit5):
         u = GridFunction(unit5, [1.0], lo=2)
         for op in (delta_derivative, sigma_shift):
-            with pytest.raises(EmptySupport):
+            with pytest.raises(SupportMismatch):
                 op(u)
 
     def test_second_derivative_needs_three_points(self, unit5):
-        with pytest.raises(EmptySupport):
+        with pytest.raises(SupportMismatch):
             delta_second(GridFunction(unit5, [1.0, 2.0], lo=1))
 
     def test_constant_has_zero_derivative(self, q23):
@@ -207,10 +215,22 @@ class TestDeltaIntegral:
 
     def test_range_validation(self, unit5):
         u = GridFunction.constant(unit5, 1.0)
-        with pytest.raises(BadRange):
+        with pytest.raises(SupportMismatch):
             delta_integral(u, 3, 2)
-        with pytest.raises(BadRange):
+        with pytest.raises(SupportMismatch):
             delta_integral(u, 0, 6)
+
+    @pytest.mark.parametrize("lo, hi, key", [(0.5, 3, "lo"), (0, 3.7, "hi"), (0.5, 3.7, "lo")])
+    def test_range_ends_must_be_integers(self, unit5, lo, hi, key):
+        # refused, not truncated: (0.5, 3.7) would sum over [0, 3)
+        u = GridFunction.constant(unit5, 1.0)
+        with pytest.raises(ConfigError) as info:
+            delta_integral(u, lo, hi)
+        assert info.value.key == key
+
+    def test_numpy_integer_range_accepted(self, unit5):
+        u = GridFunction.constant(unit5, 1.0)
+        assert delta_integral(u, np.int64(0), np.int32(3)).tolist() == [0.75]
 
     def test_multi_component(self, unit5):
         u = GridFunction.constant(unit5, [1.0, 2.0])

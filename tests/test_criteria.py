@@ -22,12 +22,8 @@ from tsdyn import (
     DomainViolation,
     EnvelopeViolation,
     ExpressionTree,
-    FamilyTooShort,
     GridFunction,
-    NonFiniteResult,
-    NonpositiveEndpoint,
     Nonlinearity,
-    ShapeViolation,
     Status,
     Strategy,
     SupportMismatch,
@@ -91,7 +87,7 @@ def head_safe(f, t, x):
     """Evaluate like the improper-head rule: zero at row zero on blowup."""
     try:
         return f.evaluate(t, x)
-    except (DomainViolation, NonFiniteResult):
+    except DomainViolation:
         return None
 
 
@@ -151,7 +147,7 @@ class TestClassifier:
         assert limit == pytest.approx(BETA_CLOSED[gamma], rel=0.01)
 
     def test_family_must_be_long_enough(self):
-        with pytest.raises(FamilyTooShort):
+        with pytest.raises(ConfigError):
             criterion_sufficient(
                 [power_law(0.5)], uniform_family(0.0, 1.0, sizes=(17, 33, 65))
             )
@@ -225,7 +221,7 @@ class TestNecessary:
 
     def test_nonpositive_override_rejected(self):
         for pin in (0.0, math.inf, math.nan):
-            with pytest.raises(NonpositiveEndpoint, match="must be positive and finite"):
+            with pytest.raises(CriterionNotSatisfied, match="must be positive and finite"):
                 criterion_necessary(
                     [power_law(0.5)], quantum_family(2.0), eval_point_override=pin
                 )
@@ -235,7 +231,7 @@ class TestNecessary:
         f = Nonlinearity(1, 1, lambda t, x: calls.append(t) or 1.0, (0.0,), (0.0,))
         # the last member refines the others but ends at -1
         family = uniform_family(0.0, 1.0, (17, 33, 65, 129)) + [uniform(-2.0, -1.0, 257)]
-        with pytest.raises(NonpositiveEndpoint, match=r"got -1\.0$"):
+        with pytest.raises(CriterionNotSatisfied, match=r"got -1\.0$"):
             criterion_necessary([f], family)
         assert calls == []
 
@@ -294,10 +290,10 @@ class TestWeightedBound:
         def g(s):
             return math.inf if 0.4 < s < 0.6 else 1.0
 
-        with pytest.raises(NonFiniteResult):
+        with pytest.raises(DomainViolation):
             classify_weighted_bound(g)
         f = Nonlinearity(1, 1, lambda t, x: g(t), (0.0,), (0.0,))
-        with pytest.raises(NonFiniteResult):
+        with pytest.raises(DomainViolation):
             criterion_necessary([f])
 
     def test_expression_weight_is_evaluated_over_whole_rows(self, monkeypatch):
@@ -511,14 +507,14 @@ class TestConstructBounds:
         signed = DirichletProblem(
             unit65, (power_law(0.5),), boundary_left=(1.0,)
         )
-        with pytest.raises(ShapeViolation):
+        with pytest.raises(CriterionNotSatisfied):
             construct_bounds(signed)
 
     def test_superlinear_degree_rejected(self, unit65):
         f = Nonlinearity.from_expression(
             "x1^2", arity=1, degree_low=(2.0,), degree_high=(2.0,)
         )
-        with pytest.raises(ShapeViolation):
+        with pytest.raises(CriterionNotSatisfied):
             construct_bounds(DirichletProblem(unit65, (f,)))
 
     def test_vanishing_rhs_rejected(self, unit65):
@@ -670,7 +666,7 @@ class TestConstructLower:
     def test_diagonal_degree_of_one_or_more_is_refused(self, unit65, construct, mu):
         # both constructions raise their constants to the power 1 / (1 - mu)
         f = Nonlinearity.from_expression("1 + x1", arity=1, degree_high=(mu,))
-        with pytest.raises(ShapeViolation, match=f"must stay below one, got {mu:g}$"):
+        with pytest.raises(CriterionNotSatisfied, match=f"must stay below one, got {mu:g}$"):
             construct(DirichletProblem(unit65, (f,)))
 
     def test_no_upper_half(self, problem):
@@ -683,7 +679,7 @@ class TestConstructLower:
     def test_nonpositive_endpoint_is_refused(self):
         # the state is pinned at sigma^2(b) = -1
         f = Nonlinearity.from_expression("1 + x1", arity=1)
-        with pytest.raises(NonpositiveEndpoint,
+        with pytest.raises(CriterionNotSatisfied,
                            match=r"^evaluation point must be positive and finite, got -1\.0$"):
             construct_lower(DirichletProblem(uniform(-2.0, -1.0, 17), (f,)))
 
@@ -692,9 +688,9 @@ class TestConstructLower:
         # a diagonal degree of one is refused before the state is pinned at
         # the nonpositive sigma^2(b) = -1
         f = Nonlinearity.from_expression("1 + x1", arity=1, degree_high=(1.0,))
-        with pytest.raises(ShapeViolation, match="must stay below one, got 1$"):
+        with pytest.raises(CriterionNotSatisfied, match="must stay below one, got 1$"):
             construct(DirichletProblem(uniform(-2.0, -1.0, 17), (f,)))
-        with pytest.raises(ShapeViolation, match="requires zero boundary values$"):
+        with pytest.raises(CriterionNotSatisfied, match="requires zero boundary values$"):
             construct(DirichletProblem(uniform(-2.0, -1.0, 17), (power_law(0.5),),
                                        boundary_left=(0.5,)))
 
@@ -750,7 +746,7 @@ class TestVerification:
         problem = DirichletProblem(ts, (power_law(0.5),))
         candidate = GridFunction(ts, [0.0, 1e300, 1.0, 0.0])
         for verify in (verify_lower, verify_upper):
-            with pytest.raises(NonFiniteResult):
+            with pytest.raises(DomainViolation):
                 verify(problem, candidate)
 
     def test_violation_records_component_index_amount(self, unit65):
@@ -798,7 +794,7 @@ class TestEnvelopeDisplay:
     def test_nonzero_boundary_values_are_refused(self, solved):
         problem, u = solved
         shifted = DirichletProblem(problem.scale, problem.f, boundary_right=(0.25,))
-        with pytest.raises(ShapeViolation, match="requires zero boundary values$"):
+        with pytest.raises(CriterionNotSatisfied, match="requires zero boundary values$"):
             compute_envelope(shifted, u)
 
     def test_escape_raises_with_location(self, solved):
@@ -926,8 +922,9 @@ class TestLipschitzCheck:
     def test_band_validation(self, unit65):
         for band in [(0.0, 1.0), (2.0, 1.0), (0.1, math.inf), (math.nan, 1.0),
                      (0.1, math.nan)]:
-            with pytest.raises(DomainViolation, match="0 < lo < hi < inf"):
+            with pytest.raises(ConfigError, match="0 < lo < hi < inf") as err:
                 check_lipschitz_bound(power_law(0.5), unit65, band)
+            assert err.value.key == "band"
 
 
 def root_above_one(log):

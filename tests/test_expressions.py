@@ -12,7 +12,6 @@ from tsdyn import (
     DomainViolation,
     ExpressionSyntaxError,
     ExpressionTree,
-    NonFiniteResult,
     Nonlinearity,
     TsdynError,
     UnknownVariable,
@@ -107,12 +106,12 @@ class TestErrors:
             ev("x1^0.5", x=(-4.0,))
 
     def test_overflow_reported_as_nonfinite(self):
-        with pytest.raises(NonFiniteResult):
+        with pytest.raises(DomainViolation):
             ev("10^(10^3)")
 
     def test_infinite_exponent_is_not_an_integer(self):
         # 1e300*1e300 overflows to inf before the power sees it
-        with pytest.raises(NonFiniteResult):
+        with pytest.raises(DomainViolation):
             ev("2^(1e300*1e300)")
         with pytest.raises(DomainViolation):
             ev("(-2)^(1e300*1e300)")
@@ -229,7 +228,7 @@ class TestArrayEvaluation:
     )
     def test_every_scalar_error_is_flagged(self, src, x):
         tree = parse_expression(src)
-        with pytest.raises((DomainViolation, NonFiniteResult)):
+        with pytest.raises(DomainViolation):
             tree.evaluate(0.0, (x,))
         vals, flagged = tree.evaluate_array(np.zeros(2), np.array([[x], [2.0]]))
         assert flagged.tolist() == [True, False]
@@ -282,7 +281,7 @@ class TestArrayEvaluation:
         for k, base in enumerate(bases):
             try:
                 value = const.evaluate(0.0, (base,))
-            except (DomainViolation, NonFiniteResult):
+            except DomainViolation:
                 assert flagged[k]
                 continue
             if not flagged[k]:
@@ -348,7 +347,7 @@ def row_by_row(problem, states):
         for i in range(n):
             try:
                 out[k, i] = problem.f[i].evaluate(t, states[k])
-            except (DomainViolation, NonFiniteResult) as exc:
+            except DomainViolation as exc:
                 if k > 0:
                     return exc, (k, i + 1)
                 out[k, i] = 0.0
@@ -412,5 +411,5 @@ class TestProperties:
 def _outcome(tree, t, x):
     try:
         return tree.evaluate(t, x).hex()
-    except (DomainViolation, NonFiniteResult) as exc:
+    except DomainViolation as exc:
         return type(exc)

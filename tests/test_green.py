@@ -12,7 +12,6 @@ from scipy.linalg import solve_banded
 
 from tsdyn import (
     GridFunction,
-    IndexOutOfRange,
     SupportMismatch,
     affine_interpolant,
     delta_second,
@@ -58,9 +57,9 @@ def green_value(ts, t_idx, s_idx):
     ``tsdyn.green``'s docstring; ``s_idx`` ranges over 0..N-1."""
     N = ts.last_index
     if not 0 <= t_idx <= N:
-        raise IndexOutOfRange(f"t index {t_idx} outside [0, {N}]")
+        raise SupportMismatch(f"t index {t_idx} outside [0, {N}]")
     if not 0 <= s_idx <= N - 1:
-        raise IndexOutOfRange(f"s index {s_idx} outside [0, {N - 1}]")
+        raise SupportMismatch(f"s index {s_idx} outside [0, {N - 1}]")
     a, s2b = ts.a, ts.sigma2_b
     t = float(ts.points[t_idx])
     sig_s = float(ts.points[s_idx + 1])
@@ -133,9 +132,9 @@ class TestKernelValues:
             assert green_value(unit5, 4, s) == 0.0
 
     def test_index_validation(self, unit5):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(SupportMismatch):
             green_value(unit5, 5, 0)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(SupportMismatch):
             green_value(unit5, 0, 4)  # s stops one short of the end
 
     @pytest.mark.parametrize("kind", ["uniform", "quantum", "explicit"])

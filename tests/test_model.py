@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsdyn import (
+    CriterionNotSatisfied,
     DimensionMismatch,
     DirichletProblem,
     DomainViolation,
     ExpressionTree,
     GridFunction,
-    NonFiniteResult,
     Nonlinearity,
-    ShapeViolation,
     UnknownVariable,
     check_lipschitz_bound,
     check_monotone_in_state,
@@ -98,7 +97,7 @@ def row_by_row(problem, states):
         for i, fi in enumerate(problem.f):
             try:
                 out[k, i] = fi.evaluate(points[k], states[k])
-            except (DomainViolation, NonFiniteResult) as exc:
+            except DomainViolation as exc:
                 if k == 0:
                     out[k, i] = 0.0
                     skipped.append(i + 1)
@@ -198,7 +197,7 @@ class TestNonlinearity:
             degree_low=(0.0,),
             degree_high=(0.0,),
         )
-        with pytest.raises(NonFiniteResult):
+        with pytest.raises(DomainViolation):
             g.evaluate(0.0, (1.0,))
 
     def test_complex_result_is_a_domain_violation(self, unit65):
@@ -224,9 +223,9 @@ class TestNonlinearity:
         degrees = {"degree_low": (-0.5, -0.2), "degree_high": (0.5, -0.1)}
         degrees[row] = (degrees[row][0], bad)
         match = f"{row} for x2 must be finite, got {bad!r}"
-        with pytest.raises(ShapeViolation, match=match):
+        with pytest.raises(CriterionNotSatisfied, match=match):
             Nonlinearity(2, 1, lambda t, x: 1.0, **degrees)
-        with pytest.raises(ShapeViolation, match=match):
+        with pytest.raises(CriterionNotSatisfied, match=match):
             Nonlinearity.from_expression("x1^(-0.5) * x2^(-0.2)", arity=2, **degrees)
 
     def test_diagonal_degrees(self):
@@ -240,15 +239,15 @@ class TestShapeValidation:
         power_law(0.5).validate_shape()
 
     def test_collapsed_bracket_fails(self):
-        with pytest.raises(ShapeViolation):
+        with pytest.raises(CriterionNotSatisfied):
             power_law(0.5, lo=-0.5, hi=-0.5).validate_shape()
 
     def test_diagonal_upper_edge_below_one(self):
-        with pytest.raises(ShapeViolation):
+        with pytest.raises(CriterionNotSatisfied):
             power_law(0.5, lo=-0.5, hi=1.0).validate_shape()
 
     def test_diagonal_lower_edge_negative(self):
-        with pytest.raises(ShapeViolation):
+        with pytest.raises(CriterionNotSatisfied):
             power_law(0.5, lo=0.1, hi=0.5).validate_shape()
 
     def test_off_diagonal_edges_negative(self):
@@ -267,7 +266,7 @@ class TestShapeValidation:
             degree_low=(-0.4, -0.3),
             degree_high=(0.4, 0.1),
         )
-        with pytest.raises(ShapeViolation):
+        with pytest.raises(CriterionNotSatisfied):
             bad.validate_shape()
 
 
@@ -333,7 +332,7 @@ class TestDerivedDegrees:
         f = Nonlinearity.from_expression("x1^(-0.5)*x2^(-1.2)", arity=2)
         assert f.degree_low == (-0.5, -1.2)
         assert f.degree_high == (-0.5, -1.2)
-        with pytest.raises(ShapeViolation):
+        with pytest.raises(CriterionNotSatisfied):
             f.validate_shape()
 
     @pytest.mark.parametrize(
@@ -394,7 +393,7 @@ class TestDirichletProblem:
         f = Nonlinearity.from_expression("x1 + x2", arity=2)
         g = Nonlinearity.from_expression("x1", arity=2, component_index=2)
         match = f"{side} for component 2 must be finite, got {bad!r}"
-        with pytest.raises(NonFiniteResult, match=match):
+        with pytest.raises(DomainViolation, match=match):
             DirichletProblem(unit65, (f, g), **{"boundary_left": (0.0, 0.0),
                                                 "boundary_right": (0.0, 0.0),
                                                 side: (0.0, bad)})

@@ -19,7 +19,6 @@ from tsdyn import (
     Nonlinearity,
     SolveConfig,
     Status,
-    ScaleMismatch,
     Strategy,
     SupportMismatch,
     apply_green_operator,
@@ -920,7 +919,7 @@ class TestRhsModes:
                     for g in (alpha, beta))
             edge(singular65, u, tuple(pair))
         other = quantum(2.0, 63)
-        with pytest.raises(ScaleMismatch):
+        with pytest.raises(SupportMismatch):
             edge(singular65, u, (GridFunction(other, alpha.values), beta))
 
     def test_truncated_stays_in_band(self, singular65):
@@ -1148,7 +1147,7 @@ class TestRealizationCheck:
     def test_another_realization_is_refused(self, entry):
         other = quantum(2.0, 63)
         assert other.npoints == 65
-        with pytest.raises(ScaleMismatch):
+        with pytest.raises(SupportMismatch):
             ENTRY_POINTS[entry](*self.moved(other))
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

@@ -1,15 +1,14 @@
 """Construction and jump-operator behaviour of finite scale realizations."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from tsdyn import (
     ConfigError,
-    InvalidBase,
-    IndexOutOfRange,
-    NonMonotonePoints,
-    TooFewPoints,
-    DegenerateInterval,
+    SupportMismatch,
     from_points,
     quantum,
     quantum_family,
@@ -28,27 +27,28 @@ class TestFromPoints:
         assert ts.sigma2_b == 1.0
 
     def test_non_monotone_reports_first_bad_index(self):
-        with pytest.raises(NonMonotonePoints) as err:
+        with pytest.raises(ConfigError, match="not strictly increasing at index 2 ") as err:
             from_points([0.0, 0.5, 0.25, 1.0])
-        assert err.value.index == 2
+        assert err.value.key == "points"
 
     def test_duplicate_point_rejected(self):
-        with pytest.raises(NonMonotonePoints):
+        with pytest.raises(ConfigError):
             from_points([0.0, 0.25, 0.25, 1.0])
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(ConfigError) as err:
             from_points([0.0, 0.5, 1.0])
+        assert err.value.key == "points"
 
     def test_points_must_be_flat(self):
-        with pytest.raises(NonMonotonePoints, match="flat sequence"):
+        with pytest.raises(ConfigError, match="flat sequence"):
             from_points(np.zeros((4, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_points_must_be_finite(self, bad):
-        with pytest.raises(NonMonotonePoints, match="must be finite") as err:
+        with pytest.raises(ConfigError, match="must be finite at index 2 ") as err:
             from_points([0.0, 0.25, bad, 1.0])
-        assert err.value.index == 2
+        assert err.value.reason == "points must be finite at index 2"
 
     def test_four_points_is_minimal(self):
         ts = from_points([0.0, 1.0, 2.0, 4.0])
@@ -71,10 +71,22 @@ class TestJumpOperators:
         assert unit5.rho(3) == 2
 
     def test_index_bounds_checked(self, unit5):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(SupportMismatch):
             unit5.sigma(99)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(SupportMismatch):
             unit5.rho(-1)
+
+    @pytest.mark.parametrize("k", [1.7, 2.0, "2", True, None])
+    def test_index_must_be_an_integer(self, unit5, k):
+        # refused, not truncated: graininess(1.7) would read mu_1
+        for op in (unit5.sigma, unit5.rho, unit5.graininess):
+            with pytest.raises(ConfigError) as info:
+                op(k)
+            assert info.value.key == "k"
+
+    def test_numpy_integer_index_accepted(self, unit5):
+        assert unit5.graininess(np.int64(1)) == unit5.graininess(1) == 0.25
+        assert unit5.sigma(np.int32(3)) == 4 and unit5.rho(np.uint8(3)) == 2
 
     def test_mu_matches_point_differences(self, rng):
         pts = np.cumsum(rng.uniform(0.1, 1.0, size=12))
@@ -106,7 +118,7 @@ class TestJumpOperators:
 
     def test_index_of(self, unit5):
         assert unit5.index_of(0.75) == 3
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(SupportMismatch):
             unit5.index_of(0.3)
 
 
@@ -124,8 +136,9 @@ class TestUniform:
         assert ts.npoints == 9
 
     def test_rejects_small_counts(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(ConfigError, match="needs n >= 4, got 3 ") as info:
             uniform(0.0, 1.0, 3)
+        assert info.value.key == "n"
 
     @pytest.mark.parametrize("n", [64.9, 65.0, "65", True, None])
     def test_count_must_be_an_integer(self, n):
@@ -139,10 +152,24 @@ class TestUniform:
         assert np.array_equal(ts.points, uniform(0.0, 1.0, 65).points)
 
     def test_rejects_empty_interval(self):
-        with pytest.raises(DegenerateInterval):
-            uniform(1.0, 1.0, 5)
-        with pytest.raises(DegenerateInterval):
-            uniform(2.0, 1.0, 5)
+        for a in (1.0, 2.0):
+            with pytest.raises(ConfigError) as info:
+                uniform(a, 1.0, 5)
+            assert info.value.key == "end"
+            assert info.value.reason == f"need end > a, got [{a}, 1.0]"
+
+    @pytest.mark.parametrize("a, end, key", [
+        (0.0, math.inf, "end"), (0.0, -math.inf, "end"), (0.0, math.nan, "end"),
+        (-math.inf, 1.0, "a"), (math.nan, 1.0, "a"),
+    ])
+    def test_rejects_non_finite_endpoints(self, a, end, key):
+        # refused before any point is built, so linspace never warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as info:
+                uniform(a, end, 5)
+        assert info.value.key == key
+        assert info.value.reason == f"must be finite, got {a if key == 'a' else end!r}"
 
 
 class TestQuantum:
@@ -157,14 +184,29 @@ class TestQuantum:
         assert ts.points[1] == pytest.approx(3.0**-4, rel=0, abs=0)
 
     def test_rejects_base_at_or_below_one(self):
-        with pytest.raises(InvalidBase):
-            quantum(1.0, 5)
-        with pytest.raises(InvalidBase):
-            quantum(0.5, 5)
+        for q in (1.0, 0.5):
+            with pytest.raises(ConfigError, match=f"must satisfy q > 1, got {q} ") as info:
+                quantum(q, 5)
+            assert info.value.key == "q"
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_rejects_non_finite_base(self, q):
+        # named as the base, not as the points an infinite base would build
+        with pytest.raises(ConfigError) as info:
+            quantum(q, 5)
+        assert info.value.key == "q"
+        assert info.value.reason == f"must be finite, got {q!r}"
+
+    def test_underflowing_depth_is_refused_as_points(self):
+        # q^-1100 underflows to the left endpoint 0
+        with pytest.raises(ConfigError, match="not strictly increasing at index 1 ") as info:
+            quantum(2.0, 1100)
+        assert info.value.key == "points"
 
     def test_rejects_shallow_depth(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(ConfigError) as info:
             quantum(2.0, 2)
+        assert info.value.key == "depth"
 
     @pytest.mark.parametrize("depth", [3.7, 4.0, "4", False])
     def test_depth_must_be_an_integer(self, depth):
