@@ -62,8 +62,6 @@ from .solver import (
     Status,
     Strategy,
     apply_green_operator,
-    clamp_to_band,
-    regularized_rhs,
     residual_norm,
     solve,
 )
@@ -99,8 +97,7 @@ __all__ = [
     "kernel_lower_weight",
     "DirichletProblem", "Nonlinearity", "rhs_matrix",
     "SolveConfig", "SolveReport", "Status", "Strategy",
-    "apply_green_operator", "clamp_to_band", "regularized_rhs",
-    "residual_norm", "solve",
+    "apply_green_operator", "residual_norm", "solve",
     "QUANTUM_FAMILY_DEPTHS", "UNIFORM_FAMILY_SIZES", "TimeScale",
     "from_points", "quantum", "quantum_family", "same_realization", "uniform",
     "uniform_family",

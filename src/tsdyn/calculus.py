@@ -42,7 +42,9 @@ class GridFunction:
     ``values`` has one row per supported index and one column per component;
     the support starts at ``lo`` and ends at ``hi = lo + rows - 1``.
     Values are immutable and must be finite; evaluation outside the support
-    is an error rather than zero.
+    is an error rather than zero.  Index and count arguments must be
+    integers (numpy integers serve); anything else raises
+    :class:`~tsdyn.errors.ConfigError` keyed by the parameter.
     """
 
     scale: TimeScale
@@ -56,7 +58,7 @@ class GridFunction:
             vals = vals[:, None]
         if vals.ndim != 2:
             raise DimensionMismatch("values must be a vector or a 2-d array")
-        lo = int(self.lo)
+        lo = require_integer(self.lo, "lo")
         hi = lo + vals.shape[0] - 1
         if not 0 <= lo <= hi <= self.scale.last_index:
             raise SupportMismatch(f"support [{lo}, {hi}] leaves the realization")
@@ -78,7 +80,8 @@ class GridFunction:
         lo: int = 0,
         hi: int | None = None,
     ) -> "GridFunction":
-        hi = scale.last_index if hi is None else int(hi)
+        lo = require_integer(lo, "lo")
+        hi = scale.last_index if hi is None else require_integer(hi, "hi")
         rows = [np.atleast_1d(fn(float(t))) for t in scale.points[lo : hi + 1]]
         return cls(scale, float_rows(rows, "the callable's values"), lo)
 
@@ -87,6 +90,7 @@ class GridFunction:
         cls, scale: TimeScale, value: float | np.ndarray, n: int | None = None
     ) -> "GridFunction":
         row = np.atleast_1d(np.asarray(value, dtype=float))
+        n = None if n is None else require_integer(n, "n")
         if n is not None and row.size == 1:
             row = np.full(n, row[0])
         vals = np.tile(row, (scale.npoints, 1))
@@ -107,17 +111,20 @@ class GridFunction:
         return self.scale.points[self.lo : self.hi + 1]
 
     def value_at(self, k: int) -> np.ndarray:
+        k = require_integer(k, "k")
         if not self.lo <= k <= self.hi:
             raise SupportMismatch(f"index {k} outside support [{self.lo}, {self.hi}]")
         return self.values[k - self.lo]
 
     def component(self, i: int) -> np.ndarray:
         """Column of component ``i`` (1-based) over the support."""
+        i = require_integer(i, "i")
         if not 1 <= i <= self.n_components:
             raise DimensionMismatch(f"component {i} of {self.n_components}")
         return self.values[:, i - 1]
 
     def restrict(self, lo: int, hi: int) -> "GridFunction":
+        lo, hi = require_integer(lo, "lo"), require_integer(hi, "hi")
         if not self.lo <= lo <= hi <= self.hi:
             raise SupportMismatch(f"[{lo}, {hi}] not inside support [{self.lo}, {self.hi}]")
         return GridFunction(self.scale, self.values[lo - self.lo : hi - self.lo + 1], lo)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import GridFunction, require_realization
-from .errors import SupportMismatch
+from .errors import DomainViolation, SupportMismatch
 from .timescale import TimeScale
 
 
@@ -77,7 +77,9 @@ def green_solve(factors: tuple, h: np.ndarray) -> np.ndarray:
 
 def green_apply(ts: TimeScale, h: GridFunction) -> GridFunction:
     """:func:`green_solve` for a grid function ``h`` that covers the equation
-    points ``0..N-2`` of ``ts``'s realization; extra top entries are ignored."""
+    points ``0..N-2`` of ``ts``'s realization; extra top entries are ignored.
+    Public as the kernel's own edge: acceptance criterion 1 checks
+    ``-(G h)^DD = h`` and the kernel oracle through it."""
     require_realization(h, ts, "right-hand side")
     N = ts.last_index
     if h.lo > 0 or h.hi < N - 2:
@@ -88,11 +90,17 @@ def green_apply(ts: TimeScale, h: GridFunction) -> GridFunction:
 
 
 def affine_interpolant(ts: TimeScale, A, B) -> GridFunction:
-    """Straight line through (a, A) and (sigma^2(b), B), one row per point."""
+    """Straight line through (a, A) and (sigma^2(b), B), one row per point;
+    a non-finite entry of ``A`` or ``B`` raises :class:`DomainViolation`."""
     Avec = np.atleast_1d(np.asarray(A, dtype=float))
     Bvec = np.atleast_1d(np.asarray(B, dtype=float))
     if Avec.shape != Bvec.shape:
         raise SupportMismatch("boundary vectors must have equal length")
+    for side, vec in (("A", Avec), ("B", Bvec)):
+        if not np.isfinite(vec).all():
+            i = int(np.argmin(np.isfinite(vec)))
+            raise DomainViolation(f"{side} for component {i + 1} must be finite, "
+                                  f"got {float(vec[i])!r}")
     frac = (ts.points - ts.a) / ts.span
     vals = Avec[None, :] + (Bvec - Avec)[None, :] * frac[:, None]
     vals[-1] = Bvec  # A + (B - A) * 1 can miss B by an ulp

@@ -23,7 +23,7 @@ import numpy as np
 from .calculus import float_rows
 from .errors import CriterionNotSatisfied, DimensionMismatch, DomainViolation, UnknownVariable
 from .expressions import BinOp, Const, ExpressionTree, Neg, parse_expression
-from .timescale import TimeScale
+from .timescale import TimeScale, require_integer
 
 Body = Union[ExpressionTree, Callable[[float, tuple[float, ...]], float]]
 
@@ -35,7 +35,9 @@ class Nonlinearity:
     ``component_index`` is 1-based and selects which degree-bracket entries
     are "diagonal" for the shape constraints.  ``body`` is either a parsed
     expression in ``t, x1..xn`` or any callable ``(t, x) -> float``; a
-    callable always gets ``x`` as a tuple of Python floats.
+    callable always gets ``x`` as a tuple of Python floats.  ``arity`` and
+    ``component_index`` must be integers (numpy integers serve); anything
+    else raises :class:`~tsdyn.errors.ConfigError` keyed by the field.
     """
 
     arity: int
@@ -45,6 +47,8 @@ class Nonlinearity:
     degree_high: tuple[float, ...]
 
     def __post_init__(self):
+        for key in ("arity", "component_index"):
+            object.__setattr__(self, key, require_integer(getattr(self, key), key))
         if self.arity < 1:
             raise DimensionMismatch("arity must be at least 1")
         if not 1 <= self.component_index <= self.arity:
@@ -83,6 +87,7 @@ class Nonlinearity:
     ) -> "Nonlinearity":
         """Parse ``text``.  A missing degree row is zeros, unless both are:
         then both are the exact degrees :func:`_exact_degrees` finds, if any."""
+        arity = require_integer(arity, "arity")
         body = parse_expression(text)
         zeros = (0.0,) * arity
         if degree_low is None and degree_high is None:

@@ -120,16 +120,6 @@ class SolveReport:
         return self.status is Status.CONVERGED
 
 
-def clamp_to_band(
-    u: GridFunction, alpha: GridFunction, beta: GridFunction
-) -> GridFunction:
-    """Clip ``u`` into the band ``[alpha, beta]`` on ``u``'s support; the band
-    is checked against ``u`` by :func:`~tsdyn.calculus.band_values`."""
-    lo, hi = band_values(alpha, beta, u.scale, u.n_components)
-    rows = slice(u.lo, u.hi + 1)
-    return GridFunction(u.scale, np.clip(u.values, lo[rows], hi[rows]), u.lo)
-
-
 class _FixedPointMap:
     """``T u = phi + G f*(., u^sigma)`` of one solve on plain ``(N+1, n)``
     arrays.  ``brackets``, an ``(alpha, beta)`` pair of grid functions or
@@ -185,22 +175,14 @@ def _residual(problem: DirichletProblem, u: np.ndarray, rhs=None) -> float:
     return size if math.isfinite(size) else math.inf
 
 
-def regularized_rhs(
-    problem: DirichletProblem, u: GridFunction, brackets=None
-) -> GridFunction:
-    """Right-hand-side grid ``f*(t_k, u^sigma)`` on the equation points:
-    the states clamped into the band of ``brackets`` when given, else as
-    they are."""
-    T = _FixedPointMap(problem, brackets)
-    full = full_support_values(u, problem.scale, "iterate")
-    return GridFunction(problem.scale, T.rhs(full)[0])
-
-
 def apply_green_operator(
     problem: DirichletProblem, u: GridFunction, brackets=None
 ) -> GridFunction:
-    """One application of ``u -> phi + G f*(., u^sigma)``, ``f*`` as in
-    :func:`regularized_rhs`."""
+    """One application of the paper's operator ``T u = phi + G f*(., u^sigma)``,
+    where ``f*`` evaluates ``f`` at the states ``u^sigma`` clipped into the
+    band of ``brackets`` when given, and at ``u^sigma`` as it is otherwise.
+    Public so that the fixed point of a solve can be checked against ``T``
+    itself (acceptance criterion 9 drives the monotone ordering through it)."""
     T = _FixedPointMap(problem, brackets)
     full = full_support_values(u, problem.scale, "iterate")
     return GridFunction(problem.scale, T(full)[1])
@@ -210,7 +192,9 @@ def residual_norm(problem: DirichletProblem, u: GridFunction) -> float:
     """Max-norm defect of ``-u^DD = f(., u^sigma)`` over the equation points.
 
     Uses the raw right hand side; an iterate outside ``f``'s domain scores
-    infinity rather than raising.
+    infinity rather than raising.  Public as the differential check of a
+    solution, independent of the fixed-point defect a solve stops on
+    (acceptance criterion 9 reads it).
     """
     full = full_support_values(u, problem.scale, "iterate")
     return _residual(problem, full)

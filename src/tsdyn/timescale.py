@@ -199,6 +199,8 @@ def uniform(a: float, end: float, n: int) -> TimeScale:
     require_finite(end, "end")
     if not end > a:
         raise ConfigError(f"need end > a, got [{a}, {end}]", key="end")
+    if not math.isfinite(float(end) - float(a)):  # Python floats: no overflow warning
+        raise ConfigError(f"span end - a of [{a}, {end}] overflows", key="end")
     return TimeScale(np.linspace(float(a), float(end), n))
 
 def quantum(q: float, depth: int) -> TimeScale:

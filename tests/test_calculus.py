@@ -98,6 +98,38 @@ class TestGridFunction:
         v = u.restrict(1, 3)
         assert v.support == (1, 3)
         assert np.allclose(v.component(1), [1.0, 2.0, 3.0])
+
+    #: Each index or count argument of a grid function given a non-integer.
+    NON_INTEGER = {
+        "init-lo": (lambda ts, u: GridFunction(ts, [1.0, 2.0], lo=1.7), "lo"),
+        "init-lo-bool": (lambda ts, u: GridFunction(ts, [1.0, 2.0], lo=True), "lo"),
+        "value_at-k": (lambda ts, u: u.value_at(1.5), "k"),
+        "component-i": (lambda ts, u: u.component(1.0), "i"),
+        "restrict-lo": (lambda ts, u: u.restrict(1.2, 2), "lo"),
+        "restrict-hi": (lambda ts, u: u.restrict(1, 2.5), "hi"),
+        "from_callable-lo": (lambda ts, u: GridFunction.from_callable(ts, float, 0.0, 2), "lo"),
+        "from_callable-hi": (lambda ts, u: GridFunction.from_callable(ts, float, 0, 2.5), "hi"),
+        "constant-n": (lambda ts, u: GridFunction.constant(ts, 1.0, n=2.5), "n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_INTEGER))
+    def test_non_integer_arguments_refused(self, unit5, case):
+        # refused where they enter, not truncated (lo=1.7 gave support (1, 2),
+        # hi=2.5 three rows) or left to numpy's IndexError and TypeError
+        call, key = self.NON_INTEGER[case]
+        with pytest.raises(ConfigError) as info:
+            call(unit5, GridFunction(unit5, np.arange(5.0)))
+        assert info.value.key == key
+
+    def test_numpy_integer_arguments_accepted(self, unit5):
+        i64 = np.int64
+        u = GridFunction(unit5, np.arange(5.0), lo=i64(0))
+        assert GridFunction(unit5, [1.0, 2.0], lo=i64(1)).support == (1, 2)
+        assert u.value_at(i64(3)).tolist() == [3.0]
+        assert u.component(np.int32(1)).tolist() == list(np.arange(5.0))
+        assert u.restrict(i64(1), i64(3)).support == (1, 3)
+        assert GridFunction.from_callable(unit5, float, i64(1), i64(3)).support == (1, 3)
+        assert GridFunction.constant(unit5, 1.0, n=i64(2)).n_components == 2
         with pytest.raises(SupportMismatch):
             u.restrict(2, 9)
 

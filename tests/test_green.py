@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from tsdyn import (
+    DomainViolation,
     GridFunction,
     SupportMismatch,
     affine_interpolant,
@@ -403,6 +404,18 @@ class TestAffineInterpolant:
     def test_boundary_vectors_must_have_equal_length(self, unit5):
         with pytest.raises(SupportMismatch, match="equal length"):
             affine_interpolant(unit5, [0.0, 1.0], [1.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("A, B, match", [
+        ([0.0], [np.inf], "B for component 1 must be finite, got inf"),
+        ([0.0, np.nan], [1.0, 1.0], "A for component 2 must be finite, got nan"),
+        (-np.inf, np.inf, "A for component 1 must be finite, got -inf"),
+    ], ids=["B-inf", "A-nan", "both-inf"])
+    def test_non_finite_boundary_values_refused(self, unit5, A, B, match):
+        # refused before the line is formed, where numpy warns
+        # "invalid value encountered in multiply"
+        with pytest.raises(DomainViolation, match=match):
+            affine_interpolant(unit5, A, B)
 
     def test_end_rows_are_the_boundary_values_exactly(self, unit65, q23):
         # A + (B - A) * 1 misses B by an ulp for A = 0.7, B = 0.1

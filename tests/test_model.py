@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsdyn import (
+    ConfigError,
     CriterionNotSatisfied,
     DimensionMismatch,
     DirichletProblem,
@@ -23,7 +24,6 @@ from tsdyn import (
     check_monotone_in_state,
     check_scaling_exponents,
     parse_expression,
-    regularized_rhs,
     residual_norm,
     rhs_matrix,
     uniform,
@@ -155,6 +155,21 @@ class TestNonlinearity:
         with pytest.raises(DimensionMismatch):
             Nonlinearity.from_expression("x1", arity=1, component_index=2)
 
+    @pytest.mark.parametrize("key, kwargs", [
+        ("arity", {"arity": 1.5}),
+        ("arity", {"arity": True}),
+        ("component_index", {"arity": 1, "component_index": 1.0}),
+    ], ids=["arity-float", "arity-bool", "component_index-float"])
+    def test_non_integer_arity_and_index_refused(self, key, kwargs):
+        with pytest.raises(ConfigError) as info:
+            Nonlinearity.from_expression("x1", **kwargs)
+        assert info.value.key == key
+
+    def test_numpy_integer_arity_and_index_accepted(self):
+        f = Nonlinearity.from_expression("x1", arity=np.int64(1), component_index=np.int64(1))
+        assert (f.arity, f.component_index) == (1, 1)
+        assert type(f.arity) is type(f.component_index) is int
+
     def test_callable_body(self):
         f = Nonlinearity(
             arity=1,
@@ -210,7 +225,7 @@ class TestNonlinearity:
         assert residual_norm(problem, u) == math.inf
         # row 0 is the improper first cell, dropped; row 1 is the first raise
         with pytest.raises(DomainViolation, match=r"^row 1, component 1: nonlinearity "):
-            regularized_rhs(problem, u)
+            rhs_matrix(problem, u.values[1 : unit65.last_index])
 
     def test_type_error_inside_the_body_propagates(self):
         f = Nonlinearity(1, 1, lambda t, x: x[0] + "1", (0.0,), (0.0,))

@@ -21,15 +21,15 @@ from tsdyn import (
     Status,
     Strategy,
     SupportMismatch,
+    affine_interpolant,
     apply_green_operator,
-    clamp_to_band,
     compute_envelope,
     construct_bounds,
     from_points,
     green_apply,
     quantum,
-    regularized_rhs,
     residual_norm,
+    rhs_matrix,
     solve,
     uniform,
     verify_lower,
@@ -889,86 +889,48 @@ class TestMonotone:
 
 
 class TestRhsModes:
-    """``f*`` reads the states clamped into the band when brackets are
-    given and as they are otherwise, at the public edges as in ``solve``."""
+    """``f*`` reads the states clipped into the band when brackets are given
+    and as they are otherwise, at the public edge as in ``solve``; the
+    oracle is ``np.clip`` of the band."""
 
-    @pytest.mark.parametrize("edge", [regularized_rhs, apply_green_operator])
-    def test_brackets_decide_the_clamp(self, singular65, edge):
+    def test_brackets_decide_the_clamp(self, singular65):
+        # with brackets T u = phi + G f(., clip(u^sigma)), byte for byte
         alpha, beta = construct_bounds(singular65).pair
         ts = singular65.scale
+        N = ts.last_index
         wild = GridFunction(ts, np.linspace(-5.0, 5.0, ts.npoints))
-        assert (clamp_to_band(wild, alpha, beta).values != wild.values).any()
-        clamped = edge(singular65, wild, (alpha, beta))
-        direct = edge(singular65, clamp_to_band(wild, alpha, beta))
-        assert clamped.values.tobytes() == direct.values.tobytes()
+        clipped = np.clip(wild.values, alpha.values, beta.values)
+        assert (clipped != wild.values).any()
+        rhs = GridFunction(ts, rhs_matrix(singular65, clipped[1:N])[0])
+        phi = affine_interpolant(ts, singular65.boundary_left, singular65.boundary_right)
+        image = apply_green_operator(singular65, wild, (alpha, beta)).values.tobytes()
+        assert image == (phi + green_apply(ts, rhs)).values.tobytes()
+        assert image == apply_green_operator(singular65, GridFunction(ts, clipped)).values.tobytes()
         inside = 0.5 * (alpha + beta)
-        assert (edge(singular65, inside, (alpha, beta)).values.tobytes()
-                == edge(singular65, inside).values.tobytes())
+        assert (apply_green_operator(singular65, inside, (alpha, beta)).values.tobytes()
+                == apply_green_operator(singular65, inside).values.tobytes())
 
-    @pytest.mark.parametrize("edge", [regularized_rhs, apply_green_operator])
-    def test_bracket_errors_come_from_the_edges(self, singular65, edge):
-        alpha, beta = construct_bounds(singular65).pair
-        ts = singular65.scale
-        u = 0.5 * (alpha + beta)
-        with pytest.raises(BracketViolation):
-            edge(singular65, u, (beta, alpha))
-        with pytest.raises(SupportMismatch):
-            edge(singular65, u, (alpha.restrict(1, ts.last_index), beta))
-        with pytest.raises(SupportMismatch):
-            pair = (GridFunction(ts, np.repeat(g.values, 2, axis=1))
-                    for g in (alpha, beta))
-            edge(singular65, u, tuple(pair))
-        other = quantum(2.0, 63)
-        with pytest.raises(SupportMismatch):
-            edge(singular65, u, (GridFunction(other, alpha.values), beta))
-
-    def test_truncated_stays_in_band(self, singular65):
-        pair = construct_bounds(singular65)
-        alpha, beta = pair.pair
-        ts = singular65.scale
-        wild = GridFunction(ts, np.linspace(-5.0, 5.0, ts.npoints))
-        rhs = regularized_rhs(singular65, wild, pair.pair)
-        direct = regularized_rhs(singular65, clamp_to_band(wild, alpha, beta))
-        assert np.allclose(rhs.values, direct.values, rtol=0, atol=1e-15)
-
-    def test_partial_brackets_rejected(self, singular65):
-        alpha, beta = construct_bounds(singular65).pair
-        N = singular65.scale.last_index
-        with pytest.raises(SupportMismatch):
-            regularized_rhs(
-                singular65,
-                alpha,
-                (alpha.restrict(1, N), beta.restrict(1, N)),
-            )
-
-    def test_clamp_to_band(self, unit65):
-        alpha = GridFunction.constant(unit65, 0.0)
-        beta = GridFunction.constant(unit65, 1.0)
-        u = GridFunction(unit65, np.linspace(-1.0, 2.0, 65))
-        clamped = clamp_to_band(u, alpha, beta)
-        assert clamped.values.min() == 0.0
-        assert clamped.values.max() == 1.0
-
-    def test_clamp_to_band_clips_the_rows_of_the_support(self, unit65):
-        alpha = GridFunction(unit65, np.linspace(0.0, 1.0, 65))
-        beta = alpha + 0.5
-        u = GridFunction(unit65, np.full(11, 2.0), 20)
-        clamped = clamp_to_band(u, alpha, beta)
-        assert clamped.support == (20, 30)
-        assert clamped.values.tobytes() == beta.values[20:31].tobytes()
-
-    def test_clamp_to_band_checks_the_band(self, unit65):
-        # the band check of solve: a crossed band used to clip to beta, and a
-        # band of two components on a one-component u widened it
+    @pytest.mark.parametrize("edge", [
+        apply_green_operator,
+        lambda p, u, brackets: solve(p, brackets=brackets),
+    ], ids=["apply_green_operator", "solve"])
+    def test_bracket_errors_come_from_the_edges(self, unit65, edge):
+        # the one band check: a crossed band used to clip to beta, and a band
+        # of two components on a one-component system widened it
+        p = power_problem(unit65)
         u = GridFunction(unit65, np.linspace(-1.0, 2.0, 65))
         low, high = (GridFunction.constant(unit65, v) for v in (0.0, 1.0))
         with pytest.raises(BracketViolation) as err:
-            clamp_to_band(u, high, low)
+            edge(p, u, (high, low))
         assert err.value.index == 0
         with pytest.raises(SupportMismatch, match="component count must be 1, got 2"):
-            clamp_to_band(u, *(GridFunction.constant(unit65, v, n=2) for v in (0.0, 1.0)))
+            edge(p, u, tuple(GridFunction.constant(unit65, v, n=2) for v in (0.0, 1.0)))
         with pytest.raises(SupportMismatch, match="cover the whole realization"):
-            clamp_to_band(u, low.restrict(0, 63), high)
+            edge(p, u, (low.restrict(0, 63), high))
+        with pytest.raises(SupportMismatch, match="cover the whole realization"):
+            edge(p, u, (low, high.restrict(1, 64)))
+        with pytest.raises(SupportMismatch, match="another realization"):
+            edge(p, u, (GridFunction(quantum(2.0, 63), low.values), high))
 
 
 #: How an entry of the iterate sits against its band.
@@ -1117,15 +1079,12 @@ class TestResidual:
 #: beta)`` and an iterate ``u``, all for the problem ``p``.
 ENTRY_POINTS = {
     "solve": lambda p, alpha, beta, u: solve(p, brackets=(alpha, beta)),
-    "regularized_rhs": lambda p, alpha, beta, u: regularized_rhs(p, u, (alpha, beta)),
     "apply_green_operator": lambda p, alpha, beta, u: apply_green_operator(p, u),
     "residual_norm": lambda p, alpha, beta, u: residual_norm(p, u),
     "verify_lower": lambda p, alpha, beta, u: verify_lower(p, alpha),
     "verify_upper": lambda p, alpha, beta, u: verify_upper(p, beta),
     "compute_envelope": lambda p, alpha, beta, u: compute_envelope(p, u),
     "green_apply": lambda p, alpha, beta, u: green_apply(p.scale, u),
-    "clamp_to_band": lambda p, alpha, beta, u: clamp_to_band(
-        GridFunction(p.scale, u.values, u.lo), alpha, beta),
 }
 
 

@@ -171,6 +171,16 @@ class TestUniform:
         assert info.value.key == key
         assert info.value.reason == f"must be finite, got {a if key == 'a' else end!r}"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, end", [(-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))],
+                             ids=["float", "numpy-float64"])
+    def test_rejects_an_overflowing_span(self, a, end):
+        # both ends are finite but end - a is not: refused before linspace
+        # warns "overflow encountered in subtract"
+        with pytest.raises(ConfigError, match="overflows") as info:
+            uniform(a, end, 9)
+        assert info.value.key == "end"
+
 
 class TestQuantum:
     def test_depth_three_points(self):
