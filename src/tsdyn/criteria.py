@@ -22,7 +22,7 @@ import numpy as np
 from .calculus import (GridFunction, band_values, equation_defect,
                        full_support_values)
 from .errors import (BracketViolation, ConfigError, CriterionNotSatisfied, DomainViolation,
-                     EnvelopeViolation)
+                     EnvelopeViolation, UnknownVariable)
 from .expressions import ExpressionTree
 from .green import envelope_weight, green_solve, kernel_factors, kernel_lower_weight
 from .model import DirichletProblem, Nonlinearity, drop_note, rhs_matrix
@@ -299,9 +299,8 @@ def classify_weighted_bound(
     handled as for a nonlinearity: dropped in the first cell, raised inside.
     """
     family = _resolve_family(scales)
-    if isinstance(g, ExpressionTree):
-        # given no state values, a weight that names a state raises UnknownVariable
-        g.evaluate_array(np.zeros(1), np.zeros((1, 0)))
+    if isinstance(g, ExpressionTree) and (states := g.states()):
+        raise UnknownVariable(f"x{states[0]} referenced but only 0 state values given")
     body = g if isinstance(g, ExpressionTree) else (lambda t, x: g(t))
     weight_f = Nonlinearity(1, 1, body, (0.0,), (0.0,))
     # g reads no state, so the envelope states serve as well as any

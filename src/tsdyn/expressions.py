@@ -17,6 +17,9 @@ a non-integer exponent and overflow all raise :class:`DomainViolation`.
 of times and states.  Instead of raising it flags every row where a guard
 fires or a value is not finite; the caller re-evaluates those rows with the
 scalar :meth:`ExpressionTree.evaluate`, which decides what they mean.
+
+Every walk over the tree lives here: both evaluations, the printer, the
+variables a tree reads and its exact degrees.
 """
 
 from __future__ import annotations
@@ -223,8 +226,20 @@ class ExpressionTree:
         v.flags.writeable = False
         return v, flagged
 
+    def states(self) -> list[int]:
+        """The index ``j`` of each state ``xj`` the tree reads, in evaluation order."""
+        return [v.index for v in _variables(self.root) if isinstance(v, StateVar)]
+
     def max_state_index(self) -> int:
-        return _max_state(self.root)
+        return max(self.states(), default=0)
+
+    def exact_degrees(self, arity: int) -> tuple[float, ...] | None:
+        """The degrees in ``x1..x{arity}`` where the tree is exactly homogeneous in
+        each state: constants and ``t`` have degree 0, ``xj`` degree 1 in ``xj``,
+        ``*`` adds and ``/`` subtracts degrees, a power with a finite exponent free
+        of ``t`` and states scales them, and negation, or ``+`` and ``-`` of terms
+        that agree, keeps them.  ``None`` where these rules give no finite degrees."""
+        return _exact_degrees(self.root, arity)
 
     def __str__(self) -> str:
         return _show(self.root, 0)
@@ -336,14 +351,35 @@ def _eval_array(node: Node, t: np.ndarray, x: np.ndarray, flagged: np.ndarray):
     return np.float_power(left, right)
 
 
-def _max_state(node: Node) -> int:
-    if isinstance(node, StateVar):
-        return node.index
+def _variables(node: Node) -> list[Node]:
+    """The ``t`` and state leaves of ``node``, in the order :func:`_eval` reads them."""
     if isinstance(node, Neg):
-        return _max_state(node.child)
+        return _variables(node.child)
     if isinstance(node, BinOp):
-        return max(_max_state(node.left), _max_state(node.right))
-    return 0
+        return _variables(node.left) + _variables(node.right)
+    return [] if isinstance(node, Const) else [node]
+
+
+def _exact_degrees(node: Node, arity: int) -> tuple[float, ...] | None:
+    if isinstance(node, Neg):
+        return _exact_degrees(node.child, arity)
+    if not isinstance(node, BinOp):  # a constant, t, or a state
+        return tuple(float(j == getattr(node, "index", 0)) for j in range(1, arity + 1))
+    left, right = _exact_degrees(node.left, arity), _exact_degrees(node.right, arity)
+    if left is None or right is None or node.op in "+-":
+        return left if left == right else None
+    if node.op == "^":
+        if _variables(node.right):
+            return None
+        try:
+            expo = ExpressionTree(node.right).evaluate(0.0, ())
+        except DomainViolation:
+            return None
+        degrees = tuple(g * expo + 0.0 for g in left)  # + 0.0: no -0.0 entries
+    else:
+        sign = 1.0 if node.op == "*" else -1.0
+        degrees = tuple(a + sign * b for a, b in zip(left, right))
+    return degrees if all(map(math.isfinite, degrees)) else None
 
 
 # precedence levels for printing: addition 1, multiplication 2, unary 3, power 4

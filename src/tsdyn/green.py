@@ -91,18 +91,20 @@ def green_apply(ts: TimeScale, h: GridFunction) -> GridFunction:
 
 def affine_interpolant(ts: TimeScale, A, B) -> GridFunction:
     """Straight line through (a, A) and (sigma^2(b), B), one row per point;
-    a non-finite entry of ``A`` or ``B`` raises :class:`DomainViolation`."""
+    a non-finite entry of ``A``, ``B`` or ``B - A`` raises :class:`DomainViolation`."""
     Avec = np.atleast_1d(np.asarray(A, dtype=float))
     Bvec = np.atleast_1d(np.asarray(B, dtype=float))
     if Avec.shape != Bvec.shape:
         raise SupportMismatch("boundary vectors must have equal length")
-    for side, vec in (("A", Avec), ("B", Bvec)):
+    with np.errstate(over="ignore"):  # an overflowing B - A is refused below
+        rise = Bvec - Avec
+    for side, vec in (("A", Avec), ("B", Bvec), ("B - A", rise)):
         if not np.isfinite(vec).all():
             i = int(np.argmin(np.isfinite(vec)))
             raise DomainViolation(f"{side} for component {i + 1} must be finite, "
                                   f"got {float(vec[i])!r}")
     frac = (ts.points - ts.a) / ts.span
-    vals = Avec[None, :] + (Bvec - Avec)[None, :] * frac[:, None]
+    vals = Avec[None, :] + rise[None, :] * frac[:, None]
     vals[-1] = Bvec  # A + (B - A) * 1 can miss B by an ulp
     return GridFunction(ts, vals)
 

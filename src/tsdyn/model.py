@@ -22,7 +22,7 @@ import numpy as np
 
 from .calculus import float_rows
 from .errors import CriterionNotSatisfied, DimensionMismatch, DomainViolation, UnknownVariable
-from .expressions import BinOp, Const, ExpressionTree, Neg, parse_expression
+from .expressions import ExpressionTree, parse_expression
 from .timescale import TimeScale, require_integer
 
 Body = Union[ExpressionTree, Callable[[float, tuple[float, ...]], float]]
@@ -86,12 +86,12 @@ class Nonlinearity:
         degree_high: Sequence[float] | None = None,
     ) -> "Nonlinearity":
         """Parse ``text``.  A missing degree row is zeros, unless both are:
-        then both are the exact degrees :func:`_exact_degrees` finds, if any."""
+        then both are the tree's :meth:`ExpressionTree.exact_degrees`, if any."""
         arity = require_integer(arity, "arity")
         body = parse_expression(text)
         zeros = (0.0,) * arity
         if degree_low is None and degree_high is None:
-            degree_low = degree_high = _exact_degrees(body.root, arity)
+            degree_low = degree_high = body.exact_degrees(arity)
         return cls(arity=arity, component_index=component_index, body=body,
                    degree_low=zeros if degree_low is None else degree_low,
                    degree_high=zeros if degree_high is None else degree_high)
@@ -157,42 +157,6 @@ class Nonlinearity:
                     f"off-diagonal bracket for x{j + 1} must stay negative, "
                     f"upper edge is {hi:g}"
                 )
-
-
-def _exact_degrees(node, arity: int) -> tuple[float, ...] | None:
-    """The degrees of ``node`` in ``x1..x{arity}`` where it is exactly homogeneous
-    in each state: constants and ``t`` have degree 0, ``xj`` degree 1 in ``xj``,
-    ``*`` adds and ``/`` subtracts degrees, a power with a finite exponent free
-    of ``t`` and states scales them, and negation, or ``+`` and ``-`` of terms
-    that agree, keeps them.  ``None`` where these rules give no finite degrees."""
-    if isinstance(node, Neg):
-        return _exact_degrees(node.child, arity)
-    if not isinstance(node, BinOp):  # a constant, t, or a state
-        return tuple(float(j == getattr(node, "index", 0)) for j in range(1, arity + 1))
-    left, right = _exact_degrees(node.left, arity), _exact_degrees(node.right, arity)
-    if left is None or right is None or node.op in "+-":
-        return left if left == right else None
-    if node.op == "^":
-        if not _is_constant(node.right):
-            return None
-        try:
-            expo = ExpressionTree(node.right).evaluate(0.0, ())
-        except DomainViolation:
-            return None
-        degrees = tuple(g * expo + 0.0 for g in left)  # + 0.0: no -0.0 entries
-    else:
-        sign = 1.0 if node.op == "*" else -1.0
-        degrees = tuple(a + sign * b for a, b in zip(left, right))
-    return degrees if all(map(math.isfinite, degrees)) else None
-
-
-def _is_constant(node) -> bool:
-    """Whether ``node`` reads neither ``t`` nor a state."""
-    if isinstance(node, Neg):
-        return _is_constant(node.child)
-    if isinstance(node, BinOp):
-        return _is_constant(node.left) and _is_constant(node.right)
-    return isinstance(node, Const)
 
 
 @dataclass(frozen=True)

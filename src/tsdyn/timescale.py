@@ -68,15 +68,20 @@ class TimeScale:
                 f"points must be finite at index {int(np.argmin(np.isfinite(pts)))}",
                 key="points",
             )
-        diffs = np.diff(pts)
-        bad = np.nonzero(diffs <= 0.0)[0]
+        bad = np.nonzero(pts[1:] <= pts[:-1])[0]  # compared, not subtracted: no overflow
         if bad.size:
             raise ConfigError(
                 f"points not strictly increasing at index {int(bad[0]) + 1}", key="points"
             )
         pts.setflags(write=False)
-        diffs.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        # in Python floats, which overflow without a warning; the kernel's
+        # weights multiply two gaps, so the span's square must be finite too
+        if not math.isfinite(self.span * self.span):
+            raise ConfigError(f"span of [{self.a}, {self.sigma2_b}] is too wide: "
+                              "its square overflows", key="points")
+        diffs = np.diff(pts)
+        diffs.setflags(write=False)
         object.__setattr__(self, "_mu", diffs)
 
     # -- size and boundary identification --------------------------------

@@ -585,8 +585,11 @@ class TestConfigErrors:
          ("scale.kind = explicit\nscale.values = 0,0.5,0.2,1", "scale.values",
           "points not strictly increasing at index 2"),
          ("scale.kind = explicit\nscale.values = 0,1", "scale.values",
-          "need at least 4 points for boundary identification, got 2")],
+          "need at least 4 points for boundary identification, got 2"),
+         ("scale.kind = uniform\nscale.end = 1e200\nscale.points = 9\nbounds.kind = lower",
+          "scale.end", "span of [0.0, 1e+200] is too wide: its square overflows")],
     )
+    @pytest.mark.filterwarnings("error")
     def test_refused_scale_names_its_entry(self, tmp_path, capsys, command,
                                            entries, key, reason):
         cfg = write_cfg(tmp_path, f"{entries}\nf.count = 1\nf.1.expr = x1^(-0.5)\n")

@@ -309,7 +309,8 @@ class TestWeightedBound:
         assert calls == [0.0] * len(fam)
         assert rep.verdict is Verdict.CONVERGENT
 
-    @pytest.mark.parametrize("text, name", [("x1", "x1"), ("t + x2 * x1", "x2")])
+    @pytest.mark.parametrize("text, name", [("x1", "x1"), ("t + x2 * x1", "x2"),
+                                            ("x1 + x3", "x1")])
     def test_weight_that_names_a_state_is_refused(self, text, name):
         with pytest.raises(
             UnknownVariable, match=f"^{name} referenced but only 0 state values given$"

@@ -144,6 +144,10 @@ class TestMetadata:
         assert parse_expression("t + 1").max_state_index() == 0
         assert parse_expression("x1 + x4*x2").max_state_index() == 4
 
+    def test_states_in_evaluation_order(self):
+        assert parse_expression("t + 1").states() == []
+        assert parse_expression("x3 + t*x1^x2 - x3").states() == [3, 1, 2, 3]
+
 
 ROUND_TRIP = [
     "1",
@@ -406,6 +410,19 @@ class TestProperties:
         again = parse_expression(printed)
         assert str(again) == printed
         assert _outcome(again, t, x) == _outcome(tree, t, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=TREES)
+    def test_states_are_listed_in_evaluation_order(self, tree):
+        # given no state values, evaluation stops at the first state it reads
+        states = tree.states()
+        assert tree.max_state_index() == max(states, default=0)
+        try:
+            tree.evaluate_array(np.zeros(1), np.zeros((1, 0)))
+        except UnknownVariable as exc:
+            assert str(exc) == f"x{states[0]} referenced but only 0 state values given"
+        else:
+            assert states == []
 
 
 def _outcome(tree, t, x):

@@ -417,6 +417,17 @@ class TestAffineInterpolant:
         with pytest.raises(DomainViolation, match=match):
             affine_interpolant(unit5, A, B)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("A, B, component", [
+        ([-1e308], [1e308], 1), ([0.0, 1e308], [1.0, -1e308], 2),
+    ])
+    def test_overflowing_rise_refused(self, unit5, A, B, component):
+        # both ends are finite, but numpy would warn "overflow encountered in
+        # subtract" on B - A and build a line through inf
+        with pytest.raises(DomainViolation,
+                           match=f"^B - A for component {component} must be finite, got -?inf$"):
+            affine_interpolant(unit5, A, B)
+
     def test_end_rows_are_the_boundary_values_exactly(self, unit65, q23):
         # A + (B - A) * 1 misses B by an ulp for A = 0.7, B = 0.1
         assert 0.7 + (0.1 - 0.7) * 1.0 != 0.1

@@ -56,6 +56,16 @@ def test_every_error_class_is_exported():
     assert classes <= set(tsdyn.__all__)
 
 
+def test_only_the_expression_module_knows_the_tree_nodes():
+    """Every walk over an expression tree lives in ``expressions.py``; other
+    modules ask the tree, so none names a node class."""
+    nodes = re.compile(r"\b(BinOp|Const|Neg|StateVar|TimeVar)\b")
+    package = Path(tsdyn.__file__).resolve().parent
+    naming = [path.name for path in sorted(package.glob("*.py"))
+              if nodes.search(path.read_text())]
+    assert naming == ["expressions.py"]
+
+
 def test_import_loads_no_test_or_heavy_modules():
     """Importing the package and its CLI stays cheap: beyond numpy it loads
     only small standard-library modules, and none of these."""

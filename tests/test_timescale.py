@@ -50,6 +50,25 @@ class TestFromPoints:
             from_points([0.0, 0.25, bad, 1.0])
         assert err.value.reason == "points must be finite at index 2"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("points, span", [
+        ([-1e308, 1e308, 1.1e308, 1.2e308], "[-1e+308, 1.2e+308]"),  # a gap overflows
+        ([0.0, 1e154, 2e154, 3e154], "[0.0, 3e+154]"),  # only the square does
+    ], ids=["gap", "square"])
+    def test_rejects_a_span_whose_square_overflows(self, points, span):
+        # refused before np.diff warns "overflow encountered in subtract" and
+        # before the kernel's weights overflow in their products
+        with pytest.raises(ConfigError) as err:
+            from_points(points)
+        assert err.value.key == "points"
+        assert err.value.reason == f"span of {span} is too wide: its square overflows"
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_monotone_points_are_compared_not_subtracted(self):
+        # 1e308 - (-1e308) overflows, but the order check needs no difference
+        with pytest.raises(ConfigError, match="not strictly increasing at index 2 "):
+            from_points([0.0, 1e308, -1e308, 1.0])
+
     def test_four_points_is_minimal(self):
         ts = from_points([0.0, 1.0, 2.0, 4.0])
         assert ts.npoints == 4
@@ -180,6 +199,14 @@ class TestUniform:
         with pytest.raises(ConfigError, match="overflows") as info:
             uniform(a, end, 9)
         assert info.value.key == "end"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, end", [(0.0, 1e200), (-8e307, 8e307)])
+    def test_rejects_a_span_whose_square_overflows(self, a, end):
+        # end - a is finite, but the kernel's weights divide by its square
+        with pytest.raises(ConfigError, match="its square overflows") as info:
+            uniform(a, end, 9)
+        assert info.value.key == "points"
 
 
 class TestQuantum:
