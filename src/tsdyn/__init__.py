@@ -26,7 +26,6 @@ from .criteria import (
     check_lipschitz_bound,
     check_monotone_in_state,
     check_scaling_exponents,
-    classify_weighted_bound,
     compute_envelope,
     construct_bounds,
     construct_lower,
@@ -86,9 +85,9 @@ __all__ = [
     "LipschitzReport", "SampleReport", "ScalingReport",
     "Verdict", "VerificationReport", "check_lipschitz_bound",
     "check_monotone_in_state", "check_scaling_exponents",
-    "classify_weighted_bound", "compute_envelope", "construct_bounds",
-    "construct_lower", "criterion_necessary", "criterion_sufficient",
-    "family_quadrature", "verify_lower", "verify_upper",
+    "compute_envelope", "construct_bounds", "construct_lower",
+    "criterion_necessary", "criterion_sufficient", "family_quadrature",
+    "verify_lower", "verify_upper",
     "BracketViolation", "ConfigError", "CriterionNotSatisfied",
     "DimensionMismatch", "DomainViolation", "EnvelopeViolation",
     "ExpressionSyntaxError", "SupportMismatch", "TsdynError", "UnknownVariable",

@@ -236,11 +236,17 @@ def sigma_shift(u: GridFunction) -> GridFunction:
     return GridFunction(u.scale, u.values[1:], u.lo)
 
 
+def cauchy_sum(measure: np.ndarray, values: np.ndarray) -> list[float]:
+    """``sum_k measure[k] * values[k, i]`` per column ``i``, one row of
+    ``values`` per entry of ``measure``: the one Cauchy sum of the package."""
+    return [float(np.sum(measure * values[:, i])) for i in range(values.shape[1])]
+
+
 def delta_integral(u: GridFunction, lo: int, hi: int) -> np.ndarray:
     """Cauchy sum over the half-open index range ``[lo, hi)``.
 
     Returns one value per component.  ``lo == hi`` gives an exact zero.
-    The summation order is fixed (ascending k), so results are reproducible
+    The summation order is numpy's and fixed, so results are reproducible
     bit for bit.
     """
     lo, hi = require_integer(lo, "lo"), require_integer(hi, "hi")
@@ -250,8 +256,4 @@ def delta_integral(u: GridFunction, lo: int, hi: int) -> np.ndarray:
         raise SupportMismatch(
             f"range [{lo}, {hi}) leaves support [{u.lo}, {u.hi}] or the scale"
         )
-    total = np.zeros(u.n_components)
-    mu = u.scale.mu
-    for k in range(lo, hi):
-        total = total + mu[k] * u.values[k - u.lo]
-    return total
+    return np.array(cauchy_sum(u.scale.mu[lo:hi], u.values[lo - u.lo : hi - u.lo]))

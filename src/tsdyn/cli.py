@@ -284,7 +284,12 @@ def build_problem(cfg: Config, scale: TimeScale) -> DirichletProblem:
             raise cfg.error(key, f"expected {n} boundary values, got {len(vec)}")
         return vec
 
-    return DirichletProblem(scale, f, bc("bc.left"), bc("bc.right"))
+    left, right = bc("bc.left"), bc("bc.right")
+    for i, (a, b) in enumerate(zip(left, right), start=1):
+        if not math.isfinite(b - a):
+            raise cfg.error("bc.right", f"bc.right - bc.left for component {i} "
+                            f"must be finite, got {b!r} - {a!r}")
+    return DirichletProblem(scale, f, left, right)
 
 
 def _family(scale: TimeScale, override: str | None) -> list[TimeScale]:

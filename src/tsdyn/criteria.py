@@ -13,17 +13,16 @@ and every drop is recorded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .calculus import (GridFunction, band_values, equation_defect,
+from .calculus import (GridFunction, band_values, cauchy_sum, equation_defect,
                        full_support_values)
 from .errors import (BracketViolation, ConfigError, CriterionNotSatisfied, DomainViolation,
-                     EnvelopeViolation, UnknownVariable)
-from .expressions import ExpressionTree
+                     EnvelopeViolation)
 from .green import envelope_weight, green_solve, kernel_factors, kernel_lower_weight
 from .model import DirichletProblem, Nonlinearity, drop_note, rhs_matrix
 from .timescale import TimeScale, require_finite, require_integer, uniform_family
@@ -219,40 +218,7 @@ def _overall(per_component: Sequence[ConvergenceVerdict]) -> Verdict:
 
 def _quadrature(ts: TimeScale, vals: np.ndarray, weight=1.0) -> list[float]:
     """``sum_k mu_k w_k vals[k, i]`` over the equation points, per component."""
-    mu = ts.mu[: ts.last_index - 1]
-    return [float(np.sum(mu * weight * vals[:, i])) for i in range(vals.shape[1])]
-
-
-def _trail_report(f, family, weight_fn, pins=None) -> CriterionReport:
-    """Classify the trails of ``f``'s quadratures under ``weight_fn`` over
-    ``family``, with the state slots of member ``m`` at ``pins[m]``, else
-    at the envelope."""
-    f = tuple(f)
-    n = len(f)
-    zeros = (0.0,) * n
-    partials: list[list[float]] = []
-    lows: list[np.ndarray] = []
-    notes: list[str] = []
-    for m, ts in enumerate(family):
-        problem = DirichletProblem(ts, f, zeros, zeros)
-        states = _envelope_states(ts, n) if pins is None else pins[m]
-        vals, skipped = rhs_matrix(problem, states)
-        notes.extend(drop_note(skipped, f"{ts.npoints} points: "))
-        partials.append(_quadrature(ts, vals, weight_fn(ts)))
-        lows.append(np.min(vals, axis=0))
-    trails = tuple(zip(*partials))
-    floors = np.min(lows, axis=0).tolist()
-    per = tuple(
-        _classify(trail, positive=floor >= 0.0 and trail[-1] >= _TINY)
-        for trail, floor in zip(trails, floors)
-    )
-    return CriterionReport(
-        verdict=_overall(per),
-        per_component=per,
-        trails=trails,
-        scale_sizes=tuple(ts.npoints for ts in family),
-        notes=tuple(notes),
-    )
+    return cauchy_sum(ts.mu[: ts.last_index - 1] * weight, vals)
 
 
 def criterion_sufficient(
@@ -280,33 +246,12 @@ def criterion_necessary(
     The state is pinned to the constant vector at the realized right
     endpoint (or ``eval_point_override``), and the integrand is weighted by
     ``(sigma(s) - a) (sigma(b) - sigma(s))`` with the realized ``sigma(b)``.
-    A ``DIVERGENT`` report refutes solvability for the positive class.
+    A ``DIVERGENT`` report refutes solvability for the positive class.  A
+    time-only weight ``g`` classifies as ``Nonlinearity(1, 1, lambda t, x:
+    g(t), (0.0,), (0.0,))``.
     """
     return family_quadrature(f, scales, weight="necessary",
                              eval_point_override=eval_point_override)
-
-
-def classify_weighted_bound(
-    g: Union[ExpressionTree, Callable[[float], float]],
-    scales: Sequence[TimeScale] | None = None,
-) -> ConvergenceVerdict:
-    """Classify ``integral of (sigma(s) - a)(sigma(b) - sigma(s)) g(s)``.
-
-    ``g`` is a scalar dominating weight, given as a parsed expression in
-    ``t`` or any callable.  This is the single-function form of the
-    necessary-condition quadrature, useful when a nonlinearity is bounded by
-    a known time-only profile.  Errors and non-finite values of ``g`` are
-    handled as for a nonlinearity: dropped in the first cell, raised inside.
-    """
-    family = _resolve_family(scales)
-    if isinstance(g, ExpressionTree) and (states := g.states()):
-        raise UnknownVariable(f"x{states[0]} referenced but only 0 state values given")
-    body = g if isinstance(g, ExpressionTree) else (lambda t, x: g(t))
-    weight_f = Nonlinearity(1, 1, body, (0.0,), (0.0,))
-    # g reads no state, so the envelope states serve as well as any
-    report = _trail_report([weight_f], family, _necessary_weight)
-    verdict = report.per_component[0]
-    return replace(verdict, notes=report.notes + verdict.notes)
 
 
 #: The weight of each named family quadrature.
@@ -341,12 +286,35 @@ def family_quadrature(
         raise ConfigError("applies only to the necessary weight", key="eval_point_override")
     family = _resolve_family(scales)
     f = tuple(f)
-    pins = None
+    n = len(f)
     if weight == "necessary":
         # every member's pin is built, and so checked, before any is evaluated
-        pins = [_pinned_states(ts, len(f), ts.sigma2_b if eval_point_override is None
-                               else eval_point_override) for ts in family]
-    return _trail_report(f, family, _WEIGHTS[weight], pins)
+        states = [_pinned_states(ts, n, ts.sigma2_b if eval_point_override is None
+                                 else eval_point_override) for ts in family]
+    else:
+        states = [_envelope_states(ts, n) for ts in family]
+    zeros = (0.0,) * n
+    partials: list[list[float]] = []
+    lows: list[np.ndarray] = []
+    notes: list[str] = []
+    for ts, x in zip(family, states):
+        vals, skipped = rhs_matrix(DirichletProblem(ts, f, zeros, zeros), x)
+        notes.extend(drop_note(skipped, f"{ts.npoints} points: "))
+        partials.append(_quadrature(ts, vals, _WEIGHTS[weight](ts)))
+        lows.append(np.min(vals, axis=0))
+    trails = tuple(zip(*partials))
+    floors = np.min(lows, axis=0).tolist()
+    per = tuple(
+        _classify(trail, positive=floor >= 0.0 and trail[-1] >= _TINY)
+        for trail, floor in zip(trails, floors)
+    )
+    return CriterionReport(
+        verdict=_overall(per),
+        per_component=per,
+        trails=trails,
+        scale_sizes=tuple(ts.npoints for ts in family),
+        notes=tuple(notes),
+    )
 
 
 # --- bound construction ---------------------------------------------------------

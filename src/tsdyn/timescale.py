@@ -75,11 +75,16 @@ class TimeScale:
             )
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        # in Python floats, which overflow without a warning; the kernel's
-        # weights multiply two gaps, so the span's square must be finite too
-        if not math.isfinite(self.span * self.span):
+        # in Python floats, which overflow and underflow without a warning;
+        # the kernel's weights divide a product of two gaps by the span's
+        # square, so it must be finite and a normal float, not 0 / 0
+        square = self.span * self.span
+        if not math.isfinite(square):
             raise ConfigError(f"span of [{self.a}, {self.sigma2_b}] is too wide: "
                               "its square overflows", key="points")
+        if square < np.finfo(float).tiny:
+            raise ConfigError(f"span of [{self.a}, {self.sigma2_b}] is too narrow: "
+                              "its square underflows", key="points")
         diffs = np.diff(pts)
         diffs.setflags(write=False)
         object.__setattr__(self, "_mu", diffs)

@@ -1,5 +1,7 @@
 """Grid functions and the discrete delta calculus built on them."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from tsdyn import (
     DimensionMismatch,
     DomainViolation,
     GridFunction,
+    Nonlinearity,
     SupportMismatch,
+    criterion_sufficient,
     delta_derivative,
     delta_integral,
     delta_second,
@@ -18,6 +22,7 @@ from tsdyn import (
     quantum,
     sigma_shift,
     uniform,
+    uniform_family,
 )
 from conftest import SEED, random_scale
 
@@ -268,6 +273,17 @@ class TestDeltaIntegral:
         u = GridFunction.constant(unit5, [1.0, 2.0])
         total = delta_integral(u, 0, unit5.last_index)
         assert np.allclose(total, [1.0, 2.0])
+
+    def test_equals_the_criteria_quadrature_bit_for_bit(self):
+        # one Cauchy sum: the plain family quadrature of a time-only right
+        # hand side integrates f(t_k) over the equation points [0, N - 1)
+        def g(t):
+            return math.exp(-t) / (1.0 + t * t)
+
+        report = criterion_sufficient([Nonlinearity(1, 1, lambda t, x: g(t), (0.0,), (0.0,))])
+        ts = uniform_family(0.0, 1.0)[-1]
+        total = delta_integral(GridFunction.from_callable(ts, g), 0, ts.last_index - 1)
+        assert total[0].hex() == report.trails[0][-1].hex()
 
 
 class TestCalculusIdentities:

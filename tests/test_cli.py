@@ -549,6 +549,20 @@ class TestConfigErrors:
         assert err == ("tsdyn: configuration error: expected 2 boundary values, got 3 "
                        "(key 'bc.left', line 11)\n")
 
+    @pytest.mark.parametrize("command", ["solve", "bounds"])
+    @pytest.mark.filterwarnings("error")
+    def test_boundary_pair_whose_rise_overflows_names_its_entry(self, tmp_path, capsys,
+                                                               command):
+        # both values are finite, but B - A is not: refused before the affine
+        # interpolant or the bounds refusal can hide the entry
+        cfg = write_cfg(tmp_path, "scale.kind = uniform\nscale.points = 9\nf.count = 1\n"
+                        "f.1.expr = x1^(-0.5)\nbc.left = -1e308\nbc.right = 1e308\n")
+        assert main([command, str(cfg)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("tsdyn: configuration error: bc.right - bc.left for component 1 "
+                       "must be finite, got 1e+308 - -1e+308 (key 'bc.right', line 6)\n")
+
     def test_duplicate_key(self, tmp_path):
         cfg = write_cfg(tmp_path, SOLVE_CFG + "scale.points = 17\n")
         assert main(["solve", str(cfg)]) == 4
@@ -587,7 +601,9 @@ class TestConfigErrors:
          ("scale.kind = explicit\nscale.values = 0,1", "scale.values",
           "need at least 4 points for boundary identification, got 2"),
          ("scale.kind = uniform\nscale.end = 1e200\nscale.points = 9\nbounds.kind = lower",
-          "scale.end", "span of [0.0, 1e+200] is too wide: its square overflows")],
+          "scale.end", "span of [0.0, 1e+200] is too wide: its square overflows"),
+         ("scale.kind = explicit\nscale.values = 0,1e-170,2e-170,3e-170\nbounds.kind = lower",
+          "scale.values", "span of [0.0, 3e-170] is too narrow: its square underflows")],
     )
     @pytest.mark.filterwarnings("error")
     def test_refused_scale_names_its_entry(self, tmp_path, capsys, command,

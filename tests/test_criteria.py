@@ -27,12 +27,10 @@ from tsdyn import (
     Status,
     Strategy,
     SupportMismatch,
-    UnknownVariable,
     Verdict,
     check_lipschitz_bound,
     check_monotone_in_state,
     check_scaling_exponents,
-    classify_weighted_bound,
     compute_envelope,
     construct_bounds,
     construct_lower,
@@ -242,10 +240,17 @@ def time_power(p):
     )
 
 
-class TestWeightedBound:
+def time_only(g):
+    """``g`` as a one-component system that reads no state, whose necessary
+    criterion classifies the weighted integral of ``g`` alone."""
+    body = g if isinstance(g, ExpressionTree) else (lambda t, x: g(t))
+    return [Nonlinearity(1, 1, body, (0.0,), (0.0,))]
+
+
+class TestTimeOnlyWeight:
     def test_constant_weight_against_oracle(self):
         fam = uniform_family(0.0, 1.0)
-        rep = classify_weighted_bound(parse_expression("1"), fam)
+        rep = criterion_necessary(time_only(parse_expression("1")), fam).per_component[0]
         want = necessary_oracle(time_power(0), fam[-1])
         assert rep.verdict is Verdict.CONVERGENT
         assert rep.last_value == pytest.approx(want, rel=1e-13)
@@ -253,36 +258,22 @@ class TestWeightedBound:
         assert rep.limit == pytest.approx(1.0 / 6.0, abs=5e-4)
 
     def test_boundary_singular_weight_converges(self):
-        rep = classify_weighted_bound(parse_expression("1/(t*(1-t))"))
+        report = criterion_necessary(time_only(parse_expression("1/(t*(1-t))")))
+        rep = report.per_component[0]
         assert rep.verdict is Verdict.CONVERGENT
         assert rep.limit == pytest.approx(1.0, abs=1e-2)
-        assert any("improper first cell" in n for n in rep.notes)
+        assert any("improper first cell" in n for n in report.notes)
 
     def test_raw_callable_head_blowup_is_translated(self):
-        rep = classify_weighted_bound(lambda s: s**-3.0)
-        assert rep.verdict is Verdict.DIVERGENT
-        assert any("improper first cell" in n for n in rep.notes)
+        report = criterion_necessary(time_only(lambda s: s**-3.0))
+        assert report.per_component[0].verdict is Verdict.DIVERGENT
+        assert any("improper first cell" in n for n in report.notes)
 
     def test_callable_and_expression_agree(self):
         fam = uniform_family(0.0, 1.0)
-        via_expr = classify_weighted_bound(parse_expression("t^2 + 1"), fam)
-        via_call = classify_weighted_bound(lambda s: s * s + 1.0, fam)
-        assert via_expr.last_value == via_call.last_value
-
-    @pytest.mark.parametrize(
-        "g", [parse_expression("t^(-0.5)"), lambda s: s**-0.5], ids=["expr", "callable"]
-    )
-    def test_equals_necessary_criterion_on_time_only_nonlinearity(self, g):
-        fam = uniform_family(0.0, 1.0)
-        rep = classify_weighted_bound(g, fam)
-        nec = criterion_necessary([time_power(0.5)], fam)
-        want = nec.per_component[0]
-        assert (rep.last_value, rep.limit, rep.ratios, rep.stability) == (
-            want.last_value, want.limit, want.ratios, want.stability
-        )
-        assert rep.verdict is want.verdict
-        assert rep.notes == nec.notes + want.notes
-        assert any("improper first cell" in n for n in rep.notes)
+        via_expr = criterion_necessary(time_only(parse_expression("t^2 + 1")), fam)
+        via_call = criterion_necessary(time_only(lambda s: s * s + 1.0), fam)
+        assert via_expr.per_component[0].last_value == via_call.per_component[0].last_value
 
     def test_raw_callable_infinite_inside_raises(self):
         # an interior inf is an error, as for any nonlinearity, not a
@@ -291,10 +282,7 @@ class TestWeightedBound:
             return math.inf if 0.4 < s < 0.6 else 1.0
 
         with pytest.raises(DomainViolation):
-            classify_weighted_bound(g)
-        f = Nonlinearity(1, 1, lambda t, x: g(t), (0.0,), (0.0,))
-        with pytest.raises(DomainViolation):
-            criterion_necessary([f])
+            criterion_necessary(time_only(g))
 
     def test_expression_weight_is_evaluated_over_whole_rows(self, monkeypatch):
         calls = []
@@ -304,18 +292,10 @@ class TestWeightedBound:
             lambda self, t, x: calls.append(t) or original(self, t, x),
         )
         fam = uniform_family(0.0, 1.0, (513, 1025, 2049, 4097, 8193))
-        rep = classify_weighted_bound(parse_expression("t^(-0.5)"), fam)
+        rep = criterion_necessary(time_only(parse_expression("t^(-0.5)")), fam)
         # only each member's improper first cell goes through the scalar path
         assert calls == [0.0] * len(fam)
         assert rep.verdict is Verdict.CONVERGENT
-
-    @pytest.mark.parametrize("text, name", [("x1", "x1"), ("t + x2 * x1", "x2"),
-                                            ("x1 + x3", "x1")])
-    def test_weight_that_names_a_state_is_refused(self, text, name):
-        with pytest.raises(
-            UnknownVariable, match=f"^{name} referenced but only 0 state values given$"
-        ):
-            classify_weighted_bound(parse_expression(text))
 
 
 class TestFamilyQuadrature:
@@ -349,10 +329,9 @@ class TestFamilyQuadrature:
         "classify, subject",
         [(criterion_sufficient, [power_law(0.5)]),
          (criterion_necessary, [power_law(0.5)]),
-         (classify_weighted_bound, parse_expression("t")),
          (lambda f, scales: family_quadrature(f, scales, weight="envelope"),
           [power_law(0.5)])],
-        ids=["sufficient", "necessary", "weighted-bound", "quadrature"],
+        ids=["sufficient", "necessary", "quadrature"],
     )
     @pytest.mark.parametrize(
         "sizes", [(17,) * 5, (65, 33, 17, 9, 5), (17, 33, 65, 65, 129)],
@@ -370,8 +349,6 @@ class TestFamilyQuadrature:
         family = uniform_family(0.0, 1.0)
         assert criterion_sufficient(f) == criterion_sufficient(f, family)
         assert criterion_necessary(f) == criterion_necessary(f, family)
-        g = parse_expression("t^(-0.5)")
-        assert classify_weighted_bound(g) == classify_weighted_bound(g, family)
 
     @pytest.mark.parametrize("weight", ["plain", "envelope"])
     def test_override_applies_only_to_the_necessary_weight(self, weight):

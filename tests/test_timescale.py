@@ -64,6 +64,19 @@ class TestFromPoints:
         assert err.value.reason == f"span of {span} is too wide: its square overflows"
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("points, span", [
+        ([0.0, 1e-170, 2e-170, 3e-170], "[0.0, 3e-170]"),  # the square is 0
+        ([0.0, 1e-160, 2e-160, 3e-160], "[0.0, 3e-160]"),  # the square is subnormal
+    ], ids=["zero", "subnormal"])
+    def test_rejects_a_span_whose_square_underflows(self, points, span):
+        # the kernel's lower weight would divide 0 by 0, and the bounds of a
+        # nonzero right hand side would collapse to the zero function
+        with pytest.raises(ConfigError) as err:
+            from_points(points)
+        assert err.value.key == "points"
+        assert err.value.reason == f"span of {span} is too narrow: its square underflows"
+
+    @pytest.mark.filterwarnings("error")
     def test_non_monotone_points_are_compared_not_subtracted(self):
         # 1e308 - (-1e308) overflows, but the order check needs no difference
         with pytest.raises(ConfigError, match="not strictly increasing at index 2 "):
